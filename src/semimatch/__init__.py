@@ -4,81 +4,9 @@ One-pass bucketed matching over geometric weight classes (deterministic,
 shifted, and grid-ensemble variants), numerical analysis certificates,
 an exact desk-scale oracle, instance generators, preemptive online
 baselines, and the adversarial lower-bound game they lose.
-"""
 
-from .adversary import (
-    AdversaryConfig,
-    ClosedFormParams,
-    ContractViolationError,
-    GameResult,
-    GameState,
-    SequenceTable,
-    closed_form_S,
-    closed_form_params,
-    generate_sequences,
-    ratio_checkpoint,
-    run_adversary,
-    solve_R,
-    verify_identities,
-)
-from .bucket import (
-    BucketConfig,
-    BucketState,
-    choose_q,
-    class_index,
-    deterministic_ratio_bound,
-    ensemble_ratio_bound,
-    expected_rounded_weight,
-    finalize,
-    minimize_randomized_bound,
-    process_edge,
-    prune_classes,
-    randomized_ratio_bound,
-    run_deterministic,
-    run_ensemble,
-    run_shifted,
-    stream_bucket_run,
-)
-from .certificate import AnalysisCertificate, build_certificate, filter_to_final_window
-from .core import (
-    Edge,
-    Matching,
-    StreamFormatError,
-    StreamSource,
-    ValidityReport,
-    format_stream,
-    load_stream,
-    matching_weight,
-    parse_stream_text,
-    validate_matching,
-)
-from .generators import (
-    ExponentialClassWeights,
-    RandomInstanceConfig,
-    TightExampleConfig,
-    UniformWeights,
-    permute_stream,
-    random_instance,
-    tight_instance,
-    tight_instance_opt_weight,
-)
-from .oracle import (
-    OracleLimit,
-    OracleLimitError,
-    max_weight_matching_bruteforce,
-    max_weight_matching_exact,
-)
-from .preemptive import (
-    DEFAULT_VICTIMS,
-    BucketPreemptiveAdapter,
-    Decision,
-    HoldFirst,
-    PreemptiveAlgorithm,
-    ThresholdPreemptive,
-    bucket_as_preemptive_adapter,
-    hold_first,
-    make_victim,
-    threshold_preemptive,
-)
+The package root exports only ``__version__``; import names from the
+submodules (``semimatch.bucket``, ``semimatch.core``, ...).
+"""
 
 __version__ = "0.1.0"

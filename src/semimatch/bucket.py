@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Edge, Matching, StreamSource
 
@@ -21,9 +21,8 @@ __all__ = [
     "BucketConfig",
     "BucketState",
     "class_index",
-    "process_edge",
-    "prune_classes",
-    "finalize",
+    "greedy_merge",
+    "best_copy",
     "run_deterministic",
     "run_shifted",
     "choose_q",
@@ -159,46 +158,36 @@ class BucketState:
         if self.stored_edge_count > self.stored_edge_peak:
             self.stored_edge_peak = self.stored_edge_count
 
-    def finalize(self, by_weight: bool = False) -> Matching:
+    def finalize(self) -> Matching:
         """Greedy matching over the stored edges, highest class first.
 
-        Within one class edges keep insertion order.  ``by_weight``
-        switches to an exact-weight ordering for experimentation; it is
-        off by default to preserve the class-order behavior.
+        Within one class edges keep insertion order.
         """
-        if by_weight:
-            pool = sorted(
-                (e for slot in self.matchings.values() for e in slot.edges),
-                key=lambda e: (-e.weight, e.key))
-        else:
-            pool = [e for i in sorted(self.matchings, reverse=True)
-                    for e in self.matchings[i].edges]
-        chosen: list[Edge] = []
-        covered: set[int] = set()
-        for e in pool:
-            if e.u in covered or e.v in covered:
-                continue
-            chosen.append(e)
-            covered.add(e.u)
-            covered.add(e.v)
-        return Matching.from_edges(chosen)
+        return greedy_merge(e for i in sorted(self.matchings, reverse=True)
+                            for e in self.matchings[i].edges)
 
 
-def process_edge(state: BucketState, edge: Edge) -> BucketState:
-    """Feed one edge through the state; returns the same (mutated) state."""
-    state.process(edge)
-    return state
+def greedy_merge(edges: Iterable[Edge]) -> Matching:
+    """Take each edge in the given order unless it touches a vertex already taken."""
+    chosen: list[Edge] = []
+    covered: set[int] = set()
+    for e in edges:
+        if e.u in covered or e.v in covered:
+            continue
+        chosen.append(e)
+        covered.add(e.u)
+        covered.add(e.v)
+    return Matching.from_edges(chosen)
 
 
-def prune_classes(state: BucketState) -> BucketState:
-    """Recompute the window and drop dead classes; idempotent."""
-    state.prune()
-    return state
+def best_copy(per_copy: list[Matching]) -> Matching:
+    """The heaviest of the copies' matchings; ties go to the earliest copy.
 
-
-def finalize(state: BucketState, by_weight: bool = False) -> Matching:
-    """Greedy single matching from a state whose stream is exhausted."""
-    return state.finalize(by_weight=by_weight)
+    Copies come in grid order, so a tie goes to the smallest delta.  The
+    copies are independent and the reduction is deterministic, so
+    concurrent execution of the copies would return the same answer.
+    """
+    return max(per_copy, key=lambda m: m.weight)
 
 
 def stream_bucket_run(stream: StreamSource, config: BucketConfig) -> BucketState:
@@ -263,18 +252,9 @@ def ensemble_states(
 def run_ensemble(
     stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> tuple[Matching, list[Matching]]:
-    """Best of q grid-shifted copies, plus every copy's result.
-
-    Copies are independent; the reduction is deterministic (maximum
-    weight, ties to the smallest delta), so concurrent execution of the
-    copies would return the same answer.
-    """
+    """Best of q grid-shifted copies (see :func:`best_copy`), plus every copy's result."""
     per_copy = [state.finalize() for state in ensemble_states(stream, gamma, epsilon, q)]
-    best = per_copy[0]
-    for candidate in per_copy[1:]:
-        if candidate.weight > best.weight:
-            best = candidate
-    return best, per_copy
+    return best_copy(per_copy), per_copy
 
 
 def expected_rounded_weight(w: float, gamma: float) -> float:

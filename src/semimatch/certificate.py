@@ -36,19 +36,26 @@ class AnalysisCertificate:
     total_associated_weight: float
     per_vertex_association: dict[int, tuple[int, float]]
 
-    def chain_holds(self, rel_tol: float = 1e-9) -> bool:
-        """True when the full inequality chain holds within rel_tol slack."""
+    def links(self, rel_tol: float = 1e-9) -> dict[str, bool]:
+        """Each link of the inequality chain, checked within rel_tol slack.
+
+        ``a <= b`` holds when ``a <= b + rel_tol * max(1, |a|, |b|)``.
+        """
         def le(a: float, b: float) -> bool:
             return a <= b + rel_tol * max(1.0, abs(a), abs(b))
 
         g = self.gamma
-        return (
-            le(self.opt_rounded, self.opt_weight)
-            and le(self.opt_weight, g * self.opt_rounded)
-            and le(self.opt_rounded, self.total_associated_weight)
-            and le(self.total_associated_weight,
-                   (2.0 * g / (g - 1.0)) * self.alg_weight)
-        )
+        return {
+            "opt_rounded_le_opt": le(self.opt_rounded, self.opt_weight),
+            "opt_le_gamma_opt_rounded": le(self.opt_weight, g * self.opt_rounded),
+            "opt_rounded_le_tw": le(self.opt_rounded, self.total_associated_weight),
+            "tw_le_bound_times_alg": le(self.total_associated_weight,
+                                        (2.0 * g / (g - 1.0)) * self.alg_weight),
+        }
+
+    def chain_holds(self, rel_tol: float = 1e-9) -> bool:
+        """True when the full inequality chain holds within rel_tol slack."""
+        return all(self.links(rel_tol).values())
 
 
 def filter_to_final_window(state: BucketState, edges) -> list[Edge]:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import adversary as adv
 from .bucket import (
     BucketConfig,
+    best_copy,
     choose_q,
     ensemble_states,
     randomized_ratio_bound,
@@ -95,10 +96,7 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
         q = q if q is not None else choose_q(gamma, epsilon)
         states = ensemble_states(stream, gamma, epsilon, q)
         per_copy = [s.finalize() for s in states]
-        best = per_copy[0]
-        for cand in per_copy[1:]:
-            if cand.weight > best.weight:
-                best = cand
+        best = best_copy(per_copy)
         record = {
             "variant": variant,
             "gamma": gamma,
@@ -174,7 +172,6 @@ def cmd_certificate(args: argparse.Namespace) -> int:
                         max_edges=args.oracle_max_edges)
     opt, _w = max_weight_matching_exact(survivors, limit)
     cert = build_certificate(state, opt)
-    gamma = cert.gamma
     report = {
         "command": "certificate",
         "config": {
@@ -190,12 +187,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         "opt_rounded": cert.opt_rounded,
         "total_associated_weight": cert.total_associated_weight,
         "chain_holds": cert.chain_holds(),
-        "chain": {
-            "opt_le_gamma_opt_rounded": cert.opt_weight <= gamma * cert.opt_rounded * (1 + 1e-9),
-            "opt_rounded_le_tw": cert.opt_rounded <= cert.total_associated_weight * (1 + 1e-9),
-            "tw_le_bound_times_alg": cert.total_associated_weight
-            <= (2 * gamma / (gamma - 1)) * cert.alg_weight * (1 + 1e-9),
-        },
+        "chain": cert.links(),
         "per_vertex_association": {
             str(v): [i, w] for v, (i, w) in sorted(cert.per_vertex_association.items())},
     }

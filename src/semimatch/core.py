@@ -36,6 +36,8 @@ class Edge:
     weight: float
 
     def __post_init__(self) -> None:
+        if type(self.u) is not int or type(self.v) is not int:
+            raise ValueError(f"vertex ids must be ints, got ({self.u!r}, {self.v!r})")
         if self.u < 0 or self.v < 0:
             raise ValueError(f"vertex ids must be non-negative, got ({self.u}, {self.v})")
         if self.u == self.v:
@@ -47,12 +49,6 @@ class Edge:
     def key(self) -> tuple[int, int]:
         """Orientation-independent identity of the edge."""
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
-    def conflicts(self, other: "Edge") -> bool:
-        return (
-            self.u == other.u or self.u == other.v
-            or self.v == other.u or self.v == other.v
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,9 +116,6 @@ class Matching:
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in (e.u, e.v)}
 
     def keys(self) -> set[tuple[int, int]]:
         return {e.key for e in self.edges}

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bucket import BucketConfig, BucketState
+from .bucket import BucketConfig, BucketState, greedy_merge
 from .core import Edge, Matching
 
 __all__ = [
@@ -23,9 +23,6 @@ __all__ = [
     "ThresholdPreemptive",
     "HoldFirst",
     "BucketPreemptiveAdapter",
-    "threshold_preemptive",
-    "hold_first",
-    "bucket_as_preemptive_adapter",
     "make_victim",
     "DEFAULT_VICTIMS",
 ]
@@ -145,15 +142,7 @@ class BucketPreemptiveAdapter(_PresentedMixin, PreemptiveAlgorithm):
     def _project(self) -> Matching:
         stored = [e for slot in self.state.matchings.values() for e in slot.edges]
         stored.sort(key=lambda e: self._arrival[e.key])
-        chosen: list[Edge] = []
-        covered: set[int] = set()
-        for e in stored:
-            if e.u in covered or e.v in covered:
-                continue
-            chosen.append(e)
-            covered.add(e.u)
-            covered.add(e.v)
-        return Matching.from_edges(chosen)
+        return greedy_merge(stored)
 
     def _expose(self, matching: Matching) -> None:
         keys = matching.keys()
@@ -189,18 +178,6 @@ class BucketPreemptiveAdapter(_PresentedMixin, PreemptiveAlgorithm):
     @property
     def current_matching(self) -> Matching:
         return self._projection
-
-
-def threshold_preemptive(improvement_factor: float) -> ThresholdPreemptive:
-    return ThresholdPreemptive(improvement_factor)
-
-
-def hold_first() -> HoldFirst:
-    return HoldFirst()
-
-
-def bucket_as_preemptive_adapter(config: BucketConfig) -> BucketPreemptiveAdapter:
-    return BucketPreemptiveAdapter(config)
 
 
 DEFAULT_VICTIMS: tuple[str, ...] = (

@@ -12,10 +12,7 @@ from semimatch.bucket import (
     deterministic_ratio_bound,
     ensemble_ratio_bound,
     expected_rounded_weight,
-    finalize,
     minimize_randomized_bound,
-    process_edge,
-    prune_classes,
     randomized_ratio_bound,
     run_deterministic,
     run_ensemble,
@@ -72,28 +69,28 @@ def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):
 class TestProcessEdge:
     def test_first_edge_always_accepted(self):
         state = make_state()
-        process_edge(state, E(0, 1, 1.0))
+        state.process(E(0, 1, 1.0))
         assert state.w_max == 1.0
         assert [e.key for e in state.matchings[0].edges] == [(0, 1)]
 
     def test_same_class_conflict_discarded(self):
         state = make_state(n=6)
-        process_edge(state, E(0, 1, 5.0))
-        process_edge(state, E(1, 2, 6.0))
+        state.process(E(0, 1, 5.0))
+        state.process(E(1, 2, 6.0))
         assert [e.key for e in state.matchings[2].edges] == [(0, 1)]
 
     def test_same_class_disjoint_appended(self):
         state = make_state(n=6)
-        process_edge(state, E(0, 1, 5.0))
-        process_edge(state, E(2, 3, 7.0))
+        state.process(E(0, 1, 5.0))
+        state.process(E(2, 3, 7.0))
         assert [e.key for e in state.matchings[2].edges] == [(0, 1), (2, 3)]
         assert state.stored_edge_count == 2
 
     def test_below_window_discarded_forever(self):
         state = make_state(gamma=2.0, epsilon=1.0, n=4)
-        process_edge(state, E(0, 1, 1024.0))
+        state.process(E(0, 1, 1024.0))
         # threshold = 2*1*1024/4 = 512; class 8 straddles, classes below die
-        process_edge(state, E(2, 3, 1.0))
+        state.process(E(2, 3, 1.0))
         assert state.stored_edge_count == 1
 
 
@@ -102,9 +99,9 @@ class TestPruneClasses:
         # gamma=2, eps=0.5, n=8: w_max 1 -> 1024 gives threshold 128,
         # classes with 2^(i+1) <= 128 (i <= 6) must be deleted
         state = make_state(gamma=2.0, epsilon=0.5, n=8)
-        process_edge(state, E(0, 1, 1.0))
+        state.process(E(0, 1, 1.0))
         assert sorted(state.matchings) == [0]
-        process_edge(state, E(2, 3, 1024.0))
+        state.process(E(2, 3, 1024.0))
         assert state.window == (7, 10)
         assert sorted(state.matchings) == [10]
         assert state.stored_edge_count == 1
@@ -113,7 +110,7 @@ class TestPruneClasses:
         # same deletions applied max-by-max: only the top four classes survive
         state = make_state(gamma=2.0, epsilon=0.5, n=8)
         for i in range(11):
-            process_edge(state, E(2 * i, 2 * i + 1, float(2 ** i)))
+            state.process(E(2 * i, 2 * i + 1, float(2 ** i)))
         assert sorted(state.matchings) == [7, 8, 9, 10]
         assert state.window == (7, 10)
         assert state.stored_edge_count == 4
@@ -121,31 +118,31 @@ class TestPruneClasses:
 
     def test_noop_when_unchanged(self):
         state = make_state()
-        process_edge(state, E(0, 1, 4.0))
+        state.process(E(0, 1, 4.0))
         before = (state.window, dict(state.matchings), state.stored_edge_count)
-        prune_classes(state)
+        state.prune()
         assert (state.window, state.matchings, state.stored_edge_count) == \
             (before[0], before[1], before[2])
 
     def test_straddling_class_retained(self):
         # threshold falls inside class lo: the class intersects and stays
         state = make_state(gamma=2.0, epsilon=0.5, n=8)
-        process_edge(state, E(0, 1, 100.0))  # class 6
-        process_edge(state, E(2, 3, 1024.0))  # threshold 128 inside class 7
+        state.process(E(0, 1, 100.0))  # class 6
+        state.process(E(2, 3, 1024.0))  # threshold 128 inside class 7
         assert 6 not in state.matchings
         state2 = make_state(gamma=2.0, epsilon=0.5, n=8)
-        process_edge(state2, E(0, 1, 150.0))  # class 7, straddles threshold 128
-        process_edge(state2, E(2, 3, 1024.0))
+        state2.process(E(0, 1, 150.0))  # class 7, straddles threshold 128
+        state2.process(E(2, 3, 1024.0))
         assert [e.key for e in state2.matchings[7].edges] == [(0, 1)]
 
 
 class TestFinalize:
     def test_greedy_by_class(self):
         state = make_state(gamma=2.0, epsilon=0.1, n=6)
-        process_edge(state, E(0, 1, 2.0))  # class 1
-        process_edge(state, E(1, 2, 1.0))  # class 0
-        process_edge(state, E(3, 4, 1.0))  # class 0
-        result = finalize(state)
+        state.process(E(0, 1, 2.0))  # class 1
+        state.process(E(1, 2, 1.0))  # class 0
+        state.process(E(3, 4, 1.0))  # class 0
+        result = state.finalize()
         assert result.keys() == {(0, 1), (3, 4)}
         assert result.weight == 3.0
 
@@ -153,19 +150,12 @@ class TestFinalize:
         stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
         state = stream_bucket_run(stream, BucketConfig(
             gamma=2.0, epsilon=0.1, num_vertices=stream.num_vertices))
-        result = finalize(state)
+        result = state.finalize()
         assert result.keys() == {(0, 1)}
         assert result.weight == 4.0
 
     def test_empty_state(self):
-        assert finalize(make_state()).weight == 0.0
-
-    def test_by_weight_mode_matches_class_mode_here(self):
-        stream = random_instance(RandomInstanceConfig(
-            n=10, m=20, weight_law=UniformWeights(1, 100), seed=5))
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=2.0, epsilon=0.01, num_vertices=10))
-        assert finalize(state, by_weight=True).keys() == finalize(state).keys()
+        assert make_state().finalize().weight == 0.0
 
 
 class TestRunDeterministic:
@@ -385,8 +375,8 @@ class TestInvariants:
     def test_window_matches_intersection_rule(self):
         state = make_state(gamma=2.0, epsilon=0.5, n=8)
         for w in (1.0, 17.0, 400.0, 1024.0):
-            process_edge(state, E(0, 1, w) if state.w_max == 0 else
-                         E(2 * int(math.log2(w)) % 6 + 2, 2 * int(math.log2(w)) % 6 + 3, w))
+            state.process(E(0, 1, w) if state.w_max == 0 else
+                          E(2 * int(math.log2(w)) % 6 + 2, 2 * int(math.log2(w)) % 6 + 3, w))
         lo, hi = state.window
         threshold = state.threshold
         # every class in the window intersects [threshold, w_max]

@@ -1,7 +1,11 @@
 import pytest
 
 from semimatch.bucket import BucketConfig, BucketState, stream_bucket_run
-from semimatch.certificate import build_certificate, filter_to_final_window
+from semimatch.certificate import (
+    AnalysisCertificate,
+    build_certificate,
+    filter_to_final_window,
+)
 from semimatch.core import Edge, Matching, StreamSource
 from semimatch.generators import (
     RandomInstanceConfig,
@@ -98,3 +102,39 @@ class TestChainOnRandomInstances:
                 n=12, m=30, weight_law=UniformWeights(0.5, 800), seed=seed))
             _state, cert = build_for(stream, gamma, 0.05, delta)
             chain_assert(cert)
+
+
+def hand_cert(**fields):
+    values = dict(gamma=2.0, delta=0.0, alg_weight=1.0, opt_weight=1.0,
+                  opt_rounded=1.0, total_associated_weight=1.0,
+                  per_vertex_association={})
+    values.update(fields)
+    return AnalysisCertificate(**values)
+
+
+class TestLinks:
+    def test_four_named_links(self):
+        assert hand_cert().links() == {
+            "opt_rounded_le_opt": True,
+            "opt_le_gamma_opt_rounded": True,
+            "opt_rounded_le_tw": True,
+            "tw_le_bound_times_alg": True,
+        }
+
+    def test_rounded_above_opt_breaks_chain(self):
+        # OPT' exceeds OPT by far more than the 1e-9 relative slack
+        cert = hand_cert(opt_weight=1.0, opt_rounded=1.5, total_associated_weight=1.5)
+        links = cert.links()
+        assert links["opt_rounded_le_opt"] is False
+        assert all(ok for name, ok in links.items() if name != "opt_rounded_le_opt")
+        assert cert.chain_holds() is False
+
+    def test_links_share_chain_holds_slack(self):
+        # a multiplicative (1 + 1e-9) factor on TW = 0 rejects OPT' = 1e-12;
+        # the absolute floor of the shared slack accepts it
+        cert = hand_cert(opt_weight=1e-12, opt_rounded=1e-12,
+                         total_associated_weight=0.0, alg_weight=0.0)
+        assert not cert.opt_rounded <= cert.total_associated_weight * (1 + 1e-9)
+        assert cert.links()["opt_rounded_le_tw"] is True
+        assert all(cert.links().values())
+        assert cert.chain_holds() is True

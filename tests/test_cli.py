@@ -126,6 +126,9 @@ class TestCertificate:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["chain_holds"] is True
+        assert set(report["chain"]) == {
+            "opt_rounded_le_opt", "opt_le_gamma_opt_rounded",
+            "opt_rounded_le_tw", "tw_le_bound_times_alg"}
         assert all(report["chain"].values())
         assert report["opt_rounded"] == 14.0
         assert report["total_associated_weight"] == 14.0

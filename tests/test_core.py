@@ -34,6 +34,11 @@ class TestEdge:
         with pytest.raises(ValueError):
             Edge(-1, 2, 1.0)
 
+    @pytest.mark.parametrize("u,v", [(0.0, 1), (1, 2.5), (True, 2), (0, False)])
+    def test_rejects_non_int_vertex(self, u, v):
+        with pytest.raises(ValueError, match="must be ints"):
+            Edge(u, v, 1.0)
+
     def test_key_is_orientation_independent(self):
         assert Edge(5, 2, 1.0).key == Edge(2, 5, 1.0).key == (2, 5)
 

@@ -15,9 +15,9 @@ from semimatch.generators import (
 )
 from semimatch.preemptive import (
     DEFAULT_VICTIMS,
+    BucketPreemptiveAdapter,
     HoldFirst,
     ThresholdPreemptive,
-    bucket_as_preemptive_adapter,
     make_victim,
 )
 
@@ -132,7 +132,7 @@ def test_rejected_edges_were_sufficiently_blocked():
 
 class TestBucketAdapter:
     def test_single_class_never_flags(self):
-        adapter = bucket_as_preemptive_adapter(BucketConfig(
+        adapter = BucketPreemptiveAdapter(BucketConfig(
             gamma=2.0, epsilon=0.1, num_vertices=8))
         rng = random.Random(2)
         edges = []
@@ -154,7 +154,7 @@ class TestBucketAdapter:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_tight_instance_flags(self, k):
         stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
-        adapter = bucket_as_preemptive_adapter(BucketConfig(
+        adapter = BucketPreemptiveAdapter(BucketConfig(
             gamma=2.0, epsilon=0.01, num_vertices=stream.num_vertices))
         for e in stream:
             adapter.on_edge(e)
@@ -163,7 +163,7 @@ class TestBucketAdapter:
         assert adapter.violation_step is not None
 
     def test_empty_stream_never_flags(self):
-        adapter = bucket_as_preemptive_adapter(BucketConfig(
+        adapter = BucketPreemptiveAdapter(BucketConfig(
             gamma=2.0, epsilon=0.1, num_vertices=4))
         assert adapter.finish().weight == 0.0
         assert adapter.violation_step is None
@@ -171,7 +171,7 @@ class TestBucketAdapter:
     def test_projection_is_always_a_matching(self):
         stream = random_instance(RandomInstanceConfig(
             n=14, m=50, weight_law=UniformWeights(0.5, 2000), seed=6))
-        adapter = bucket_as_preemptive_adapter(BucketConfig(
+        adapter = BucketPreemptiveAdapter(BucketConfig(
             gamma=2.0, epsilon=0.2, num_vertices=14))
         for e in stream:
             adapter.on_edge(e)
