@@ -37,6 +37,8 @@ __all__ = [
     "minimize_randomized_bound",
 ]
 
+_TINY = math.ulp(0.0)  # the smallest positive float
+
 
 @dataclass(frozen=True, slots=True)
 class BucketConfig:
@@ -74,11 +76,26 @@ def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     i = math.floor(math.log(w) / math.log(gamma) - delta)
-    while gamma ** (i + delta) > w:
-        i -= 1
-    while gamma ** (i + 1 + delta) <= w:
-        i += 1
+    try:
+        while gamma ** (i + delta) > w:
+            i -= 1
+        while gamma ** (i + 1 + delta) <= w:
+            i += 1
+    except OverflowError:
+        # Near the top of the float range: a power that overflows exceeds w.
+        while _power(gamma, i + delta) > w:
+            i -= 1
+        while _power(gamma, i + 1 + delta) <= w:
+            i += 1
     return i
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or +inf where it exceeds the largest float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 class _ClassSlot:
@@ -113,9 +130,17 @@ class BucketState:
 
     @property
     def threshold(self) -> float:
-        """Discard threshold 2*epsilon*w_max/n below which classes die."""
+        """Discard threshold 2*epsilon*w_max/n below which classes die.
+
+        A quotient that underflows to 0 reads as ulp(0), below which no
+        weight lies.  Capping at w_max keeps the edge that raised w_max
+        from discarding itself under extreme epsilon or an overflow.
+        """
         cfg = self.config
-        return 2.0 * cfg.epsilon * self.w_max / cfg.num_vertices
+        threshold = 2.0 * cfg.epsilon * self.w_max / cfg.num_vertices
+        if threshold > self.w_max:
+            return self.w_max
+        return threshold or _TINY
 
     def prune(self) -> None:
         """Recompute the class window for the current w_max and drop dead classes.
@@ -127,12 +152,10 @@ class BucketState:
         if self.w_max <= 0:
             return
         cfg = self.config
-        hi = class_index(self.w_max, cfg.gamma, cfg.delta)
         # The class containing the threshold is the lowest whose interval
-        # still intersects [threshold, w_max]; clamping keeps the edge
-        # that raised w_max from discarding itself under extreme epsilon.
-        lo = min(class_index(self.threshold, cfg.gamma, cfg.delta), hi)
-        self.window = (lo, hi)
+        # still intersects [threshold, w_max].
+        lo = class_index(self.threshold, cfg.gamma, cfg.delta)
+        self.window = (lo, class_index(self.w_max, cfg.gamma, cfg.delta))
         for i in [i for i in self.matchings if i < lo]:
             self.stored_edge_count -= len(self.matchings[i].edges)
             del self.matchings[i]

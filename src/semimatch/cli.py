@@ -1,6 +1,7 @@
 """Command-line harness tying streams, algorithms, oracle, and the game together.
 
-Exit codes: 0 success, 2 validation or configuration error, 3 I/O error.
+Exit codes: 0 success, 2 validation or configuration error (including a
+weight sum beyond the float range), 3 I/O error.
 ``SEMIMATCH_SEED`` supplies the default seed; flags override it.
 """
 
@@ -428,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OracleLimitError, adv.ContractViolationError) as exc:
+    except (ValueError, OverflowError, OracleLimitError, adv.ContractViolationError) as exc:
         print(f"semimatch: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,14 +9,16 @@ header (required when vertex labels are non-numeric).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Edge",
     "Matching",
     "StreamSource",
+    "StreamEdgeError",
     "ValidityReport",
     "StreamFormatError",
     "validate_matching",
@@ -82,34 +84,31 @@ def matching_weight(edges: Iterable[Edge]) -> float:
     order of the edge list.
     """
     if isinstance(edges, Matching):
-        edges = edges.edges
+        return edges.weight
     return math.fsum(e.weight for e in edges)
 
 
 @dataclass(frozen=True, slots=True)
 class Matching:
-    """Vertex-disjoint edge set with its cached total weight."""
+    """Vertex-disjoint edge set; ``weight`` is their exactly-rounded sum."""
 
     edges: tuple[Edge, ...]
-    weight: float
+    weight: float = field(init=False)
 
     def __post_init__(self) -> None:
         report = validate_matching(self.edges)
         if not report.ok:
             a, b, vertex = report.conflict  # type: ignore[misc]
             raise ValueError(f"not a matching: vertex {vertex} shared by {a} and {b}")
-        exact = math.fsum(e.weight for e in self.edges)
-        if abs(self.weight - exact) > 1e-12 * max(1.0, abs(exact)):
-            raise ValueError(f"cached weight {self.weight} != edge sum {exact}")
+        object.__setattr__(self, "weight", math.fsum(e.weight for e in self.edges))
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "Matching":
-        edges = tuple(edges)
-        return cls(edges=edges, weight=math.fsum(e.weight for e in edges))
+        return cls(tuple(edges))
 
     @classmethod
     def empty(cls) -> "Matching":
-        return cls(edges=(), weight=0.0)
+        return cls(())
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -121,9 +120,19 @@ class Matching:
         return {e.key for e in self.edges}
 
 
+class StreamEdgeError(ValueError):
+    """An edge that :class:`StreamSource` rejects; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
 class StreamSource:
     """A declared vertex count plus a sequence of distinct edges.
 
+    Construction checks each edge's ids against the count and rejects a
+    repeated vertex pair in either orientation (:class:`StreamEdgeError`).
     Iterating delivers the edges one at a time, in order.  ``passes``
     counts how many iterations have been requested; single-pass
     algorithms are audited against it.
@@ -134,12 +143,14 @@ class StreamSource:
             raise ValueError("num_vertices must be positive")
         edges = tuple(edges)
         seen: set[tuple[int, int]] = set()
-        for e in edges:
+        for index, e in enumerate(edges):
             if e.u >= num_vertices or e.v >= num_vertices:
-                raise ValueError(f"edge {e} has a vertex id >= num_vertices={num_vertices}")
-            if e.key in seen:
-                raise ValueError(f"duplicate edge between {e.key[0]} and {e.key[1]}")
-            seen.add(e.key)
+                raise StreamEdgeError(f"vertex id {max(e.u, e.v)} exceeds the largest id "
+                                      f"{num_vertices - 1} for num_vertices={num_vertices}", index)
+            key = e.key
+            if key in seen:
+                raise StreamEdgeError(f"duplicate edge between {key[0]} and {key[1]}", index)
+            seen.add(key)
         self.num_vertices = num_vertices
         self.edges = edges
         self.passes = 0
@@ -168,88 +179,75 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     """Parse the edge-stream text format.
 
     Returns the stream plus the label-to-id mapping when vertex labels
-    were non-numeric (None when ids were used verbatim).  Non-numeric
-    labels require the ``n=`` header and are remapped densely in order
-    of first appearance.
+    were non-numeric (None when ids were used verbatim).  One label that
+    is not a non-negative int makes every label non-numeric: they then
+    require the ``n=`` header and are remapped densely in order of first
+    appearance.  Faults within a line are reported first; id range and
+    duplicate edges are checked by :class:`StreamSource`.
     """
-    header_n: Optional[int] = None
-    rows: list[tuple[int, str, str, str]] = []
-    saw_edge = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            if saw_edge:
-                raise StreamFormatError("n= header must precede edge lines", lineno)
-            if header_n is not None:
-                raise StreamFormatError("duplicate n= header", lineno)
+    lines = text.splitlines()
+    # Read ids until the first label that is not one, then start over mapping labels.
+    for mapping in (None, {}):
+        header_n: Optional[int] = None
+        edges: list[Edge] = []
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("n="):
+                if edges:
+                    raise StreamFormatError("n= header must precede edge lines", lineno)
+                if header_n is not None:
+                    raise StreamFormatError("duplicate n= header", lineno)
+                try:
+                    header_n = int(line[2:])
+                except ValueError:
+                    raise StreamFormatError(f"bad vertex count {line[2:]!r}", lineno) from None
+                if header_n < 1:
+                    raise StreamFormatError("n= must be positive", lineno)
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise StreamFormatError(
+                    f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
+            a, b, w = parts
+            if mapping is None:
+                try:
+                    u, v = int(a), int(b)
+                except ValueError:
+                    u = v = -1
+                if u < 0 or v < 0:
+                    if header_n is None:
+                        raise StreamFormatError(
+                            "n= header is required when vertex labels are non-numeric", lineno)
+                    break
+            else:
+                u = mapping.setdefault(a, len(mapping))
+                v = mapping.setdefault(b, len(mapping))
+                if len(mapping) > header_n:  # type: ignore[operator]  # labels follow n=
+                    raise StreamFormatError(f"label {(a if u > v else b)!r} (id {max(u, v)}) "
+                                            f"exceeds declared n={header_n}", lineno)
             try:
-                header_n = int(line[2:])
+                weight = float(w)
             except ValueError:
-                raise StreamFormatError(f"bad vertex count {line[2:]!r}", lineno) from None
-            if header_n < 1:
-                raise StreamFormatError("n= must be positive", lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise StreamFormatError(
-                f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
-        rows.append((lineno, parts[0], parts[1], parts[2]))
-        saw_edge = True
-
-    def _as_id(token: str) -> Optional[int]:
-        try:
-            value = int(token)
-        except ValueError:
-            return None
-        return value if value >= 0 else None
-
-    numeric = all(
-        _as_id(a) is not None and _as_id(b) is not None for _, a, b, _w in rows)
-    mapping: Optional[dict[str, int]] = None
-    if not numeric:
-        if header_n is None:
-            first = next(
-                ln for ln, a, b, _w in rows if _as_id(a) is None or _as_id(b) is None)
-            raise StreamFormatError(
-                "n= header is required when vertex labels are non-numeric", first)
-        mapping = {}
-
-    edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
-    for lineno, a, b, w in rows:
-        if numeric:
-            u, v = int(a), int(b)
+                raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+            try:
+                edges.append(Edge(u, v, weight))
+            except ValueError as exc:
+                raise StreamFormatError(str(exc), lineno) from None
         else:
-            assert mapping is not None
-            for label in (a, b):
-                if label not in mapping:
-                    mapping[label] = len(mapping)
-            u, v = mapping[a], mapping[b]
-        if header_n is not None and max(u, v) >= header_n:
-            offender = a if u > v else b
-            what = f"vertex id {max(u, v)}" if numeric else f"label {offender!r} (id {max(u, v)})"
-            raise StreamFormatError(f"{what} exceeds declared n={header_n}", lineno)
-        try:
-            weight = float(w)
-        except ValueError:
-            raise StreamFormatError(f"bad weight {w!r}", lineno) from None
-        try:
-            edge = Edge(u, v, weight)
-        except ValueError as exc:
-            raise StreamFormatError(str(exc), lineno) from None
-        if edge.key in seen:
-            raise StreamFormatError(f"duplicate edge between {a} and {b}", lineno)
-        seen.add(edge.key)
-        max_id = max(max_id, u, v)
-        edges.append(edge)
-
-    num_vertices = header_n if header_n is not None else max_id + 1
+            break
+    num_vertices = (header_n if header_n is not None
+                    else 1 + max((max(e.u, e.v) for e in edges), default=-1))
     if num_vertices < 1:
         raise StreamFormatError("empty stream needs an n= header")
-    return StreamSource(num_vertices, edges), mapping
+    try:
+        return StreamSource(num_vertices, edges), mapping
+    except StreamEdgeError as exc:
+        edge_lines = ((lineno, line) for lineno, raw in enumerate(lines, start=1)
+                      if (line := raw.strip()) and not line.startswith(("#", "n=")))
+        lineno, line = next(itertools.islice(edge_lines, exc.index, None))
+        raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
 
 
 def format_stream(stream: StreamSource) -> str:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,24 @@ class TestClassIndex:
     def test_containment(self, w, gamma, delta):
         i = class_index(w, gamma, delta)
         assert gamma ** (i + delta) <= w < gamma ** (i + 1 + delta)
+
+    def test_top_of_float_range(self):
+        # the ceiling 2**1024 overflows a float and counts as +inf
+        assert class_index(1.7e308, 2.0) == 1023
+        assert class_index(sys.float_info.max, 2.0) == 1023
+
+    @given(st.floats(min_value=5e-324, max_value=1.79e308),
+           st.floats(min_value=1.01, max_value=20.0),
+           st.sampled_from(delta_grid(14)))
+    def test_containment_over_float_range(self, w, gamma, delta):
+        def power(exponent):
+            try:
+                return gamma ** exponent
+            except OverflowError:
+                return math.inf
+
+        i = class_index(w, gamma, delta)
+        assert power(i + delta) <= w < power(i + 1 + delta)
 
 
 def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):

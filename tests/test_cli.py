@@ -190,6 +190,42 @@ class TestStreamHandling:
         assert report["result"]["weight"] == 4.0
 
 
+class TestWeightRange:
+    def run_file(self, capsys, tmp_path, text, *argv):
+        path = tmp_path / "stream.txt"
+        path.write_text(text)
+        return run_cli(capsys, argv[0], str(path), *argv[1:])
+
+    def test_largest_weight_is_matched(self, capsys, tmp_path):
+        code, out, _ = self.run_file(capsys, tmp_path, "n=4\n0 1 1.0e308\n",
+                                     "run", "deterministic", "--gamma", "2", "--epsilon", "0.01")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["matching"] == [[0, 1, 1.0e308]]
+
+    def test_subnormal_weights(self, capsys, tmp_path):
+        text = "n=1000\n0 1 1e-320\n2 3 5e-324\n"
+        for variant in ("deterministic", "ensemble"):
+            code, out, _ = self.run_file(capsys, tmp_path, text, "run", variant,
+                                         "--gamma", "3.513", "--epsilon", "0.5")
+            assert code == EXIT_OK
+            assert [0, 1, 1e-320] in json.loads(out)["result"]["matching"]
+        code, out, _ = self.run_file(capsys, tmp_path, text, "certificate",
+                                     "--gamma", "2", "--epsilon", "0.01")
+        assert code == EXIT_OK
+        assert json.loads(out)["chain_holds"] is True
+
+    def test_weight_sum_overflow_is_config_error(self, capsys, tmp_path):
+        code, out, err = self.run_file(capsys, tmp_path, "n=4\n0 1 1.7e308\n2 3 1.6e308\n",
+                                       "run", "deterministic", "--gamma", "2", "--epsilon", "0.01")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "overflow" in err
+        # the total associated weight TW of one edge is twice its class floor
+        code, out, err = self.run_file(capsys, tmp_path, "n=2\n0 1 1.7e308\n",
+                                       "certificate", "--gamma", "2", "--epsilon", "0.01")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "overflow" in err
+
+
 class TestVerifySequences:
     def test_c49(self, capsys):
         code, out, _ = run_cli(capsys, "verify-sequences", "--C", "4.9")

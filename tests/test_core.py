@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from semimatch.core import (
     Edge,
     Matching,
+    StreamEdgeError,
     StreamFormatError,
     StreamSource,
     format_stream,
@@ -87,9 +89,11 @@ class TestMatching:
         with pytest.raises(ValueError, match="not a matching"):
             Matching.from_edges([E(0, 1), E(1, 2)])
 
-    def test_rejects_bad_cached_weight(self):
-        with pytest.raises(ValueError, match="cached weight"):
-            Matching(edges=(E(0, 1, 2.0),), weight=3.0)
+    def test_weight_is_derived(self):
+        edges = (E(0, 1, 0.1), E(2, 3, 0.2), E(4, 5, 0.3))
+        with pytest.raises(TypeError):
+            Matching(edges=edges, weight=3.0)
+        assert Matching(edges).weight == math.fsum(e.weight for e in edges)
 
 
 class TestStreamSource:
@@ -103,10 +107,16 @@ class TestStreamSource:
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError, match="num_vertices"):
             StreamSource(2, [E(0, 5)])
+        with pytest.raises(StreamEdgeError) as excinfo:
+            StreamSource(3, [E(0, 1), E(1, 2), E(2, 3)])
+        assert excinfo.value.index == 2
 
     def test_rejects_duplicate_either_orientation(self):
         with pytest.raises(ValueError, match="duplicate"):
             StreamSource(3, [E(0, 1, 1.0), E(1, 0, 2.0)])
+        with pytest.raises(StreamEdgeError) as excinfo:
+            StreamSource(4, [E(0, 1), E(2, 3), E(3, 2)])
+        assert excinfo.value.index == 2
 
 
 class TestParsing:
@@ -126,11 +136,21 @@ class TestParsing:
     def test_string_labels_need_header(self):
         with pytest.raises(StreamFormatError, match="n= header is required"):
             parse_stream_text("alice bob 2.0\n")
+        # a negative id is a label, not an id
+        with pytest.raises(StreamFormatError, match="n= header is required") as excinfo:
+            parse_stream_text("0 1 1.0\n-1 2 2.0\n")
+        assert excinfo.value.line == 2
 
     def test_string_labels_remapped_in_order(self):
         parsed, mapping = parse_stream_text("n=4\nalice bob 2.0\ncarol alice 1.0\n")
         assert mapping == {"alice": 0, "bob": 1, "carol": 2}
         assert parsed.edges[1] == Edge(2, 0, 1.0)
+        # numeric labels before the first other label are remapped too
+        parsed, mapping = parse_stream_text("n=4\n5 6 1.0\nalice 5 2.0\n")
+        assert mapping == {"5": 0, "6": 1, "alice": 2}
+        assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 0, 2.0))
+        parsed, mapping = parse_stream_text("n=3\n-1 0 1.0\n")
+        assert mapping == {"-1": 0, "0": 1}
 
     def test_error_carries_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
@@ -146,10 +166,18 @@ class TestParsing:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(StreamFormatError, match="duplicate"):
             parse_stream_text("0 1 2.0\n1 0 3.0\n")
+        with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
+            parse_stream_text("n=4\nalice bob 1.0\n# again\n\nbob alice 2.0\n")
+        assert excinfo.value.line == 5
+        assert "bob alice" in str(excinfo.value)
 
     def test_id_exceeding_header(self):
-        with pytest.raises(StreamFormatError, match="exceeds"):
+        with pytest.raises(StreamFormatError, match="exceeds") as excinfo:
             parse_stream_text("n=2\n0 5 1.0\n")
+        assert excinfo.value.line == 2
+        with pytest.raises(StreamFormatError, match="exceeds") as excinfo:
+            parse_stream_text("n=3\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n")
+        assert excinfo.value.line == 6
 
     def test_too_many_labels_for_header(self):
         with pytest.raises(StreamFormatError) as excinfo:
