@@ -132,15 +132,16 @@ class BucketState:
     def threshold(self) -> float:
         """Discard threshold 2*epsilon*w_max/n below which classes die.
 
+        A product 2*epsilon*w_max that overflows is divided by n first.
         A quotient that underflows to 0 reads as ulp(0), below which no
         weight lies.  Capping at w_max keeps the edge that raised w_max
-        from discarding itself under extreme epsilon or an overflow.
+        from discarding itself when epsilon > n/2.
         """
         cfg = self.config
         threshold = 2.0 * cfg.epsilon * self.w_max / cfg.num_vertices
-        if threshold > self.w_max:
-            return self.w_max
-        return threshold or _TINY
+        if threshold == math.inf:
+            threshold = self.w_max / cfg.num_vertices * (2.0 * cfg.epsilon)
+        return min(threshold, self.w_max) or _TINY
 
     def prune(self) -> None:
         """Recompute the class window for the current w_max and drop dead classes.

@@ -15,17 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
-    "Edge",
-    "Matching",
-    "StreamSource",
-    "StreamEdgeError",
-    "ValidityReport",
-    "StreamFormatError",
-    "validate_matching",
-    "matching_weight",
-    "parse_stream_text",
-    "format_stream",
-    "load_stream",
+    "Edge", "Matching", "StreamSource", "StreamEdgeError", "ValidityReport",
+    "StreamFormatError", "validate_matching", "matching_weight", "parse_stream_text",
+    "format_stream", "load_stream",
 ]
 
 
@@ -190,12 +182,13 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     for mapping in (None, {}):
         header_n: Optional[int] = None
         edges: list[Edge] = []
+        collision: Optional[StreamFormatError] = None
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("n="):
-                if edges:
+                if edges or collision:
                     raise StreamFormatError("n= header must precede edge lines", lineno)
                 if header_n is not None:
                     raise StreamFormatError("duplicate n= header", lineno)
@@ -234,8 +227,13 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
             try:
                 edges.append(Edge(u, v, weight))
             except ValueError as exc:
-                raise StreamFormatError(str(exc), lineno) from None
+                if u != v or a == b:
+                    raise StreamFormatError(str(exc), lineno) from None
+                # "007 7" names one id twice: a self-loop unless a label follows
+                collision = collision or StreamFormatError(str(exc), lineno)
         else:
+            if collision:
+                raise collision
             break
     num_vertices = (header_n if header_n is not None
                     else 1 + max((max(e.u, e.v) for e in edges), default=-1))

@@ -202,6 +202,14 @@ class TestWeightRange:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["matching"] == [[0, 1, 1.0e308]]
 
+    def test_threshold_near_float_max(self, capsys, tmp_path):
+        # 2*eps*w_max overflows, but the threshold 2*eps*w_max/n = 5e307 keeps both classes
+        text = "n=4\n0 1 1e308\n2 3 5e307\n"
+        code, out, _ = self.run_file(capsys, tmp_path, text,
+                                     "run", "deterministic", "--gamma", "2", "--epsilon", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["matching"] == [[0, 1, 1e308], [2, 3, 5e307]]
+
     def test_subnormal_weights(self, capsys, tmp_path):
         text = "n=1000\n0 1 1e-320\n2 3 5e-324\n"
         for variant in ("deterministic", "ensemble"):

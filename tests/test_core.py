@@ -151,12 +151,21 @@ class TestParsing:
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 0, 2.0))
         parsed, mapping = parse_stream_text("n=3\n-1 0 1.0\n")
         assert mapping == {"-1": 0, "0": 1}
+        # distinct labels that int() reads as one id are not a self-loop in a label file
+        parsed, mapping = parse_stream_text("n=4\n007 7 1.0\nalice 7 1.0\n")
+        assert mapping == {"007": 0, "7": 1, "alice": 2}
+        assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0))
 
     def test_error_carries_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
             parse_stream_text("0 1 2.0\n0 1\n")
         assert excinfo.value.line == 2
         assert "line 2" in str(excinfo.value)
+
+    def test_one_id_twice_is_self_loop_in_numeric_file(self):
+        with pytest.raises(StreamFormatError, match="self-loop at vertex 7") as excinfo:
+            parse_stream_text("n=8\n0 1 1.0\n007 7 1.0\n2 3 1.0\n")
+        assert excinfo.value.line == 3
 
     def test_bad_weight_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
