@@ -123,6 +123,9 @@ class BucketState:
         self.config = config
         self.w_max = 0.0
         self.window: Optional[tuple[int, int]] = None
+        # Class floors gamma^(i+delta) for i = lo, lo+1, hi, hi+1 of the
+        # window; +inf until the first prune, which must then recompute.
+        self._floors = (math.inf,) * 4
         self.matchings: dict[int, _ClassSlot] = {}
         self.stored_edge_count = 0
         self.stored_edge_peak = 0
@@ -148,15 +151,24 @@ class BucketState:
 
         The window spans the classes whose interval intersects
         [threshold, w_max]; matchings of classes entirely below the
-        threshold are deleted.  A no-op when w_max has not changed.
+        threshold are deleted.  A no-op when neither end of the window moves.
         """
         if self.w_max <= 0:
             return
-        cfg = self.config
+        threshold = self.threshold
+        lo_floor, lo_ceil, hi_floor, hi_ceil = self._floors
+        # The floors are the powers class_index compares against, so these
+        # tests agree with it exactly.
+        if lo_floor <= threshold < lo_ceil and hi_floor <= self.w_max < hi_ceil:
+            return
+        gamma, delta = self.config.gamma, self.config.delta
         # The class containing the threshold is the lowest whose interval
         # still intersects [threshold, w_max].
-        lo = class_index(self.threshold, cfg.gamma, cfg.delta)
-        self.window = (lo, class_index(self.w_max, cfg.gamma, cfg.delta))
+        lo = class_index(threshold, gamma, delta)
+        hi = class_index(self.w_max, gamma, delta)
+        self.window = (lo, hi)
+        self._floors = (_power(gamma, lo + delta), _power(gamma, lo + 1 + delta),
+                        _power(gamma, hi + delta), _power(gamma, hi + 1 + delta))
         for i in [i for i in self.matchings if i < lo]:
             self.stored_edge_count -= len(self.matchings[i].edges)
             del self.matchings[i]
@@ -164,14 +176,18 @@ class BucketState:
     def process(self, edge: Edge) -> None:
         """Classify one arriving edge; store it or discard it forever."""
         self.edges_processed += 1
-        if edge.weight > self.w_max:
-            self.w_max = edge.weight
+        w = edge.weight
+        if w > self.w_max:
+            self.w_max = w
             self.prune()
-        lo, hi = self.window  # type: ignore[misc]  # set once w_max > 0
-        cfg = self.config
-        i = class_index(edge.weight, cfg.gamma, cfg.delta)
-        if i < lo or i > hi:
+        lo_floor, _, hi_floor, _ = self._floors
+        if w < lo_floor:
             return
+        if w >= hi_floor:
+            i = self.window[1]  # type: ignore[index]  # w <= w_max < hi_ceil
+        else:
+            cfg = self.config
+            i = class_index(w, cfg.gamma, cfg.delta)
         slot = self.matchings.get(i)
         if slot is None:
             slot = self.matchings[i] = _ClassSlot()
@@ -239,16 +255,27 @@ def choose_q(gamma: float, epsilon: float) -> int:
     """Smallest number of grid copies q with gamma^(1/q) <= 1 + epsilon/5.
 
     That keeps the grid-rounding degradation factor gamma^(1/q) inside
-    the epsilon budget.
+    the epsilon budget.  gamma^(1/q) falls as q grows, so q is found by
+    doubling until the test passes and then bisecting, in O(log q) powers.
     """
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    q = 1
-    while gamma ** (1.0 / q) > 1.0 + epsilon / 5.0:
-        q += 1
-    return q
+    target = 1.0 + epsilon / 5.0
+    if target == 1.0:
+        raise ValueError(f"epsilon={epsilon} is too small: 1 + epsilon/5 rounds to 1")
+    good = 1
+    while gamma ** (1.0 / good) > target:
+        good *= 2
+    bad = good // 2  # fails the test, or is 0
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if gamma ** (1.0 / mid) <= target:
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def delta_grid(q: int) -> list[float]:

@@ -2,8 +2,9 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from semimatch import bucket
 from semimatch.bucket import (
     BucketConfig,
     BucketState,
@@ -22,6 +23,7 @@ from semimatch.bucket import (
 )
 from semimatch.core import Edge, StreamSource
 from semimatch.generators import (
+    ExponentialClassWeights,
     RandomInstanceConfig,
     TightExampleConfig,
     UniformWeights,
@@ -33,6 +35,14 @@ from semimatch.oracle import max_weight_matching_exact
 
 def E(u, v, w):
     return Edge(u, v, w)
+
+
+def power(base, exponent):
+    """base ** exponent, or +inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 class TestClassIndex:
@@ -71,14 +81,8 @@ class TestClassIndex:
            st.floats(min_value=1.01, max_value=20.0),
            st.sampled_from(delta_grid(14)))
     def test_containment_over_float_range(self, w, gamma, delta):
-        def power(exponent):
-            try:
-                return gamma ** exponent
-            except OverflowError:
-                return math.inf
-
         i = class_index(w, gamma, delta)
-        assert power(i + delta) <= w < power(i + 1 + delta)
+        assert power(gamma, i + delta) <= w < power(gamma, i + 1 + delta)
 
 
 def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):
@@ -153,6 +157,100 @@ class TestPruneClasses:
         state2.process(E(0, 1, 150.0))  # class 7, straddles threshold 128
         state2.process(E(2, 3, 1024.0))
         assert [e.key for e in state2.matchings[7].edges] == [(0, 1)]
+
+
+FULL_RANGE = st.floats(min_value=5e-324, max_value=1.79e308)
+
+
+@st.composite
+def window_cases(draw):
+    """A bucket config and weights that stress the window's class floors.
+
+    Weights come from the whole float range, from within a few classes of
+    one weight, or from class floors (and their float neighbours) near one
+    weight, both for w_max and for the threshold 2*epsilon*w_max/n.
+    """
+    gamma = draw(st.floats(min_value=1.01, max_value=20.0))
+    delta = draw(st.sampled_from(delta_grid(14)))
+    epsilon = draw(st.floats(min_value=1e-3, max_value=1e3))
+    n = draw(st.integers(min_value=2, max_value=1000))
+    kind = draw(st.sampled_from(["full", "narrow", "floors"]))
+    if kind == "full":
+        weights = draw(st.lists(FULL_RANGE, min_size=1, max_size=40))
+    elif kind == "narrow":
+        base = draw(FULL_RANGE)
+        span = st.floats(min_value=1.0, max_value=30.0)
+        weights = [base * f for f in draw(st.lists(span, min_size=1, max_size=40))]
+    else:
+        k = class_index(draw(FULL_RANGE), gamma, delta)
+        weights = []
+        for _ in range(draw(st.integers(1, 40))):
+            w = power(gamma, k + draw(st.integers(-3, 3)) + delta)
+            if draw(st.booleans()):
+                w *= n / (2.0 * epsilon)  # puts the threshold near a floor
+            for _ in range(draw(st.integers(0, 2))):
+                w = math.nextafter(w, draw(st.sampled_from([0.0, math.inf])))
+            weights.append(w)
+    weights = [w for w in weights if 0 < w < 1.79e308]
+    if draw(st.booleans()):
+        weights.sort()
+    return gamma, delta, epsilon, n, weights
+
+
+class TestWindowCache:
+    """The cached class floors give the same window and slots as class_index."""
+
+    @settings(max_examples=300)
+    @given(window_cases(), st.randoms(use_true_random=False))
+    def test_window_and_slots_exact(self, case, rng):
+        gamma, delta, epsilon, n, weights = case
+        state = make_state(gamma=gamma, epsilon=epsilon, n=n, delta=delta)
+        for w in weights:
+            u, v = rng.sample(range(6), 2)
+            state.process(E(u, v, w))
+            lo, hi = state.window
+            assert (lo, hi) == (class_index(state.threshold, gamma, delta),
+                                class_index(state.w_max, gamma, delta))
+            assert all(i >= lo for i in state.matchings)
+            for i, slot in state.matchings.items():
+                assert all(class_index(e.weight, gamma, delta) == i for e in slot.edges)
+
+    def test_weights_at_window_floors(self):
+        # gamma=2, eps=0.5, n=8, w_max=1024: threshold 128 = 2^7, window (7, 10)
+        below = math.nextafter(128.0, 0.0)
+        under_top = math.nextafter(1024.0, 0.0)
+        state = make_state(gamma=2.0, epsilon=0.5, n=8)
+        for u, w in enumerate([1024.0, 128.0, below, under_top, 1024.0]):
+            state.process(E(2 * u, 2 * u + 1, w))
+        assert state.window == (7, 10)
+        assert {i: [e.weight for e in slot.edges] for i, slot in state.matchings.items()} \
+            == {10: [1024.0, 1024.0], 7: [128.0], 9: [under_top]}
+
+    def test_class_index_calls_on_ascending_stream(self, monkeypatch):
+        stream = random_instance(RandomInstanceConfig(
+            n=1000, m=2000, weight_law=ExponentialClassWeights(2.0, 40), seed=1))
+        edges = sorted(stream.edges, key=lambda e: (e.weight, e.key))
+        gamma, epsilon = 3.513, 0.5
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return class_index(*args)
+
+        monkeypatch.setattr(bucket, "class_index", counting)
+        for delta in delta_grid(14)[:3]:
+            state = make_state(gamma=gamma, epsilon=epsilon, n=1000, delta=delta)
+            calls, moves, interior = 0, 0, 0
+            for e in edges:
+                before = state.window
+                state.process(e)
+                lo, hi = state.window
+                moves += state.window != before
+                interior += lo <= class_index(e.weight, gamma, delta) < hi
+            assert calls <= 2 * moves + interior
+            # Every arrival raises w_max, yet the window moves rarely.
+            assert calls < len(edges) // 10
 
 
 class TestFinalize:
@@ -235,6 +333,24 @@ class TestChooseQ:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             choose_q(2.0, 1.5)
+
+    def test_rejects_epsilon_lost_in_rounding(self):
+        # 1 + 1e-17/5 == 1.0: no number of copies meets the test
+        with pytest.raises(ValueError, match="too small"):
+            choose_q(2.0, 1e-17)
+
+    @given(st.floats(min_value=1.001, max_value=1e3),
+           st.floats(min_value=1e-3, max_value=0.999))
+    def test_equals_linear_search(self, gamma, epsilon):
+        q = 1
+        while gamma ** (1.0 / q) > 1.0 + epsilon / 5.0:
+            q += 1
+        assert choose_q(gamma, epsilon) == q
+
+    def test_tiny_epsilon_is_smallest_q(self):
+        # about 2e15 copies: a search one q at a time would not finish
+        q = choose_q(2.0, 1e-15)
+        assert 2.0 ** (1.0 / q) <= 1.0 + 1e-15 / 5.0 < 2.0 ** (1.0 / (q - 1))
 
 
 class TestRunEnsemble:

@@ -87,6 +87,13 @@ class TestRun:
         assert len(report["result"]["per_copy_weights"]) == 14
         assert report["result"]["weight"] == max(report["result"]["per_copy_weights"])
 
+    def test_ensemble_epsilon_lost_in_rounding_is_config_error(self, capsys, tmp_path):
+        path = gen_tight(capsys, tmp_path)
+        code, out, err = run_cli(capsys, "run", str(path), "ensemble",
+                                 "--gamma", "2", "--epsilon", "1e-17")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "epsilon" in err
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(tmp_path / "nope.txt"),
                                  "deterministic", "--gamma", "2", "--epsilon", "0.1")

@@ -3,7 +3,10 @@
 The literals lock in the class-order merge of ``BucketState.finalize``,
 the tie rule of ``best_copy`` and the adapter's arrival-order
 projection: a change to any of them shows up here as a changed
-matching, weight or decision.
+matching, weight or decision.  Two more pins cover the window cache of
+``BucketState``: a wide window (gamma=1.01, about 640 live classes), where
+most weights lie strictly inside it, and ascending arrival order, where
+every edge raises w_max.
 """
 
 from dataclasses import dataclass
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from semimatch.bucket import BucketConfig, run_deterministic, run_ensemble
+from semimatch.core import StreamSource
 from semimatch.generators import RandomInstanceConfig, UniformWeights, random_instance
 from semimatch.preemptive import BucketPreemptiveAdapter
 
@@ -18,6 +22,7 @@ from semimatch.preemptive import BucketPreemptiveAdapter
 # prunes, so the adapter preempts); the ensemble uses gamma=3.513,
 # epsilon=0.5, for which choose_q gives q=14.
 DET_GAMMA, DET_EPSILON = 2.0, 1.0
+WIDE_GAMMA, WIDE_EPSILON = 1.01, 0.01
 ENS_GAMMA, ENS_EPSILON, ENS_Q = 3.513, 0.5, 14
 
 
@@ -29,6 +34,9 @@ class Golden:
     accepted: list
     preempted: dict
     violation_step: int
+    wide_deterministic: list
+    ascending_best: list
+    ascending_per_copy_weights: list
 
 
 GOLDEN = {
@@ -50,6 +58,20 @@ GOLDEN = {
         accepted=[0, 1, 4, 8, 28],
         preempted={},
         violation_step=31,
+        wide_deterministic=[
+            (4, 8, 98.29576212772766), (7, 6, 91.90519884672806),
+            (9, 10, 91.38809427055192), (11, 1, 89.98499050883136),
+            (5, 3, 73.29757905896925), (2, 0, 61.66454480699206)],
+        ascending_best=[
+            (2, 1, 62.21853067085783), (5, 3, 73.29757905896925),
+            (6, 11, 82.65965273767507), (9, 10, 91.38809427055192),
+            (0, 8, 91.68345355533158)],
+        ascending_per_copy_weights=[
+            269.51008399208325, 250.6295445251425, 234.4035419256488,
+            238.86048385941174, 401.2473102933857, 343.3932151535344,
+            359.8243699532288, 352.26099022389906, 384.7114787083242,
+            232.18918943308253, 234.5324708782453, 252.6920702956985,
+            252.6920702956985, 235.99492372777593],
     ),
     1: Golden(
         deterministic=[
@@ -69,6 +91,20 @@ GOLDEN = {
         accepted=[0, 1, 2, 9, 22],
         preempted={17: [(1, 4)]},
         violation_step=18,
+        wide_deterministic=[
+            (4, 9, 97.37168908391462), (6, 8, 92.29666768451885),
+            (7, 3, 74.62933487402663), (11, 10, 74.08333095234333),
+            (1, 2, 63.30593757526425)],
+        ascending_best=[
+            (0, 3, 54.4221273965281), (4, 10, 55.25163463715864),
+            (1, 2, 63.30593757526425), (5, 7, 73.54381508326472),
+            (11, 8, 81.10485018637547), (6, 9, 85.4755070911203)],
+        ascending_per_copy_weights=[
+            413.10387196971146, 413.10387196971146, 413.10387196971146,
+            353.6799449641532, 353.6799449641532, 303.047959052324,
+            318.98969692588037, 303.8535867467584, 312.60740105413817,
+            273.0575925548995, 211.66004556385386, 346.6991755906512,
+            312.97507389740224, 413.10387196971146],
     ),
     2: Golden(
         deterministic=[
@@ -88,6 +124,19 @@ GOLDEN = {
         accepted=[0, 1, 2, 4, 6],
         preempted={10: [(0, 1)]},
         violation_step=31,
+        wide_deterministic=[
+            (8, 5, 99.86967325106265), (7, 2, 95.5383788767934),
+            (9, 11, 92.11271348000095), (10, 1, 75.68260864700305),
+            (6, 4, 73.36205766777715)],
+        ascending_best=[
+            (10, 7, 90.07035828690594), (9, 11, 92.11271348000095),
+            (8, 5, 99.86967325106265), (0, 4, 59.57833139922496)],
+        ascending_per_copy_weights=[
+            289.01971928844955, 289.01971928844955, 313.55123985465644,
+            338.1479565323304, 255.18599324304822, 317.3886378342329,
+            238.42353327032032, 298.47744731059277, 341.6310764171945,
+            201.64959544812842, 235.19024049630826, 158.34795788530226,
+            339.1451053631725, 339.1451053631725],
     ),
 }
 
@@ -95,6 +144,11 @@ GOLDEN = {
 def instance(seed):
     return random_instance(RandomInstanceConfig(
         n=12, m=30, weight_law=UniformWeights(1, 100), seed=seed))
+
+
+def ascending(stream):
+    return StreamSource(stream.num_vertices,
+                        sorted(stream.edges, key=lambda e: (e.weight, e.key)))
 
 
 def triples(matching):
@@ -108,10 +162,23 @@ def test_deterministic_matching(seed):
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_deterministic_matching_wide_window(seed):
+    matching = run_deterministic(instance(seed), WIDE_GAMMA, WIDE_EPSILON)
+    assert triples(matching) == GOLDEN[seed].wide_deterministic
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_ensemble_best_and_per_copy(seed):
     best, per_copy = run_ensemble(instance(seed), ENS_GAMMA, ENS_EPSILON, ENS_Q)
     assert triples(best) == GOLDEN[seed].ensemble_best
     assert [m.weight for m in per_copy] == GOLDEN[seed].per_copy_weights
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_ensemble_ascending_order(seed):
+    best, per_copy = run_ensemble(ascending(instance(seed)), ENS_GAMMA, ENS_EPSILON, ENS_Q)
+    assert triples(best) == GOLDEN[seed].ascending_best
+    assert [m.weight for m in per_copy] == GOLDEN[seed].ascending_per_copy_weights
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
