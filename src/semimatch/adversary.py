@@ -13,21 +13,22 @@ complex for C < R, giving the closed form S_j = -2A r^j sin(j*theta);
 the sine factor forces a sign change, so the construction is finite.
 
 The game presents edges from these sequences to any deterministic
-preemptive algorithm and maintains a certified optimum alongside; at
-every decision point where the algorithm declines the mandated switch,
-or at the final step, the tracked-optimum-to-algorithm ratio is at
-least C.
+preemptive algorithm and tracks alongside a matching of the presented
+edges, a lower bound on OPT (not OPT itself); at every decision point
+where the algorithm declines the mandated switch, or at the final step,
+the tracked-to-algorithm ratio is at least C.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import count
+from typing import Iterable, Optional
 
-from .core import Edge, matching_weight, validate_matching
+from .core import Edge, Matching, matching_weight, validate_matching
 from .preemptive import PreemptiveAlgorithm
 
 __all__ = [
@@ -72,8 +73,6 @@ class AdversaryConfig:
     """Game parameters; C must sit strictly below the critical root."""
 
     C: float
-    max_steps: int = 10 ** 6
-    stop_on_violation: bool = True
 
     def __post_init__(self) -> None:
         if not self.C > 1:
@@ -81,8 +80,6 @@ class AdversaryConfig:
         if not self.C < solve_R() - 1e-9:
             raise ValueError(
                 f"C must stay below the critical constant {solve_R():.6f}, got {self.C}")
-        if self.max_steps < 3:
-            raise ValueError("max_steps too small to play any game")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,23 +98,31 @@ class SequenceTable:
     S: tuple[float, ...]
 
 
-def generate_sequences(C: float, max_steps: int = 10 ** 6) -> SequenceTable:
-    """Iterate the sequences until the first decrease, then one more term."""
+def generate_sequences(C: float) -> SequenceTable:
+    """Iterate the sequences until the first decrease, then one more term.
+
+    Close to the root the terms grow past the float range before they
+    turn down; that raises ValueError, so the loop ends within about
+    1,400 terms.
+    """
     if not 1 < C < solve_R() - 1e-9:
         raise ValueError(f"need 1 < C < {solve_R():.6f}, got {C}")
     w = [math.nan, 1.0]
     S = [0.0, 1.0]
-    while not (len(w) >= 3 and w[-1] < w[-2]):
+
+    def extend() -> None:
         nxt = ((C * C + 1.0) * w[-1] - C * S[-2]) / (2.0 * C + 1.0)
         w.append(nxt)
         S.append(S[-1] + nxt)
-        if len(w) > max_steps:
-            raise RuntimeError(
-                f"sequence for C={C} did not terminate within {max_steps} steps")
+        if not math.isfinite(S[-1]):
+            raise ValueError(
+                f"C={C} is too close to the critical constant {solve_R():.6f}: "
+                f"prefix sum S_{len(S) - 1} leaves the float range")
+
+    while not (len(w) >= 3 and w[-1] < w[-2]):
+        extend()
     # w[-1] is the first decrease, at index k = len(w)-1; n = k+1.
-    nxt = ((C * C + 1.0) * w[-1] - C * S[-2]) / (2.0 * C + 1.0)
-    w.append(nxt)
-    S.append(S[-1] + nxt)
+    extend()
     n = len(w) - 1
     w_prime = [math.nan, math.nan]
     w_prime.extend(((C + 1.0) * w[k] - w[k - 1]) / C for k in range(2, n))
@@ -233,17 +238,20 @@ class ContractViolationError(RuntimeError):
     """The victim broke the preemptive contract (resurrection or invalid hold)."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class GameState:
-    """Mutable bookkeeping exposed to checkpoints and transcripts."""
+    """The position after a finished step.
+
+    The victim holds ``algorithm_edge``, oriented as (y, anchor): the next
+    pair of edges attaches at ``anchor`` and the next escape edge at
+    ``y``.  ``restore`` is the chain edge that the tracked optimum gave
+    up on entering the current escape run; it is None in the chain kind.
+    """
 
     step: int = 0
     kind: str = "none"
     algorithm_edge: Optional[Edge] = None
-    label_map: dict[str, int] = field(default_factory=dict)
-    opt_edges: list[Edge] = field(default_factory=list)
-    missing_index: Optional[int] = None
-    transcript: list[dict] = field(default_factory=list)
+    restore: Optional[Edge] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,279 +306,169 @@ def ratio_checkpoint(state: GameState, table: SequenceTable,
     return ratio
 
 
-class _VictimMonitor:
-    """Presents edges and enforces the preemptive contract after every call."""
-
-    def __init__(self, victim: PreemptiveAlgorithm, state: GameState):
-        self.victim = victim
-        self.state = state
-        self.presented: dict[tuple[int, int], Edge] = {}
-        self.ever_absent: set[tuple[int, int]] = set()
-
-    def present(self, edge: Edge, label: str) -> dict:
-        if not edge.weight > 0:
-            raise RuntimeError(
-                f"construction produced a non-positive edge weight {edge.weight} "
-                f"for {label}; the sequence table is outside the playable range")
-        if edge.key in self.presented:
-            raise RuntimeError(f"adversary bug: edge {edge.key} presented twice")
-        self.presented[edge.key] = edge
-        self.victim.on_edge(edge)
-        held = self.victim.current_matching
-        report = validate_matching(held.edges)
-        if not report.ok:
-            raise ContractViolationError(
-                f"victim holds a non-matching after {label}: {report.conflict}")
-        for e in held:
-            known = self.presented.get(e.key)
-            if known is None or known != e:
-                raise ContractViolationError(
-                    f"victim holds an edge it was never given: {e}")
-            if e.key in self.ever_absent:
-                raise ContractViolationError(
-                    f"victim resurrected {e} after dropping it ({label})")
-        held_keys = held.keys()
-        self.ever_absent.update(set(self.presented) - held_keys)
-        record = {
-            "step": self.state.step + 1,
-            "label": label,
-            "u": edge.u,
-            "v": edge.v,
-            "weight": edge.weight,
-            "held_after": sorted([*e.key, e.weight] for e in held),
-            "opt_after": sorted([*e.key, e.weight] for e in self.state.opt_edges),
-        }
-        self.state.transcript.append(record)
-        return record
-
-    def held_keys(self) -> set[tuple[int, int]]:
-        return self.victim.current_matching.keys()
-
-    def held_weight(self) -> float:
-        return matching_weight(self.victim.current_matching)
-
-
-class _TrackedOpt:
-    """The adversary's certified optimum, kept as an explicit matching."""
-
-    def __init__(self, state: GameState):
-        self.state = state
-        self.by_key: dict[tuple[int, int], Edge] = {}
-
-    def add(self, edge: Edge) -> None:
-        self.by_key[edge.key] = edge
-        self._sync()
-
-    def remove(self, edge: Edge) -> None:
-        del self.by_key[edge.key]
-        self._sync()
-
-    def weight(self) -> float:
-        return matching_weight(self.by_key.values())
-
-    def _sync(self) -> None:
-        self.state.opt_edges = list(self.by_key.values())
-        report = validate_matching(self.state.opt_edges)
-        if not report.ok:
-            raise RuntimeError(f"adversary bug: tracked optimum invalid: {report.conflict}")
-        if self.state.transcript:
-            # The optimum settles right after the sub-step's last edge;
-            # reflect it in that edge's record.
-            self.state.transcript[-1]["opt_after"] = sorted(
-                [*e.key, e.weight] for e in self.state.opt_edges)
+def _rows(edges: Iterable[Edge]) -> list[list]:
+    """Transcript form of a matching: sorted ``[u, v, weight]`` rows with u < v."""
+    return sorted([*e.key, e.weight] for e in edges)
 
 
 def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> GameResult:
     """Play the construction against a fresh deterministic victim.
 
-    Terminates when a declined mandated switch certifies a ratio >= C
-    (unless ``stop_on_violation`` is off, in which case the violation
-    is recorded and play continues mechanically), when the final step
-    completes, or when the victim holds nothing while the tracked
-    optimum is positive (unbounded ratio).
+    Terminates when a declined mandated switch certifies a ratio >= C,
+    when the final step completes, or when the victim holds nothing
+    (unbounded ratio).  Each presented edge gets one transcript record;
+    its ``opt_after`` is the tracked optimum once the adversary has
+    answered the victim's reply to that edge.
     """
-    table = generate_sequences(config.C, max_steps=config.max_steps)
-    n = table.n
+    table = generate_sequences(config.C)
+    w, wp, n = table.w, table.w_prime, table.n
+    presented: dict[tuple[int, int], Edge] = {}
+    ever_absent: set[tuple[int, int]] = set()
+    transcript: list[dict] = []
+    held = Matching.empty()
+    # The tracked optimum, a matching of presented edges stored under both
+    # ends of each edge; it bounds OPT from below.
+    opt: dict[int, Edge] = {}
+    alloc = count().__next__  # hands out vertex ids 0, 1, 2, ...
     state = GameState()
-    monitor = _VictimMonitor(algorithm, state)
-    opt = _TrackedOpt(state)
-    next_vertex = 0
 
-    def alloc() -> int:
-        nonlocal next_vertex
-        next_vertex += 1
-        return next_vertex - 1
+    def opt_edges() -> list[Edge]:
+        return [e for vertex, e in opt.items() if vertex == e.u]
 
-    first_violation: Optional[int] = None
+    def insert(edge: Edge) -> Optional[Edge]:
+        """Add an edge to the optimum; evict and return the edge at a shared end."""
+        at_u, at_v = opt.get(edge.u), opt.get(edge.v)
+        if at_u is not None and at_v is not None:
+            raise RuntimeError(f"adversary bug: {edge} would evict {at_u} and {at_v}")
+        evicted = at_u or at_v
+        if evicted is not None:
+            del opt[evicted.u], opt[evicted.v]
+        opt[edge.u] = opt[edge.v] = edge
+        return evicted
 
-    def result(ratio: Optional[float], unbounded: bool, steps: int) -> GameResult:
+    def offer(edge: Edge, label: str) -> set[tuple[int, int]]:
+        """Present an edge, check the victim's reply, and return the held keys."""
+        nonlocal held
+        if transcript:
+            transcript[-1]["opt_after"] = _rows(opt_edges())
+        presented[edge.key] = edge
+        before = held.keys() | {edge.key}
+        algorithm.on_edge(edge)
+        held = algorithm.current_matching
+        report = validate_matching(held.edges)
+        if not report.ok:
+            raise ContractViolationError(
+                f"victim holds a non-matching after {label}: {report.conflict}")
+        for e in held:
+            if presented.get(e.key) != e:
+                raise ContractViolationError(
+                    f"victim holds an edge it was never given: {e}")
+            if e.key in ever_absent:
+                raise ContractViolationError(
+                    f"victim resurrected {e} after dropping it ({label})")
+        keys = held.keys()
+        # Every edge absent now was held before this edge, is this edge,
+        # or was already absent.
+        ever_absent.update(before - keys)
+        transcript.append({
+            "step": state.step + 1,
+            "label": label,
+            "u": edge.u,
+            "v": edge.v,
+            "weight": edge.weight,
+            "held_after": _rows(held),
+            "opt_after": None,
+        })
+        return keys
+
+    def relabel() -> None:
+        """WLOG: the victim's edge of the symmetric pair is the ``a`` edge."""
+        first, second = transcript[-2], transcript[-1]
+        first["label"], second["label"] = second["label"], first["label"]
+
+    def finish(step: int, violation_step: Optional[int] = None) -> GameResult:
+        edges = opt_edges()
+        transcript[-1]["opt_after"] = _rows(edges)
+        opt_weight, alg_weight = matching_weight(edges), held.weight
         return GameResult(
-            achieved_ratio=ratio,
-            unbounded=unbounded,
-            steps_played=steps,
-            violation_step=first_violation,
-            transcript=tuple(state.transcript),
-            tracked_opt_weight=opt.weight(),
-            algorithm_weight=monitor.held_weight(),
-            num_vertices=next_vertex,
-            presented_edges=tuple(monitor.presented.values()),
+            achieved_ratio=opt_weight / alg_weight if alg_weight > 0 else None,
+            unbounded=not alg_weight > 0,
+            steps_played=step,
+            violation_step=violation_step,
+            transcript=tuple(transcript),
+            tracked_opt_weight=opt_weight,
+            algorithm_weight=alg_weight,
+            num_vertices=alloc(),  # ids run 0, 1, ...: the next free id is the count
+            presented_edges=tuple(presented.values()),
         )
 
-    # -- step 1: two unit edges sharing one endpoint ------------------------
-    x1 = alloc()
-    p, q = alloc(), alloc()
-    first = Edge(p, x1, table.w[1])
-    second = Edge(q, x1, table.w[1])
-    rec1 = monitor.present(first, "a1-x1")
-    rec2 = monitor.present(second, "b1-x1")
-    held = monitor.held_keys()
-    state.step = 1
-    if not held:
-        opt.add(first)
-        return result(None, True, 1)
-    if held == {second.key}:
-        rec1["label"], rec2["label"] = "b1-x1", "a1-x1"
-        a_cur, b_vertex = q, p
-        held_edge = second
-    elif held == {first.key}:
-        a_cur, b_vertex = p, q
-        held_edge = first
+    # Step 1: two unit edges sharing the vertex x1.
+    x1, p, q = alloc(), alloc(), alloc()
+    first, second = Edge(p, x1, w[1]), Edge(q, x1, w[1])
+    offer(first, "a1-x1")
+    keys = offer(second, "b1-x1")
+    if not keys:
+        insert(first)
+        return finish(1)
+    if keys == {second.key}:
+        relabel()
+        a, b = q, p
+    elif keys == {first.key}:
+        a, b = p, q
     else:
-        raise ContractViolationError(f"victim holds unexpected edges after step 1: {held}")
-    x_cur = x1
-    opt_partner = Edge(b_vertex, x_cur, table.w[1])  # the (x_i, b_i) edge kept by OPT
-    opt.add(opt_partner)
-    state.kind = CHAIN
-    state.algorithm_edge = held_edge
-    state.label_map = {"a1": a_cur, "b1": b_vertex, "x1": x1}
-    # For escape states: the OPT edge dropped on entering, restored later.
-    restore: Optional[Edge] = None
-    y_cur: Optional[int] = None
-    c_cur: Optional[int] = None
+        raise ContractViolationError(f"victim holds unexpected edges after step 1: {keys}")
+    insert(Edge(b, x1, w[1]))
+    state = GameState(1, CHAIN, Edge(x1, a, w[1]))
 
-    # -- steps 2 .. n-1 ------------------------------------------------------
-    for i1 in range(2, n):
-        i = state.step
-        anchor = a_cur if state.kind == CHAIN else c_cur
-        assert anchor is not None
-        f1, f2 = alloc(), alloc()
-        rec_b = monitor.present(Edge(anchor, f1, table.w[i1]), f"x{i1}-b{i1}")
-        rec_a = monitor.present(Edge(anchor, f2, table.w[i1]), f"x{i1}-a{i1}")
-        held = monitor.held_keys()
-        if not held:
-            state.step = i1
-            return result(None, True, i1)
-
-        key_b = (min(anchor, f1), max(anchor, f1))
-        key_a = (min(anchor, f2), max(anchor, f2))
-        if held in ({key_b}, {key_a}):
-            # WLOG relabel: the held symmetric edge is the (x, a) edge.
-            if held == {key_b}:
-                rec_b["label"], rec_a["label"] = f"x{i1}-a{i1}", f"x{i1}-b{i1}"
-                a_new, b_new = f1, f2
-            else:
-                a_new, b_new = f2, f1
-            new_partner = Edge(anchor, b_new, table.w[i1])
-            if state.kind == CHAIN:
-                opt.add(new_partner)
-            else:
-                opt.remove(state.algorithm_edge)  # the (c_i, y_i) edge OPT shared
-                opt.add(new_partner)
-                assert restore is not None
-                opt.add(restore)
-                restore = None
-                state.missing_index = None
-            state.kind = CHAIN
-            state.algorithm_edge = Edge(anchor, a_new, table.w[i1])
-            state.step = i1
-            state.label_map.update({f"x{i1}": anchor, f"a{i1}": a_new, f"b{i1}": b_new})
-            a_cur, x_cur = a_new, anchor
-            opt_partner = new_partner
+    # Steps 2 .. n-1: a symmetric pair at the anchor, then the escape edge.
+    for i in range(2, n):
+        y, anchor = state.algorithm_edge.u, state.algorithm_edge.v
+        pair_b, pair_a = Edge(anchor, alloc(), w[i]), Edge(anchor, alloc(), w[i])
+        offer(pair_b, f"x{i}-b{i}")
+        keys = offer(pair_a, f"x{i}-a{i}")
+        if not keys:
+            return finish(i)
+        if keys == {pair_b.key}:
+            relabel()
+            pair_a, pair_b = pair_b, pair_a
+        if keys == {pair_a.key}:  # the victim switched: (re)enter the chain
+            insert(pair_b)
+            if state.restore is not None:
+                insert(state.restore)
+            state = GameState(i, CHAIN, pair_a)
             continue
-
-        if held != {state.algorithm_edge.key}:
+        if keys != {state.algorithm_edge.key}:
             raise ContractViolationError(
-                f"victim holds unexpected edges after step {i1}: {held}")
+                f"victim holds unexpected edges after step {i}: {keys}")
 
-        # Victim kept its edge: offer the escape edge.
-        y_new = x_cur if state.kind == CHAIN else y_cur
-        assert y_new is not None
-        f3 = alloc()
-        third = Edge(y_new, f3, table.w_prime[i1])
-        monitor.present(third, f"y{i1}-c{i1}")
-        held = monitor.held_keys()
-        if not held:
-            state.step = i1
-            return result(None, True, i1)
-
-        if held == {third.key}:
-            if state.kind == CHAIN:
-                dropped = opt_partner
-                opt.remove(dropped)
-                opt.add(Edge(anchor, f1, table.w[i1]))
-                opt.add(third)
-                restore = dropped
-                state.missing_index = i
-            else:
-                opt.remove(state.algorithm_edge)
-                opt.add(Edge(anchor, f1, table.w[i1]))
-                opt.add(third)
-            state.kind = ESCAPE
-            state.algorithm_edge = third
-            state.step = i1
-            state.label_map.update({f"y{i1}": y_new, f"c{i1}": f3})
-            y_cur, c_cur = y_new, f3
+        escape = Edge(y, alloc(), wp[i])
+        keys = offer(escape, f"y{i}-c{i}")
+        if not keys:
+            return finish(i)
+        if keys == {escape.key}:
+            insert(pair_b)
+            # Only the run's first escape edge evicts: the chain edge at y.
+            restore = insert(escape) or state.restore
+            state = GameState(i, ESCAPE, escape, restore)
             continue
-
-        if held != {state.algorithm_edge.key}:
+        if keys != {state.algorithm_edge.key}:
             raise ContractViolationError(
-                f"victim holds unexpected edges after step {i1}: {held}")
+                f"victim holds unexpected edges after step {i}: {keys}")
 
         # Declined both mandated switches: the checkpoint fires.
-        if state.kind == CHAIN:
-            mod_drop = [opt_partner]
-            mod_add = [third, Edge(anchor, f1, table.w[i1])]
-        else:
-            mod_drop = [state.algorithm_edge]
-            mod_add = [Edge(anchor, f2, table.w[i1]), third]
-        if first_violation is None:
-            first_violation = i1
-        if config.stop_on_violation:
-            for e in mod_drop:
-                opt.remove(e)
-            for e in mod_add:
-                opt.add(e)
-            state.step = i1
-            ratio = opt.weight() / monitor.held_weight()
-            return result(ratio, False, i1)
-        # Exploration mode: keep the invariant optimum and press on with
-        # the victim's stale edge; later ratios use actual weights.
-        state.step = i1
+        insert(pair_b if state.kind == CHAIN else pair_a)
+        insert(escape)
+        return finish(i, violation_step=i)
 
-    # -- final step n --------------------------------------------------------
-    anchor = a_cur if state.kind == CHAIN else c_cur
-    assert anchor is not None
-    if table.w[n] > 0:
-        fb = alloc()
-        final_edge = Edge(anchor, fb, table.w[n])
-        monitor.present(final_edge, f"x{n}-b{n}")
-        state.label_map.update({f"x{n}": anchor, f"b{n}": fb})
-        if state.kind == CHAIN:
-            opt.add(final_edge)
-        else:
-            opt.remove(state.algorithm_edge)
-            opt.add(final_edge)
-            assert restore is not None
-            opt.add(restore)
-    elif state.kind == ESCAPE:
+    # Final step n.
+    if w[n] > 0:
+        final = Edge(state.algorithm_edge.v, alloc(), w[n])
+        offer(final, f"x{n}-b{n}")
+        insert(final)
+        if state.restore is not None:
+            insert(state.restore)
+    elif state.restore is not None and state.restore.weight > state.algorithm_edge.weight:
         # No positive final edge to present; restoring the missing chain
         # edge in place of the shared escape edge certifies S_{n-1}.
-        assert restore is not None
-        if restore.weight > state.algorithm_edge.weight:
-            opt.remove(state.algorithm_edge)
-            opt.add(restore)
-    state.step = n
-    alg_weight = monitor.held_weight()
-    if alg_weight <= 0:
-        return result(None, True, n)
-    return result(opt.weight() / alg_weight, False, n)
+        insert(state.restore)
+    return finish(n)

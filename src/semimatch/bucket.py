@@ -31,6 +31,7 @@ __all__ = [
     "stream_bucket_run",
     "ensemble_states",
     "delta_grid",
+    "MAX_COPIES",
     "deterministic_ratio_bound",
     "randomized_ratio_bound",
     "ensemble_ratio_bound",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 _TINY = math.ulp(0.0)  # the smallest positive float
+
+# The most grid copies an ensemble runs.  Each copy is a full BucketState,
+# and all of them are built before the pass.
+MAX_COPIES = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,6 +262,7 @@ def choose_q(gamma: float, epsilon: float) -> int:
     That keeps the grid-rounding degradation factor gamma^(1/q) inside
     the epsilon budget.  gamma^(1/q) falls as q grows, so q is found by
     doubling until the test passes and then bisecting, in O(log q) powers.
+    A q above MAX_COPIES raises ValueError.
     """
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
@@ -275,13 +281,17 @@ def choose_q(gamma: float, epsilon: float) -> int:
             good = mid
         else:
             bad = mid
+    if good > MAX_COPIES:
+        raise ValueError(
+            f"gamma={gamma}, epsilon={epsilon} needs q={good} grid copies, "
+            f"more than the limit of {MAX_COPIES}")
     return good
 
 
 def delta_grid(q: int) -> list[float]:
     """The grid {0, 1/q, ..., (q-1)/q} of shift values."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    if not 1 <= q <= MAX_COPIES:
+        raise ValueError(f"q must lie in [1, {MAX_COPIES}], got {q}")
     return [i / q for i in range(q)]
 
 

@@ -229,7 +229,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     victim = make_victim(args.victim)
-    config = adv.AdversaryConfig(C=args.C, max_steps=args.max_steps)
+    config = adv.AdversaryConfig(C=args.C)
     result = adv.run_adversary(victim, config)
     payload = result.to_json_dict()
     payload["command"] = "adversary"
@@ -245,7 +245,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_sequences(args: argparse.Namespace) -> int:
-    table = adv.generate_sequences(args.C, max_steps=args.max_steps)
+    table = adv.generate_sequences(args.C)
     params = adv.closed_form_params(args.C)
     identities = adv.verify_identities(table)
     cf_errors = [
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--victim", required=True,
                        help="'threshold:<c>' or 'hold-first'")
     p_adv.add_argument("--C", type=float, required=True)
-    p_adv.add_argument("--max-steps", type=int, default=10 ** 6)
     p_adv.add_argument("--transcript", default=None,
                        help="write one JSON record per presented edge to this file")
     p_adv.add_argument("--out", default=None)
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("verify-sequences",
                            help="check the weight-sequence identities and closed form")
     p_seq.add_argument("--C", type=float, required=True)
-    p_seq.add_argument("--max-steps", type=int, default=10 ** 6)
     p_seq.add_argument("--out", default=None)
     p_seq.set_defaults(func=cmd_verify_sequences)
 

@@ -166,7 +166,7 @@ def test_criterion_7_sequence_machinery():
     with criterion(7, "sequences terminate; identities and closed form agree to 1e-9",
                    budget_s=1.0):
         for C in (3.0, 4.0, 4.5, 4.9, 4.95):
-            table = generate_sequences(C, max_steps=10 ** 6)
+            table = generate_sequences(C)
             report = verify_identities(table, rel_tol=1e-9)
             assert report.ok, (C, report.first_failure)
             params = closed_form_params(C)

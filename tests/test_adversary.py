@@ -74,6 +74,16 @@ class TestSequences:
         assert generate_sequences(4.9).n == 35
         assert generate_sequences(4.95).n == 70
 
+    def test_near_root_table_stays_finite(self):
+        table = generate_sequences(solve_R() - 5e-5)
+        assert table.n == 1325
+        assert all(math.isfinite(x) for x in table.S)
+
+    def test_overflow_near_root_raises(self):
+        # the terms overflow before they turn down; the loop must not spin
+        with pytest.raises(ValueError, match="float range"):
+            generate_sequences(4.96735)
+
     def test_rejects_c_at_or_above_root(self):
         with pytest.raises(ValueError):
             generate_sequences(solve_R())
@@ -146,7 +156,7 @@ class TestRatioCheckpoint:
         C = 4.9
         table = generate_sequences(C)
         for i in range(2, table.n - 1):
-            state = GameState(step=i, kind=ESCAPE, missing_index=i - 1)
+            state = GameState(step=i, kind=ESCAPE)
             ratio = ratio_checkpoint(state, table, C)
             assert ratio == pytest.approx(C, rel=1e-9)
 
@@ -327,20 +337,22 @@ def test_weight_tampering_detected():
 
 
 class _Resurrector(PreemptiveAlgorithm):
-    """Holds edge 1, drops it for edge 2, then illegally re-adds it."""
+    """Follows a plan: after the t-th presented edge it holds the edge whose
+    1-based index is ``plan[t-1]``, and after the plan it keeps the last one.
 
-    def __init__(self):
+    The default plan holds edge 1, drops it for edge 2, then illegally
+    re-adds it.
+    """
+
+    def __init__(self, plan=(1, 2, 1)):
+        self.plan = plan
         self.seen = []
         self.held = []
 
     def on_edge(self, edge):
         self.seen.append(edge)
-        if len(self.seen) == 1:
-            self.held = [edge]
-        elif len(self.seen) == 2:
-            self.held = [edge]
-        else:
-            self.held = [self.seen[0]]
+        if len(self.seen) <= len(self.plan):
+            self.held = [self.seen[self.plan[len(self.seen) - 1] - 1]]
         return Decision(accepted=True)
 
     @property
@@ -402,14 +414,20 @@ class TestRunAdversary:
         with pytest.raises(ContractViolationError, match="resurrect"):
             run_adversary(_Resurrector(), AdversaryConfig(C=4.9))
 
-    def test_exploration_mode_reaches_the_final_step(self):
-        config = AdversaryConfig(C=4.9, stop_on_violation=False)
-        result = run_adversary(make_victim("hold-first"), config)
-        table = generate_sequences(4.9)
-        assert result.violation_step == 2
-        assert result.steps_played == table.n
-        assert result.achieved_ratio is not None
-        replay_transcript(result)
+    @pytest.mark.parametrize("plan, resurrected", [
+        # keeps edge 1 over edge 2, then takes the rejected edge 2 at step 2
+        ((1, 1, 2), 2),
+        # step 2 drops edge 2 for edge 3, then takes edge 2 back at edge 4
+        ((1, 2, 3, 2), 2),
+        # switches at steps 1 to 3, then takes edge 1, dropped at step 1, in step 4
+        ((1, 2, 2, 4, 4, 6, 1), 1),
+    ], ids=["rejected-never-held", "dropped-same-step", "dropped-steps-earlier"])
+    def test_resurrection_detected_wherever_the_edge_went_missing(self, plan, resurrected):
+        victim = _Resurrector(plan)
+        with pytest.raises(ContractViolationError, match="resurrect"):
+            run_adversary(victim, AdversaryConfig(C=4.9))
+        assert victim.held == [victim.seen[resurrected - 1]]
+        assert len(victim.seen) == len(plan)
 
     def test_lower_c_also_beaten(self):
         result = run_adversary(make_victim("hold-first"), AdversaryConfig(C=4.5))

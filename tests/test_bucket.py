@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from semimatch import bucket
 from semimatch.bucket import (
+    MAX_COPIES,
     BucketConfig,
     BucketState,
     choose_q,
@@ -345,12 +347,33 @@ class TestChooseQ:
         q = 1
         while gamma ** (1.0 / q) > 1.0 + epsilon / 5.0:
             q += 1
-        assert choose_q(gamma, epsilon) == q
+        if q <= MAX_COPIES:
+            assert choose_q(gamma, epsilon) == q
+        else:
+            with pytest.raises(ValueError, match=f"needs q={q} "):
+                choose_q(gamma, epsilon)
 
     def test_tiny_epsilon_is_smallest_q(self):
-        # about 2e15 copies: a search one q at a time would not finish
-        q = choose_q(2.0, 1e-15)
+        # about 2e15 copies: a search one q at a time would not finish.  The
+        # error names the smallest q.
+        with pytest.raises(ValueError, match=r"needs q=(\d+) ") as info:
+            choose_q(2.0, 1e-15)
+        q = int(re.search(r"needs q=(\d+) ", str(info.value)).group(1))
         assert 2.0 ** (1.0 / q) <= 1.0 + 1e-15 / 5.0 < 2.0 ** (1.0 / (q - 1))
+
+    def test_refuses_more_copies_than_the_limit(self):
+        assert MAX_COPIES == 10_000
+        with pytest.raises(ValueError, match=r"gamma=2\.0, epsilon=1e-09 needs q=3465733693 "):
+            choose_q(2.0, 1e-9)
+        # the largest q within the limit is still returned
+        epsilon = 5.0 * (2.0 ** (1.0 / MAX_COPIES) - 1.0)
+        assert choose_q(2.0, epsilon) == MAX_COPIES
+
+    def test_delta_grid_refuses_before_allocating(self):
+        assert len(delta_grid(MAX_COPIES)) == MAX_COPIES
+        for q in (0, MAX_COPIES + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="q must lie in"):
+                delta_grid(q)
 
 
 class TestRunEnsemble:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,14 @@ class TestRun:
         assert (code, out) == (EXIT_CONFIG, "")
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("flags", [("--epsilon", "1e-9"),
+                                       ("--epsilon", "0.5", "--q", str(10 ** 9))])
+    def test_ensemble_copy_limit_is_config_error(self, capsys, tmp_path, flags):
+        path = gen_tight(capsys, tmp_path)
+        code, out, err = run_cli(capsys, "run", str(path), "ensemble", "--gamma", "2", *flags)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "q" in err and "10000" in err
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(tmp_path / "nope.txt"),
                                  "deterministic", "--gamma", "2", "--epsilon", "0.1")
@@ -160,6 +169,17 @@ class TestAdversary:
                                "--C", "5.1")
         assert code == EXIT_CONFIG
         assert "critical" in err
+
+    @pytest.mark.parametrize("command", [("adversary", "--victim", "threshold:1"),
+                                         ("verify-sequences",)])
+    def test_c_near_root_overflows_and_is_config_error(self, capsys, command):
+        # From about C = R - 4.6e-5 the sequence terms leave the float range
+        # before they turn down.
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *command, "--C", "4.96735")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "float range" in err
+        assert time.perf_counter() - started < 0.5
 
     def test_unknown_victim(self, capsys):
         code, _, err = run_cli(capsys, "adversary", "--victim", "mystery", "--C", "4.5")

@@ -6,17 +6,23 @@ projection: a change to any of them shows up here as a changed
 matching, weight or decision.  Two more pins cover the window cache of
 ``BucketState``: a wide window (gamma=1.01, about 640 live classes), where
 most weights lie strictly inside it, and ascending arrival order, where
-every edge raises w_max.
+every edge raises w_max.  The adversary game is pinned by a SHA-256 over
+its result, transcript and presented edges, which fixes vertex ids,
+labels and every record's ``opt_after``.
 """
 
+import hashlib
+import json
 from dataclasses import dataclass
 
 import pytest
 
+from semimatch.adversary import AdversaryConfig, run_adversary
 from semimatch.bucket import BucketConfig, run_deterministic, run_ensemble
 from semimatch.core import StreamSource
 from semimatch.generators import RandomInstanceConfig, UniformWeights, random_instance
-from semimatch.preemptive import BucketPreemptiveAdapter
+from semimatch.preemptive import DEFAULT_VICTIMS, BucketPreemptiveAdapter, make_victim
+from test_adversary import _Scripted
 
 # run_deterministic and the adapter use gamma=2, epsilon=1 (the window
 # prunes, so the adapter preempts); the ensemble uses gamma=3.513,
@@ -196,3 +202,41 @@ def test_adapter_decisions(seed):
     assert accepted == GOLDEN[seed].accepted
     assert preempted == GOLDEN[seed].preempted
     assert adapter.violation_step == GOLDEN[seed].violation_step
+
+
+GAME_DIGESTS = {
+    ("threshold:1", 4.5): "a446e90f7b0a0f87c07c23be0007999545e5e2b11f15cd05d5406839506646df",
+    ("threshold:1", 4.9): "63194469d9e69c81fc7eac2d6f21904c14821098155b76cba5bdfe4a3d618fa9",
+    ("threshold:1", 4.965): "d01bd21c9a43d1747c2ed3b77457d3bcb5a950293fc8ca9bb42a9bc9ffdfa861",
+    ("threshold:1.5", 4.5): "3b1d889a6409cb28e711ea7ac2e50f42651691754c0f415d68c8f5add2e799fd",
+    ("threshold:1.5", 4.9): "fe04cd01d048764dfe2c6b5ce8dadaf7ab4aac7f0976dc5d00e0516795904e8a",
+    ("threshold:1.5", 4.965): "e8e45432015ab9ce7ce2f9c8d93a1c499b25184a847101f45a755413caaab121",
+    ("threshold:2", 4.5): "5cb443a154ab4fa146904623349fd85e8501dd0d668e762a39941f87d61a5652",
+    ("threshold:2", 4.9): "9370b2561e1ceb6173a9c3a649300e7e61f1a9db76f2d8953ee340780e7dbdfa",
+    ("threshold:2", 4.965): "51f435c86d52fb99630683ae87928907a7e06f2b435e0edb572a36378e60825d",
+    ("hold-first", 4.5): "0d1050649c46a042a1532113c7afcc4a1946abae83b9c1248eaff06c4ad1a408",
+    ("hold-first", 4.9): "183cdd76078a03f1fb49a81b7e8eef7bb95b006ddff6aa5706f42e1a9645db72",
+    ("hold-first", 4.965): "df33605a8fb4a4e9a80e51d34336fbb0864229468b85ee08ddc0e44c90280c28",
+}
+# TestScriptedTransitions.test_full_transition_tour: switch, switch, escape,
+# escape again, back to the chain, then the checkpoint at step 7.
+TOUR_SCRIPT, TOUR_C = "AR" + "AR" + "RA" + "RRA" + "RRA" + "AR", 4.5
+TOUR_DIGEST = "f4391c59c2ad2ea71ea9ad1f229765d4bd624b0d21ab788a12d3f438ee7d3c5c"
+
+
+def game_digest(result):
+    payload = {"result": result.to_json_dict(),
+               "presented_edges": [[e.u, e.v, e.weight] for e in result.presented_edges]}
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("C", (4.5, 4.9, 4.965))
+@pytest.mark.parametrize("victim", DEFAULT_VICTIMS)
+def test_adversary_game(victim, C):
+    result = run_adversary(make_victim(victim), AdversaryConfig(C=C))
+    assert game_digest(result) == GAME_DIGESTS[victim, C]
+
+
+def test_adversary_transition_tour():
+    result = run_adversary(_Scripted(TOUR_SCRIPT), AdversaryConfig(C=TOUR_C))
+    assert game_digest(result) == TOUR_DIGEST
