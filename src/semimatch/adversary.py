@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+REL_TOL = 1e-9  # relative slack of each identity that verify_identities checks
+
+
 def _cubic(x: float) -> float:
     return x ** 3 - 4.0 * x ** 2 - 4.0 * x - 4.0
 
@@ -66,6 +69,13 @@ def solve_R() -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _finite(value: float, C: float, term: str, j: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"C={C} is too close to the critical constant {solve_R():.6f}: "
+                         f"{term} S_{j} leaves the float range")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +124,7 @@ def generate_sequences(C: float) -> SequenceTable:
         nxt = ((C * C + 1.0) * w[-1] - C * S[-2]) / (2.0 * C + 1.0)
         w.append(nxt)
         S.append(S[-1] + nxt)
-        if not math.isfinite(S[-1]):
-            raise ValueError(
-                f"C={C} is too close to the critical constant {solve_R():.6f}: "
-                f"prefix sum S_{len(S) - 1} leaves the float range")
+        _finite(S[-1], C, "prefix sum", len(S) - 1)
 
     while not (len(w) >= 3 and w[-1] < w[-2]):
         extend()
@@ -166,30 +173,36 @@ def closed_form_params(C: float) -> ClosedFormParams:
 
 
 def closed_form_S(params: ClosedFormParams, j: int) -> float:
-    """Prefix sum from the closed form: -2 A r^j sin(j theta)."""
-    return -2.0 * params.A * params.r ** j * math.sin(j * params.theta)
+    """Prefix sum from the closed form: -2 A r^j sin(j theta).
+
+    ValueError when the product leaves the float range.  |2A| > r, so for
+    ascending j that happens before r^j alone overflows (OverflowError).
+    """
+    value = -2.0 * params.A * params.r ** j * math.sin(j * params.theta)
+    return _finite(value, params.C, "closed-form", j)
 
 
-def first_nonpositive_recurrence(C: float, cap: int = 100_000) -> int:
-    """First index j >= 1 with S_j <= 0, iterating the recurrence directly."""
+def first_nonpositive_recurrence(C: float) -> int:
+    """First index j >= 1 with S_j <= 0, iterating the recurrence directly.
+
+    The terms grow like r^j with r > 1, so within about 1,400 terms the
+    loop finds the sign change or raises ValueError at the float range.
+    """
     prev, cur = 0.0, 1.0
     j = 1
     while cur > 0:
         prev, cur = cur, (
             (C * C + 2.0 * C + 2.0) * cur - (C * C + C + 1.0) * prev) / (2.0 * C + 1.0)
         j += 1
-        if j > cap:
-            raise RuntimeError(f"no sign change within {cap} terms for C={C}")
+        _finite(cur, C, "prefix sum", j)
     return j
 
 
-def first_nonpositive_closed_form(params: ClosedFormParams, cap: int = 100_000) -> int:
-    """First index j >= 1 with the closed-form S_j <= 0."""
+def first_nonpositive_closed_form(params: ClosedFormParams) -> int:
+    """First index j >= 1 with the closed-form S_j <= 0; ends as the recurrence does."""
     j = 1
     while closed_form_S(params, j) > 0:
         j += 1
-        if j > cap:
-            raise RuntimeError(f"no sign change within {cap} terms for C={params.C}")
     return j
 
 
@@ -202,7 +215,7 @@ class IdentityReport:
     max_rel_error: float = 0.0
 
 
-def verify_identities(table: SequenceTable, rel_tol: float = 1e-9) -> IdentityReport:
+def verify_identities(table: SequenceTable) -> IdentityReport:
     """Check w'_{i+1} + w_{i+1} + S_{i-1} = C w_i  (i = 1..n-2)
     and S_{i-2} + w_i + w_{i+1} + w'_{i+1} = C w'_i  (i = 2..n-2)."""
     C, w, wp, S, n = table.C, table.w, table.w_prime, table.S, table.n
@@ -212,7 +225,7 @@ def verify_identities(table: SequenceTable, rel_tol: float = 1e-9) -> IdentityRe
         rhs = C * w[i]
         err = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, err)
-        if err > rel_tol:
+        if err > REL_TOL:
             return IdentityReport(ok=False, first_failure=("chain", i, lhs, rhs),
                                   max_rel_error=worst)
     for i in range(2, n - 1):
@@ -220,7 +233,7 @@ def verify_identities(table: SequenceTable, rel_tol: float = 1e-9) -> IdentityRe
         rhs = C * wp[i]
         err = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, err)
-        if err > rel_tol:
+        if err > REL_TOL:
             return IdentityReport(ok=False, first_failure=("escape", i, lhs, rhs),
                                   max_rel_error=worst)
     return IdentityReport(ok=True, max_rel_error=worst)
@@ -281,8 +294,7 @@ class GameResult:
         }
 
 
-def ratio_checkpoint(state: GameState, table: SequenceTable,
-                     C: Optional[float] = None) -> Optional[float]:
+def ratio_checkpoint(state: GameState, table: SequenceTable, C: float) -> Optional[float]:
     """Certified ratio at a construction decision point.
 
     For a victim declining both mandated switches at step ``state.step``
@@ -301,7 +313,7 @@ def ratio_checkpoint(state: GameState, table: SequenceTable,
         ratio = (S[i - 1] + w[i + 1] + wp[i + 1]) / w[i]
     else:
         ratio = (S[i - 2] + w[i] + w[i + 1] + wp[i + 1]) / wp[i]
-    if C is not None and ratio < C * (1.0 - 1e-12):
+    if ratio < C * (1.0 - 1e-12):
         return None
     return ratio
 

@@ -342,16 +342,14 @@ def ensemble_ratio_bound(gamma: float, q: int) -> float:
     return 2.0 * gamma ** (2.0 + 1.0 / q) * math.log(gamma) / (gamma - 1.0) ** 2
 
 
-def minimize_randomized_bound(
-    lo: float = 1.5, hi: float = 10.0, tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Golden-section minimizer of the randomized ratio bound over (lo, hi)."""
+def minimize_randomized_bound() -> tuple[float, float]:
+    """Golden-section minimizer of the randomized ratio bound over (1.5, 10), to 1e-10."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 1.5, 10.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = randomized_ratio_bound(c), randomized_ratio_bound(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

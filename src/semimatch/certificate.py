@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from .bucket import BucketState, class_index
 from .core import Edge, Matching
 
-__all__ = ["AnalysisCertificate", "build_certificate", "filter_to_final_window"]
+__all__ = ["AnalysisCertificate", "build_certificate", "filter_to_final_window", "REL_TOL"]
+
+REL_TOL = 1e-9  # relative slack of every link of the chain
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,13 +38,13 @@ class AnalysisCertificate:
     total_associated_weight: float
     per_vertex_association: dict[int, tuple[int, float]]
 
-    def links(self, rel_tol: float = 1e-9) -> dict[str, bool]:
-        """Each link of the inequality chain, checked within rel_tol slack.
+    def links(self) -> dict[str, bool]:
+        """Each link of the inequality chain, checked within REL_TOL slack.
 
-        ``a <= b`` holds when ``a <= b + rel_tol * max(1, |a|, |b|)``.
+        ``a <= b`` holds when ``a <= b + REL_TOL * max(1, |a|, |b|)``.
         """
         def le(a: float, b: float) -> bool:
-            return a <= b + rel_tol * max(1.0, abs(a), abs(b))
+            return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
 
         g = self.gamma
         return {
@@ -53,9 +55,9 @@ class AnalysisCertificate:
                                         (2.0 * g / (g - 1.0)) * self.alg_weight),
         }
 
-    def chain_holds(self, rel_tol: float = 1e-9) -> bool:
-        """True when the full inequality chain holds within rel_tol slack."""
-        return all(self.links(rel_tol).values())
+    def chain_holds(self) -> bool:
+        """True when the full inequality chain holds within REL_TOL slack."""
+        return all(self.links().values())
 
 
 def filter_to_final_window(state: BucketState, edges) -> list[Edge]:

@@ -22,8 +22,9 @@ from .bucket import (
     BucketConfig,
     best_copy,
     choose_q,
+    deterministic_ratio_bound,
+    ensemble_ratio_bound,
     ensemble_states,
-    randomized_ratio_bound,
     stream_bucket_run,
 )
 from .certificate import build_certificate, filter_to_final_window
@@ -37,7 +38,7 @@ from .generators import (
     random_instance,
     tight_instance,
 )
-from .oracle import OracleLimit, OracleLimitError, max_weight_matching_exact
+from .oracle import OracleLimitError, max_weight_matching_exact
 from .preemptive import make_victim
 
 EXIT_OK = 0
@@ -80,50 +81,38 @@ def _parse_law(text: str):
         f"bad weight law {text!r}; use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>")
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: Optional[str]) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: float,
                  delta: float, q: Optional[int]) -> dict:
     """Execute one single-pass run and collect the result record."""
     started = time.perf_counter()
+    record: dict = {"variant": variant, "gamma": gamma, "epsilon": epsilon}
     if variant == "ensemble":
-        q = q if q is not None else choose_q(gamma, epsilon)
+        record["q"] = q = q if q is not None else choose_q(gamma, epsilon)
         states = ensemble_states(stream, gamma, epsilon, q)
-        per_copy = [s.finalize() for s in states]
-        best = best_copy(per_copy)
-        record = {
-            "variant": variant,
-            "gamma": gamma,
-            "epsilon": epsilon,
-            "q": q,
-            "matching": _matching_payload(best),
-            "weight": best.weight,
-            "per_copy_weights": [m.weight for m in per_copy],
-            "stored_edge_peak": sum(s.stored_edge_peak for s in states),
-            "edges_processed": sum(s.edges_processed for s in states),
-        }
     else:
-        d = 0.0 if variant == "deterministic" else delta
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=d))
-        matching = state.finalize()
-        record = {
-            "variant": variant,
-            "gamma": gamma,
-            "epsilon": epsilon,
-            "delta": d,
-            "matching": _matching_payload(matching),
-            "weight": matching.weight,
-            "stored_edge_peak": state.stored_edge_peak,
-            "edges_processed": state.edges_processed,
-        }
+        record["delta"] = d = 0.0 if variant == "deterministic" else delta
+        states = [stream_bucket_run(stream, BucketConfig(
+            gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=d))]
+    per_copy = [s.finalize() for s in states]
+    best = best_copy(per_copy)
+    record["matching"] = _matching_payload(best)
+    record["weight"] = best.weight
+    if variant == "ensemble":
+        record["per_copy_weights"] = [m.weight for m in per_copy]
+    record["stored_edge_peak"] = sum(s.stored_edge_peak for s in states)
+    record["edges_processed"] = sum(s.edges_processed for s in states)
     record["stream_passes"] = stream.passes
     record["wall_time_s"] = time.perf_counter() - started
     return record
@@ -152,9 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if mapping is not None:
         report["vertex_labels"] = mapping
     if args.with_oracle:
-        limit = OracleLimit(max_vertices=args.oracle_max_vertices,
-                            max_edges=args.oracle_max_edges)
-        opt, opt_weight = max_weight_matching_exact(stream.edges, limit)
+        opt, opt_weight = max_weight_matching_exact(stream.edges)
         report["result"]["oracle_weight"] = opt_weight
         report["result"]["ratio_vs_oracle"] = (
             opt_weight / record["weight"] if record["weight"] > 0 else None)
@@ -169,9 +156,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         gamma=args.gamma, epsilon=args.epsilon,
         num_vertices=stream.num_vertices, delta=delta))
     survivors = filter_to_final_window(state, stream.edges)
-    limit = OracleLimit(max_vertices=args.oracle_max_vertices,
-                        max_edges=args.oracle_max_edges)
-    opt, _w = max_weight_matching_exact(survivors, limit)
+    opt, _w = max_weight_matching_exact(survivors)
     cert = build_certificate(state, opt)
     report = {
         "command": "certificate",
@@ -198,9 +183,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     stream, _mapping = load_stream(args.stream)
-    limit = OracleLimit(max_vertices=args.oracle_max_vertices,
-                        max_edges=args.oracle_max_edges)
-    matching, weight = max_weight_matching_exact(stream.edges, limit)
+    matching, weight = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",
         "stream": args.stream,
@@ -218,12 +201,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         config = RandomInstanceConfig(
             n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=args.seed)
         stream = random_instance(config)
-    text = format_stream(stream)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(format_stream(stream), args.out)
     return EXIT_OK
 
 
@@ -276,8 +254,6 @@ def cmd_verify_sequences(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     gammas = [float(g) for g in args.gammas.split(",") if g]
     seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else []
-    limit = OracleLimit(max_vertices=args.oracle_max_vertices,
-                        max_edges=args.oracle_max_edges)
     rows: list[dict] = []
     for seed in seeds:
         if args.family == "tight":
@@ -286,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             stream = random_instance(RandomInstanceConfig(
                 n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=seed))
         try:
-            _opt, opt_weight = max_weight_matching_exact(stream.edges, limit)
+            _opt, opt_weight = max_weight_matching_exact(stream.edges)
         except OracleLimitError:
             opt_weight = None
         for gamma in gammas:
@@ -296,6 +272,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     0.0, None)
                 ratio = (opt_weight / record["weight"]
                          if opt_weight is not None and record["weight"] > 0 else None)
+                # OPT counts the edges below the final threshold too, hence (1 + epsilon).
+                bound = (deterministic_ratio_bound(gamma) if variant == "deterministic"
+                         else ensemble_ratio_bound(gamma, record["q"]))
                 rows.append({
                     "variant": variant,
                     "gamma": gamma,
@@ -305,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "alg_weight": record["weight"],
                     "opt_weight": opt_weight,
                     "ratio": ratio,
-                    "bound": randomized_ratio_bound(gamma),
+                    "bound": (1.0 + args.epsilon) * bound,
                 })
     fieldnames = ["variant", "gamma", "seed", "n", "m",
                   "alg_weight", "opt_weight", "ratio", "bound"]
@@ -314,15 +293,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow({k: ("" if row[k] is None else row[k]) for k in fieldnames})
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write(buffer.getvalue(), args.csv)
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+        _write("".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+                       for row in rows), args.jsonl)
     return EXIT_OK
 
 
@@ -331,10 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semimatch",
         description="Semi-streaming weighted matching toolkit and preemptive-matching adversary.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_oracle_limits(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--oracle-max-vertices", type=int, default=20)
-        p.add_argument("--oracle-max-edges", type=int, default=64)
 
     p_run = sub.add_parser("run", help="run one variant over a stream file")
     p_run.add_argument("stream")
@@ -345,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--q", type=int, default=None,
                        help="ensemble copies; omitted = smallest q within the epsilon budget")
     p_run.add_argument("--with-oracle", action="store_true",
-                       help="also solve exactly (size-limited) and report the ratio")
+                       help="also solve exactly (<= 20 vertices, 64 edges) and report the ratio")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    add_oracle_limits(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cert = sub.add_parser("certificate",
@@ -360,13 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--epsilon", type=float, required=True)
     p_cert.add_argument("--delta", type=float, default=0.0)
     p_cert.add_argument("--out", default=None)
-    add_oracle_limits(p_cert)
     p_cert.set_defaults(func=cmd_certificate)
 
     p_oracle = sub.add_parser("oracle", help="print the exact optimal matching and weight")
     p_oracle.add_argument("stream")
     p_oracle.add_argument("--out", default=None)
-    add_oracle_limits(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate an instance in the stream format")
@@ -411,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--epsilon", type=float, default=0.5)
     p_sweep.add_argument("--csv", default=None)
     p_sweep.add_argument("--jsonl", default=None)
-    add_oracle_limits(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -427,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OverflowError, OracleLimitError, adv.ContractViolationError) as exc:
+    except (ValueError, OverflowError, adv.ContractViolationError) as exc:
         print(f"semimatch: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

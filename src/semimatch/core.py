@@ -9,10 +9,11 @@ header (required when vertex labels are non-numeric).
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 __all__ = [
     "Edge", "Matching", "StreamSource", "StreamEdgeError", "ValidityReport",
@@ -175,15 +176,22 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     is not a non-negative int makes every label non-numeric: they then
     require the ``n=`` header and are remapped densely in order of first
     appearance.  Faults within a line are reported first; id range and
-    duplicate edges are checked by :class:`StreamSource`.
+    duplicate edges are checked by :class:`StreamSource`.  A line ends at
+    LF, CRLF or CR.
     """
-    lines = text.splitlines()
+    return _parse_lines(io.StringIO(text, newline=None))
+
+
+def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
+    """Parse a seekable handle line by line, rewinding to remap labels or find a bad edge."""
     # Read ids until the first label that is not one, then start over mapping labels.
     for mapping in (None, {}):
+        if mapping is not None:
+            handle.seek(0)
         header_n: Optional[int] = None
         edges: list[Edge] = []
         collision: Optional[StreamFormatError] = None
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -242,7 +250,8 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     try:
         return StreamSource(num_vertices, edges), mapping
     except StreamEdgeError as exc:
-        edge_lines = ((lineno, line) for lineno, raw in enumerate(lines, start=1)
+        handle.seek(0)
+        edge_lines = ((lineno, line) for lineno, raw in enumerate(handle, start=1)
                       if (line := raw.strip()) and not line.startswith(("#", "n=")))
         lineno, line = next(itertools.islice(edge_lines, exc.index, None))
         raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
@@ -258,4 +267,4 @@ def format_stream(stream: StreamSource) -> str:
 def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]]]:
     """Read and parse an edge-stream file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_stream_text(handle.read())
+        return _parse_lines(handle)

@@ -8,17 +8,21 @@ check the branch-and-bound itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Edge, Matching
 
 __all__ = [
-    "OracleLimit",
+    "MAX_VERTICES",
+    "MAX_EDGES",
     "OracleLimitError",
     "max_weight_matching_exact",
     "max_weight_matching_bruteforce",
 ]
+
+# The largest instance the branch and bound accepts.
+MAX_VERTICES = 20
+MAX_EDGES = 64
 
 _BRUTEFORCE_MAX_EDGES = 16
 
@@ -27,45 +31,37 @@ _BRUTEFORCE_MAX_EDGES = 16
 _BOUND_SLACK = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class OracleLimit:
-    """Size gate for the exact solver."""
-
-    max_vertices: int = 20
-    max_edges: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_vertices < 1 or self.max_edges < 1:
-            raise ValueError("oracle limits must be positive")
-
-
 class OracleLimitError(ValueError):
-    """Instance exceeds the configured oracle size limit."""
+    """Instance exceeds the oracle size limit."""
 
 
-def _check_size(edges: Sequence[Edge], limit: OracleLimit) -> None:
-    vertices = {v for e in edges for v in (e.u, e.v)}
-    if len(vertices) > limit.max_vertices:
-        raise OracleLimitError(
-            f"{len(vertices)} vertices exceed oracle limit {limit.max_vertices}")
-    if len(edges) > limit.max_edges:
-        raise OracleLimitError(
-            f"{len(edges)} edges exceed oracle limit {limit.max_edges}")
+def _vertex_masks(edges: Sequence[Edge]) -> list[int]:
+    """Each edge's two endpoints as bits, numbering vertices by first appearance."""
+    vertex_bit: dict[int, int] = {}
+    masks = []
+    for e in edges:
+        for vertex in (e.u, e.v):
+            if vertex not in vertex_bit:
+                vertex_bit[vertex] = 1 << len(vertex_bit)
+        masks.append(vertex_bit[e.u] | vertex_bit[e.v])
+    return masks
 
 
-def max_weight_matching_exact(
-    edges: Iterable[Edge],
-    limit: OracleLimit = OracleLimit(),
-) -> tuple[Matching, float]:
+def max_weight_matching_exact(edges: Iterable[Edge]) -> tuple[Matching, float]:
     """Globally optimal matching by branch and bound.
 
     Edges are explored in decreasing weight order (ties broken by
     lexicographic endpoints, so the result is deterministic); the
     admissible bound at a node is the remaining-edge weight sum.
+    Instances above MAX_VERTICES or MAX_EDGES raise OracleLimitError.
     """
     edges = sorted(edges, key=lambda e: (-e.weight, e.key))
-    _check_size(edges, limit)
+    num_vertices = len({v for e in edges for v in (e.u, e.v)})
+    if num_vertices > MAX_VERTICES:
+        raise OracleLimitError(f"{num_vertices} vertices exceed oracle limit {MAX_VERTICES}")
     m = len(edges)
+    if m > MAX_EDGES:
+        raise OracleLimitError(f"{m} edges exceed oracle limit {MAX_EDGES}")
     if m == 0:
         return Matching.empty(), 0.0
 
@@ -73,13 +69,7 @@ def max_weight_matching_exact(
     suffix = [0.0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + edges[i].weight
-    masks = []
-    vertex_bit: dict[int, int] = {}
-    for e in edges:
-        for vertex in (e.u, e.v):
-            if vertex not in vertex_bit:
-                vertex_bit[vertex] = 1 << len(vertex_bit)
-        masks.append(vertex_bit[e.u] | vertex_bit[e.v])
+    masks = _vertex_masks(edges)
 
     best_weight = 0.0
     best_pick: tuple[int, ...] = ()
@@ -118,14 +108,7 @@ def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:
     if m == 0:
         return 0.0
 
-    vertex_bit: dict[int, int] = {}
-    masks = []
-    for e in edges:
-        for vertex in (e.u, e.v):
-            if vertex not in vertex_bit:
-                vertex_bit[vertex] = 1 << len(vertex_bit)
-        masks.append(vertex_bit[e.u] | vertex_bit[e.v])
-
+    masks = _vertex_masks(edges)
     size = 1 << m
     valid = bytearray(size)
     cover = [0] * size

@@ -66,8 +66,8 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
 
     def __init__(self, improvement_factor: float):
         super().__init__()
-        if improvement_factor < 1:
-            raise ValueError(f"improvement factor must be >= 1, got {improvement_factor}")
+        if not 1 <= improvement_factor < math.inf:
+            raise ValueError(f"threshold factor must be finite and >= 1, got {improvement_factor}")
         self.improvement_factor = improvement_factor
         self._held: dict[tuple[int, int], Edge] = {}
         self._cover: dict[int, Edge] = {}

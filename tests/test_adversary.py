@@ -132,6 +132,26 @@ class TestClosedForm:
             params = closed_form_params(C)
             assert first_nonpositive_recurrence(C) == first_nonpositive_closed_form(params)
 
+    def test_sign_change_search_ends_over_the_whole_range(self):
+        # r > 1 on (1, R), so the terms outgrow the float range within about
+        # 1,400 steps: each search returns or raises there, with no step cap.
+        R = solve_R()
+        grid = [1 + (R - 1e-8 - 1) * k / 200 for k in range(1, 201)]
+        grid += [R - 10 ** (-3 - 5 * k / 200) for k in range(201)]
+        for C in grid + [4.967318719302683]:
+            results = []
+            for search in (lambda: first_nonpositive_recurrence(C),
+                           lambda: first_nonpositive_closed_form(closed_form_params(C))):
+                try:
+                    results.append(search())
+                    assert results[-1] < 1400
+                except ValueError as exc:
+                    assert "float range" in str(exc)
+                    results.append(None)
+            assert None in results or results[0] == results[1], C
+        # The last C whose table stays finite: both searches overflow.
+        assert results == [None, None]
+
 
 class TestConfig:
     def test_rejects_c_above_root(self):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -186,6 +187,12 @@ class TestAdversary:
         assert code == EXIT_CONFIG
         assert "unknown victim" in err
 
+    @pytest.mark.parametrize("victim", ["threshold:nan", "threshold:inf"])
+    def test_threshold_factor_not_finite(self, capsys, victim):
+        code, out, err = run_cli(capsys, "adversary", "--victim", victim, "--C", "4.5")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "finite" in err
+
     def test_transcript_file(self, capsys, tmp_path):
         out_path = tmp_path / "transcript.jsonl"
         code, out, _ = run_cli(capsys, "adversary", "--victim", "hold-first",
@@ -271,6 +278,14 @@ class TestVerifySequences:
         assert report["closed_form_max_rel_error"] <= 1e-9
         assert report["sign_change_recurrence"] == report["sign_change_closed_form"]
 
+    def test_closed_form_overflow_is_config_error(self, capsys):
+        # The last C whose table stays finite (n=1375): the closed form
+        # overflows at S_1367 and the recurrence leaves the float range
+        # before its sign change, so no finite report exists.
+        code, out, err = run_cli(capsys, "verify-sequences", "--C", "4.967318719302683")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "float range" in err
+
 
 class TestSweep:
     def test_header_only_when_no_seeds(self, capsys):
@@ -290,12 +305,18 @@ class TestSweep:
         with open(csv_path) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 3 * 5 * 2  # seeds x gammas x variants
-        bounds = {float(r["gamma"]): float(r["bound"]) for r in rows}
-        assert min(bounds, key=bounds.get) == 3.513
-        assert bounds[3.513] == pytest.approx(4.9108, abs=1e-3)
         for row in rows:
+            gamma = float(row["gamma"])
+            # Each row's own guarantee, times (1 + epsilon) for the edges
+            # below the final threshold, which OPT also counts.
+            bound = (deterministic_ratio_bound(gamma) if row["variant"] == "deterministic"
+                     else ensemble_ratio_bound(gamma, choose_q(gamma, 0.5)))
+            assert float(row["bound"]) == pytest.approx(1.5 * bound, rel=1e-15)
             assert row["ratio"] != ""
-            assert float(row["ratio"]) <= float(row["bound"]) + 0.5
+            assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
+        by_row = {(r["variant"], float(r["gamma"])): float(r["bound"]) for r in rows}
+        assert by_row["deterministic", 2.0] == 1.5 * 8.0
+        assert by_row["ensemble", 3.513] == pytest.approx(1.5 * 5.372, abs=1e-3)
         assert len(jsonl_path.read_text().splitlines()) == len(rows)
 
     def test_ratio_blank_above_oracle_limit(self, capsys):

@@ -11,6 +11,7 @@ from semimatch.core import (
     StreamFormatError,
     StreamSource,
     format_stream,
+    load_stream,
     matching_weight,
     parse_stream_text,
     validate_matching,
@@ -187,6 +188,28 @@ class TestParsing:
         with pytest.raises(StreamFormatError, match="exceeds") as excinfo:
             parse_stream_text("n=3\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n")
         assert excinfo.value.line == 6
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_breaks_from_a_file(self, tmp_path, newline):
+        # A label file with a duplicate: the parse starts over at the first
+        # label and rereads the file to find the duplicate's line.
+        text = newline.join(["n=4", "0 1 1.0", "# c", "", "alice 1 1.0", "1 alice 2.0", ""])
+        path = tmp_path / "stream.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for parse in (lambda: load_stream(str(path)), lambda: parse_stream_text(text)):
+            with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
+                parse()
+            assert excinfo.value.line == 6
+        path.write_bytes(text.replace("1 alice", "bob alice").encode("utf-8"))
+        parsed, mapping = load_stream(str(path))
+        assert mapping == {"0": 0, "1": 1, "alice": 2, "bob": 3}
+        assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0), Edge(3, 2, 2.0))
+
+    def test_only_lf_crlf_cr_end_lines(self):
+        # A form feed is whitespace inside a line, not a line break.
+        with pytest.raises(StreamFormatError, match="6 fields") as excinfo:
+            parse_stream_text("0 1 1.0\f2 3 1.0\n")
+        assert excinfo.value.line == 1
 
     def test_too_many_labels_for_header(self):
         with pytest.raises(StreamFormatError) as excinfo:

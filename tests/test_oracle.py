@@ -6,7 +6,6 @@ import pytest
 from semimatch.core import Edge
 from semimatch.generators import TightExampleConfig, tight_instance
 from semimatch.oracle import (
-    OracleLimit,
     OracleLimitError,
     max_weight_matching_bruteforce,
     max_weight_matching_exact,
@@ -49,12 +48,14 @@ class TestExact:
     def test_vertex_limit(self):
         edges = [E(2 * i, 2 * i + 1, 1.0) for i in range(11)]
         with pytest.raises(OracleLimitError, match="vertices"):
-            max_weight_matching_exact(edges, OracleLimit(max_vertices=20, max_edges=64))
+            max_weight_matching_exact(edges)
 
     def test_edge_limit(self):
-        edges = [E(i, i + 1, 1.0) for i in range(5)]
-        with pytest.raises(OracleLimitError, match="edges"):
-            max_weight_matching_exact(edges, OracleLimit(max_vertices=20, max_edges=3))
+        # 65 edges among 20 vertices: within the vertex limit, one edge over 64
+        pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        edges = [E(u, v, 1.0) for u, v in pairs[:65]]
+        with pytest.raises(OracleLimitError, match="65 edges"):
+            max_weight_matching_exact(edges)
 
     def test_deterministic_tie_break(self):
         # two disjoint optimal single edges of equal weight: lexicographic first

@@ -81,6 +81,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="threshold factor"):
             make_victim("threshold:zippy")
 
+    @pytest.mark.parametrize("name", ["threshold:nan", "threshold:inf"])
+    def test_factor_must_be_finite(self, name):
+        # c = nan or inf would reject even a free edge: w > c * 0 is false.
+        with pytest.raises(ValueError, match="finite"):
+            make_victim(name)
+
     def test_default_victims_constructible(self):
         for name in DEFAULT_VICTIMS:
             make_victim(name)
