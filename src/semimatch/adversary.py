@@ -175,10 +175,17 @@ def closed_form_params(C: float) -> ClosedFormParams:
 def closed_form_S(params: ClosedFormParams, j: int) -> float:
     """Prefix sum from the closed form: -2 A r^j sin(j theta).
 
-    ValueError when the product leaves the float range.  |2A| > r, so for
-    ascending j that happens before r^j alone overflows (OverflowError).
+    ValueError when the value, or r^j alone, leaves the float range.  Near
+    a sign change -2A r^j can overflow while S_j is finite; the small sine
+    is then applied first.
     """
-    value = -2.0 * params.A * params.r ** j * math.sin(j * params.theta)
+    try:
+        r_j = params.r ** j
+    except OverflowError:
+        r_j = math.inf
+    value = -2.0 * params.A * r_j * math.sin(j * params.theta)
+    if math.isinf(value):
+        value = -2.0 * params.A * (r_j * math.sin(j * params.theta))
     return _finite(value, params.C, "closed-form", j)
 
 

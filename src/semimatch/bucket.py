@@ -64,10 +64,6 @@ class BucketConfig:
         if self.num_vertices < 1:
             raise ValueError("num_vertices must be positive")
 
-    @property
-    def phi(self) -> float:
-        return self.gamma ** self.delta
-
 
 def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     """Index i of the weight class [gamma^(i+delta), gamma^(i+1+delta)) holding w.

@@ -83,7 +83,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
     threshold; an edge from a pruned class is rejected.
     """
     cfg = state.config
-    gamma, delta, phi = cfg.gamma, cfg.delta, cfg.phi
+    gamma, delta = cfg.gamma, cfg.delta
     lo = state.window[0] if state.window is not None else None
 
     opt_rounded_terms = []
@@ -93,7 +93,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
             raise ValueError(
                 f"oracle edge {e} lies below the final discard threshold "
                 f"(class {i}, window {state.window})")
-        opt_rounded_terms.append(phi * gamma ** i)
+        opt_rounded_terms.append(gamma ** (i + delta))
 
     # Vertex association: walk classes top-down; a vertex covered by
     # several class matchings belongs to the highest one.
@@ -102,7 +102,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
         for e in state.matchings[i].edges:
             for vertex in (e.u, e.v):
                 if vertex not in per_vertex:
-                    per_vertex[vertex] = (i, phi * gamma ** i)
+                    per_vertex[vertex] = (i, gamma ** (i + delta))
 
     return AnalysisCertificate(
         gamma=gamma,

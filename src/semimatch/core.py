@@ -172,77 +172,71 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     """Parse the edge-stream text format.
 
     Returns the stream plus the label-to-id mapping when vertex labels
-    were non-numeric (None when ids were used verbatim).  One label that
-    is not a non-negative int makes every label non-numeric: they then
-    require the ``n=`` header and are remapped densely in order of first
-    appearance.  Faults within a line are reported first; id range and
-    duplicate edges are checked by :class:`StreamSource`.  A line ends at
-    LF, CRLF or CR.
+    were not ids (None when ids were used verbatim).  A token is an id
+    only when it is canonical ASCII decimal (``0`` or ``[1-9][0-9]*``);
+    one other token makes every token a label.  Labels require the
+    ``n=`` header and are remapped densely in order of first appearance.
+    Faults within a line are reported first; id range (for labels, more
+    labels than ``n``) and duplicate edges are checked by
+    :class:`StreamSource`.  A line ends at LF, CRLF or CR.
     """
     return _parse_lines(io.StringIO(text, newline=None))
 
 
 def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Parse a seekable handle line by line, rewinding to remap labels or find a bad edge."""
-    # Read ids until the first label that is not one, then start over mapping labels.
-    for mapping in (None, {}):
-        if mapping is not None:
-            handle.seek(0)
-        header_n: Optional[int] = None
-        edges: list[Edge] = []
-        collision: Optional[StreamFormatError] = None
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("n="):
-                if edges or collision:
-                    raise StreamFormatError("n= header must precede edge lines", lineno)
-                if header_n is not None:
-                    raise StreamFormatError("duplicate n= header", lineno)
-                try:
-                    header_n = int(line[2:])
-                except ValueError:
-                    raise StreamFormatError(f"bad vertex count {line[2:]!r}", lineno) from None
-                if header_n < 1:
-                    raise StreamFormatError("n= must be positive", lineno)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise StreamFormatError(
-                    f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
-            a, b, w = parts
-            if mapping is None:
-                try:
-                    u, v = int(a), int(b)
-                except ValueError:
-                    u = v = -1
-                if u < 0 or v < 0:
-                    if header_n is None:
-                        raise StreamFormatError(
-                            "n= header is required when vertex labels are non-numeric", lineno)
-                    break
-            else:
-                u = mapping.setdefault(a, len(mapping))
-                v = mapping.setdefault(b, len(mapping))
-                if len(mapping) > header_n:  # type: ignore[operator]  # labels follow n=
-                    raise StreamFormatError(f"label {(a if u > v else b)!r} (id {max(u, v)}) "
-                                            f"exceeds declared n={header_n}", lineno)
+    """Parse a handle in one forward pass; only a fault found by StreamSource seeks back."""
+    header_n: Optional[int] = None
+    mapping: Optional[dict[str, int]] = None
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("n="):
+            if edges:
+                raise StreamFormatError("n= header must precede edge lines", lineno)
+            if header_n is not None:
+                raise StreamFormatError("duplicate n= header", lineno)
             try:
-                weight = float(w)
+                header_n = int(line[2:])
             except ValueError:
-                raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+                raise StreamFormatError(f"bad vertex count {line[2:]!r}", lineno) from None
+            if header_n < 1:
+                raise StreamFormatError("n= must be positive", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise StreamFormatError(
+                f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
+        a, b, w = parts
+        if (mapping is None and a.isdigit() and b.isdigit() and a.isascii() and b.isascii()
+                and (a[0] != "0" or a == "0") and (b[0] != "0" or b == "0")):
             try:
-                edges.append(Edge(u, v, weight))
-            except ValueError as exc:
-                if u != v or a == b:
-                    raise StreamFormatError(str(exc), lineno) from None
-                # "007 7" names one id twice: a self-loop unless a label follows
-                collision = collision or StreamFormatError(str(exc), lineno)
+                u, v = int(a), int(b)
+            except ValueError:
+                raise StreamFormatError(
+                    f"vertex id of {max(len(a), len(b))} digits is longer than int() reads",
+                    lineno) from None
         else:
-            if collision:
-                raise collision
-            break
+            if mapping is None:
+                if header_n is None:
+                    raise StreamFormatError(
+                        "n= header is required when vertex labels are non-numeric", lineno)
+                # A canonical id prints back as its own label.
+                mapping = {}
+                edges = [Edge(mapping.setdefault(str(e.u), len(mapping)),
+                              mapping.setdefault(str(e.v), len(mapping)), e.weight)
+                         for e in edges]
+            u = mapping.setdefault(a, len(mapping))
+            v = mapping.setdefault(b, len(mapping))
+        try:
+            weight = float(w)
+        except ValueError:
+            raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+        try:
+            edges.append(Edge(u, v, weight))
+        except ValueError as exc:
+            raise StreamFormatError(str(exc), lineno) from None
     num_vertices = (header_n if header_n is not None
                     else 1 + max((max(e.u, e.v) for e in edges), default=-1))
     if num_vertices < 1:
@@ -265,6 +259,8 @@ def format_stream(stream: StreamSource) -> str:
 
 
 def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Read and parse an edge-stream file."""
+    """Read and parse an edge-stream file; a pipe, which cannot be reread, is refused."""
     with open(path, "r", encoding="utf-8") as handle:
+        if not handle.seekable():
+            raise ValueError(f"stream {path!r} is not seekable; pass a regular file, not a pipe")
         return _parse_lines(handle)

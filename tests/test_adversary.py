@@ -138,7 +138,9 @@ class TestClosedForm:
         R = solve_R()
         grid = [1 + (R - 1e-8 - 1) * k / 200 for k in range(1, 201)]
         grid += [R - 10 ** (-3 - 5 * k / 200) for k in range(201)]
-        for C in grid + [4.967318719302683]:
+        by_c = {}
+        # At 4.967318841396016 the closed-form search overflows r^j itself.
+        for C in grid + [4.967318027393586, 4.967318719302683, 4.967318841396016]:
             results = []
             for search in (lambda: first_nonpositive_recurrence(C),
                            lambda: first_nonpositive_closed_form(closed_form_params(C))):
@@ -149,8 +151,11 @@ class TestClosedForm:
                     assert "float range" in str(exc)
                     results.append(None)
             assert None in results or results[0] == results[1], C
-        # The last C whose table stays finite: both searches overflow.
-        assert results == [None, None]
+            by_c[C] = results
+        # -2A r^j overflows at S_1367 here while S_1367 is finite: both searches end.
+        assert by_c[4.967318027393586] == [1367, 1367]
+        # The last C whose table stays finite: the recurrence overflows.
+        assert by_c[4.967318719302683] == [None, 1377]
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from semimatch.bucket import BucketConfig, BucketState, stream_bucket_run
 from semimatch.certificate import (
@@ -81,7 +82,17 @@ class TestVertexAssociation:
         state, cert = build_for(stream, 2.0, 0.1)
         # dict keys are unique by construction; check weights match class floors
         for vertex, (i, w) in cert.per_vertex_association.items():
-            assert w == pytest.approx(state.config.phi * 2.0 ** i, rel=1e-12)
+            assert w == pytest.approx(2.0 ** (i + state.config.delta), rel=1e-12)
+
+
+class TestShiftedFloors:
+    @given(st.floats(min_value=1.01, max_value=20.0), st.floats(min_value=0.0, max_value=0.999),
+           st.integers(min_value=-60, max_value=60))
+    def test_edge_at_a_floor_rounds_to_itself(self, gamma, delta, i):
+        # OPT' rounds down to the floors class_index uses, gamma**(i+delta).
+        stream = StreamSource(2, [Edge(0, 1, gamma ** (i + delta))])
+        _state, cert = build_for(stream, gamma, 0.1, delta)
+        assert cert.opt_rounded == cert.opt_weight
 
 
 class TestErrors:

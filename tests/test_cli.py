@@ -1,10 +1,16 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import semimatch
 from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
@@ -223,6 +229,29 @@ class TestStreamHandling:
         assert report["vertex_labels"] == {"left": 0, "right": 1, "mid": 2}
         assert report["result"]["weight"] == 4.0
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_stream_is_refused(self, tmp_path):
+        # A pipe cannot be reread to locate a fault or to hash the stream;
+        # "< file" redirection gives a regular file and still works.
+        path = tmp_path / "stream.txt"
+        path.write_text("n=3\n0 1 1.0\n1 2 2.0\n")
+        argv = [sys.executable, "-m", "semimatch.cli", "run", "/dev/stdin", "deterministic",
+                "--gamma", "2", "--epsilon", "0.1"]
+        src = str(Path(semimatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for text in (path.read_text(), "n=3\n0 1 1.0\n1 0 2.0\n"):
+            piped = subprocess.run(argv, input=text, capture_output=True, text=True,
+                                   env=env, timeout=60)
+            assert (piped.returncode, piped.stdout) == (EXIT_CONFIG, "")
+            assert "not seekable" in piped.stderr
+        with open(path, encoding="utf-8") as handle:
+            redirected = subprocess.run(argv, stdin=handle, capture_output=True, text=True,
+                                        env=env, timeout=60)
+        assert redirected.returncode == EXIT_OK, redirected.stderr
+        assert (json.loads(redirected.stdout)["config"]["stream_sha256"]
+                == hashlib.sha256(path.read_bytes()).hexdigest())
+
 
 class TestWeightRange:
     def run_file(self, capsys, tmp_path, text, *argv):
@@ -279,12 +308,20 @@ class TestVerifySequences:
         assert report["sign_change_recurrence"] == report["sign_change_closed_form"]
 
     def test_closed_form_overflow_is_config_error(self, capsys):
-        # The last C whose table stays finite (n=1375): the closed form
-        # overflows at S_1367 and the recurrence leaves the float range
-        # before its sign change, so no finite report exists.
+        # The last C whose table stays finite (n=1375): the recurrence leaves
+        # the float range at S_1369, before its sign change, so no finite
+        # report exists.
         code, out, err = run_cli(capsys, "verify-sequences", "--C", "4.967318719302683")
         assert (code, out) == (EXIT_CONFIG, "")
         assert "float range" in err
+
+
+    def test_sign_change_where_the_closed_form_product_overflows(self, capsys):
+        # -2A r^j overflows at S_1367 here, but S_1367 itself is finite.
+        code, out, _ = run_cli(capsys, "verify-sequences", "--C", "4.967318027393586")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["sign_change_recurrence"] == report["sign_change_closed_form"] == 1367
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -13,9 +14,13 @@ from semimatch.core import (
     format_stream,
     load_stream,
     matching_weight,
+    _parse_lines,
     parse_stream_text,
     validate_matching,
 )
+
+_CANONICAL = ("0", "1", "7", "10", "12")
+_TOKENS = _CANONICAL + ("007", "07", "+7", "1_0", "-0", "\u0663")
 
 
 def E(u, v, w=1.0):
@@ -165,8 +170,63 @@ class TestParsing:
 
     def test_one_id_twice_is_self_loop_in_numeric_file(self):
         with pytest.raises(StreamFormatError, match="self-loop at vertex 7") as excinfo:
-            parse_stream_text("n=8\n0 1 1.0\n007 7 1.0\n2 3 1.0\n")
+            parse_stream_text("n=8\n0 1 1.0\n7 7 1.0\n2 3 1.0\n")
         assert excinfo.value.line == 3
+
+    def test_only_canonical_decimal_tokens_are_ids(self):
+        # "007" is a label, not a second spelling of 7: the file becomes a label file.
+        parsed, mapping = parse_stream_text("n=8\n0 1 1.0\n007 7 1.0\n2 3 1.0\n")
+        assert mapping == {"0": 0, "1": 1, "007": 2, "7": 3, "2": 4, "3": 5}
+        assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(4, 5, 1.0))
+        parsed, mapping = parse_stream_text("n=11\n0 1_0 1.0\n0 10 2.0\n")
+        assert mapping == {"0": 0, "1_0": 1, "10": 2}
+        assert parsed.edges == (Edge(0, 1, 1.0), Edge(0, 2, 2.0))
+        for token in ("007", "+7", "1_0", "-0", "\u0663"):
+            with pytest.raises(StreamFormatError, match="n= header is required") as excinfo:
+                parse_stream_text(f"0 1 1.0\n{token} 2 1.0\n")
+            assert excinfo.value.line == 2
+
+    def test_id_beyond_int_digit_limit(self):
+        # int() refuses more than 4,300 digits; a canonical token that long is still an id.
+        with pytest.raises(StreamFormatError, match="5000 digits") as excinfo:
+            parse_stream_text("n=3\n0 1 1.0\n1 " + "9" * 5000 + " 1.0\n")
+        assert excinfo.value.line == 3
+
+    @given(st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(_TOKENS)), max_size=12))
+    def test_tokens_name_vertices_one_to_one(self, pairs):
+        pairs = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
+        # n=13 exceeds every canonical id and the number of distinct tokens.
+        text = "n=13\n" + "".join(f"{a} {b} 1.0\n" for a, b in pairs)
+        parsed, mapping = parse_stream_text(text)
+        vertex_of: dict[str, int] = {}
+        for (a, b), e in zip(pairs, parsed.edges, strict=True):
+            assert vertex_of.setdefault(a, e.u) == e.u
+            assert vertex_of.setdefault(b, e.v) == e.v
+        assert len(set(vertex_of.values())) == len(vertex_of)
+        tokens = [t for pair in pairs for t in pair]
+        if all(t in _CANONICAL for t in tokens):
+            assert mapping is None
+        else:
+            assert mapping == {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+
+    def test_successful_parse_never_seeks(self):
+        class NoSeek(io.StringIO):
+            def seek(self, *args):
+                raise AssertionError("seek during a successful parse")
+
+        for text in ("n=4\n0 1 1.0\n2 3 1.0\n", "n=4\n0 1 1.0\nalice 1 2.0\n"):
+            parsed, _ = _parse_lines(NoSeek(text, newline=None))
+            assert len(parsed) == 2
+
+    def test_labels_over_n_are_an_id_range_fault(self):
+        # More labels than n is found by StreamSource, after every in-line fault.
+        with pytest.raises(StreamFormatError, match="bad weight 'oops'") as excinfo:
+            parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\nx y oops\n")
+        assert excinfo.value.line == 4
+        with pytest.raises(StreamFormatError) as excinfo:
+            parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\n")
+        assert str(excinfo.value) == ("line 3: vertex id 2 exceeds the largest id 1 for "
+                                      "num_vertices=2: 'carol alice 1.0'")
 
     def test_bad_weight_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
@@ -191,8 +251,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_breaks_from_a_file(self, tmp_path, newline):
-        # A label file with a duplicate: the parse starts over at the first
-        # label and rereads the file to find the duplicate's line.
+        # A label file with a duplicate: the ids read before the first label
+        # are remapped, and the file is reread to find the duplicate's line.
         text = newline.join(["n=4", "0 1 1.0", "# c", "", "alice 1 1.0", "1 alice 2.0", ""])
         path = tmp_path / "stream.txt"
         path.write_bytes(text.encode("utf-8"))
