@@ -2,8 +2,9 @@
 
 One-pass bucketed matching over geometric weight classes (deterministic,
 shifted, and grid-ensemble variants), numerical analysis certificates,
-an exact desk-scale oracle, instance generators, preemptive online
-baselines, and the adversarial lower-bound game they lose.
+an exact self-certifying matching oracle, instance generators,
+preemptive online baselines, and the adversarial lower-bound game they
+lose.
 
 The package root exports only ``__version__``; import names from the
 submodules (``semimatch.bucket``, ``semimatch.core``, ...).

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -258,9 +259,32 @@ def format_stream(stream: StreamSource) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _not_utf8(data: bytes, exc: UnicodeDecodeError) -> StreamFormatError:
+    """Report the first byte of a file that is not UTF-8, on its line.
+
+    ``exc`` comes from the text decoder, whose offsets count from its
+    chunk, so the bytes are decoded again whole.  No UTF-8 sequence holds a
+    CR or LF byte, so line ends are counted on the bytes before the fault.
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        lineno = 1 + len(re.findall(rb"\r\n|\r|\n", data[:whole.start]))
+        return StreamFormatError(
+            f"byte 0x{data[whole.start]:02x} is not UTF-8 ({whole.reason})", lineno)
+    return StreamFormatError(f"not UTF-8 ({exc.reason}); the file changed while read")
+
+
 def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Read and parse an edge-stream file; a pipe, which cannot be reread, is refused."""
+    """Read and parse an edge-stream file; a pipe, which cannot be reread, is refused.
+
+    A byte that is not UTF-8 raises :class:`StreamFormatError` with its line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         if not handle.seekable():
             raise ValueError(f"stream {path!r} is not seekable; pass a regular file, not a pipe")
-        return _parse_lines(handle)
+        try:
+            return _parse_lines(handle)
+        except UnicodeDecodeError as exc:
+            handle.seek(0)
+            raise _not_utf8(handle.buffer.read(), exc) from None

@@ -193,9 +193,8 @@ def test_criterion_8_adversary_victory():
             result = run_adversary(make_victim(name), AdversaryConfig(C=4.9))
             assert result.unbounded or result.achieved_ratio >= 4.9 * (1 - 1e-9), name
             _replay_opt_validity(result)
-            if result.num_vertices <= 20:
-                _, oracle_opt = max_weight_matching_exact(result.presented_edges)
-                assert result.tracked_opt_weight <= oracle_opt * (1 + 1e-9), name
+            _, oracle_opt = max_weight_matching_exact(result.presented_edges)
+            assert result.tracked_opt_weight <= oracle_opt, name
 
 
 def test_criterion_9_memory_audit():
@@ -213,7 +212,7 @@ def test_criterion_9_memory_audit():
 
 
 def test_criterion_10_oracle_self_consistency():
-    with criterion(10, "branch-and-bound equals all-subsets brute force on 1000 instances"):
+    with criterion(10, "blossom equals all-subsets brute force on 1000 instances"):
         rng = random.Random(13579)
         for index in range(1000):
             n = rng.randint(3, 10)

@@ -13,6 +13,7 @@ import pytest
 import semimatch
 from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from semimatch.generators import TightExampleConfig, tight_instance_opt_weight
 
 
 def run_cli(capsys, *argv):
@@ -134,11 +135,12 @@ class TestOracle:
         assert report["weight"] == pytest.approx(27.999994, abs=1e-12)
         assert len(report["matching"]) == 6
 
-    def test_size_refusal(self, capsys, tmp_path):
+    def test_k5_tight_ladder_has_the_analytic_optimum(self, capsys, tmp_path):
         path = gen_tight(capsys, tmp_path, k=5)  # 24 vertices
-        code, _, err = run_cli(capsys, "oracle", str(path))
-        assert code == EXIT_CONFIG
-        assert "exceed" in err
+        code, out, _ = run_cli(capsys, "oracle", str(path))
+        assert code == EXIT_OK
+        config = TightExampleConfig(gamma=2.0, k=5, eps=1e-6)
+        assert json.loads(out)["weight"] == tight_instance_opt_weight(config)
 
 
 class TestCertificate:
@@ -356,12 +358,13 @@ class TestSweep:
         assert by_row["ensemble", 3.513] == pytest.approx(1.5 * 5.372, abs=1e-3)
         assert len(jsonl_path.read_text().splitlines()) == len(rows)
 
-    def test_ratio_blank_above_oracle_limit(self, capsys):
-        # n=30 exceeds the oracle's vertex limit: no estimated ratios
+    def test_ratio_filled_at_n30_m40(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "random",
                                "--gammas", "2", "--seeds", "0",
                                "--n", "30", "--m", "40")
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert rows and all(r["ratio"] == "" and r["opt_weight"] == "" for r in rows)
-        assert all(r["alg_weight"] != "" for r in rows)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["n"] == "30" and row["opt_weight"] != ""
+            assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)

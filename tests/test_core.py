@@ -265,6 +265,16 @@ class TestParsing:
         assert mapping == {"0": 0, "1": 1, "alice": 2, "bob": 3}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0), Edge(3, 2, 2.0))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_reported_at_its_line(self, tmp_path, newline):
+        # The byte sits past the decoder's first chunk, in the 5,001st edge.
+        lines = ["n=5002"] + [f"{i} {i + 1} 1.5" for i in range(5000)]
+        path = tmp_path / "stream.txt"
+        path.write_bytes(newline.join(lines + ["5000 5001 2.5\xff", ""]).encode("latin-1"))
+        with pytest.raises(StreamFormatError, match="0xff is not UTF-8") as excinfo:
+            load_stream(str(path))
+        assert excinfo.value.line == 5002
+
     def test_only_lf_crlf_cr_end_lines(self):
         # A form feed is whitespace inside a line, not a line break.
         with pytest.raises(StreamFormatError, match="6 fields") as excinfo:

@@ -1,19 +1,30 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from semimatch.core import Edge
+from semimatch import oracle
+from semimatch.core import Edge, Matching
 from semimatch.generators import TightExampleConfig, tight_instance
 from semimatch.oracle import (
-    OracleLimitError,
     max_weight_matching_bruteforce,
+    max_weight_matching_dual,
     max_weight_matching_exact,
+    verify_dual,
 )
 
 
 def E(u, v, w):
     return Edge(u, v, w)
+
+
+def _networkx_optimum(edges):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_weighted_edges_from((e.u, e.v, e.weight) for e in edges)
+    return math.fsum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
 
 
 class TestExact:
@@ -45,17 +56,18 @@ class TestExact:
         assert weight == 0.0
         assert len(matching) == 0
 
-    def test_vertex_limit(self):
-        edges = [E(2 * i, 2 * i + 1, 1.0) for i in range(11)]
-        with pytest.raises(OracleLimitError, match="vertices"):
-            max_weight_matching_exact(edges)
+    def test_no_vertex_limit(self):
+        # 11 disjoint edges on 22 vertices
+        rng = random.Random(11)
+        edges = [E(2 * i, 2 * i + 1, rng.uniform(1, 100)) for i in range(11)]
+        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges)
 
-    def test_edge_limit(self):
-        # 65 edges among 20 vertices: within the vertex limit, one edge over 64
+    def test_no_edge_limit(self):
+        # 65 edges among 20 vertices
+        rng = random.Random(65)
         pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
-        edges = [E(u, v, 1.0) for u, v in pairs[:65]]
-        with pytest.raises(OracleLimitError, match="65 edges"):
-            max_weight_matching_exact(edges)
+        edges = [E(u, v, rng.uniform(1, 100)) for u, v in pairs[:65]]
+        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges)
 
     def test_deterministic_tie_break(self):
         # two disjoint optimal single edges of equal weight: lexicographic first
@@ -74,7 +86,7 @@ class TestBruteForce:
 
     def test_rejects_too_many_edges(self):
         edges = [E(i, i + 20, 1.0) for i in range(17)]
-        with pytest.raises(OracleLimitError, match="16"):
+        with pytest.raises(ValueError, match="16"):
             max_weight_matching_bruteforce(edges)
 
 
@@ -101,3 +113,84 @@ def test_branch_and_bound_matches_brute_force():
         assert weight == max_weight_matching_bruteforce(edges)
         # sanity: reported weight really is the exactly-rounded edge sum
         assert weight == math.fsum(e.weight for e in matching)
+
+
+def test_agrees_with_networkx_on_random_instances():
+    rng = random.Random(60)
+    for index in range(200):
+        n = rng.randint(2, 60)
+        pairs = n * (n - 1) // 2
+        m = (rng.randint(1, min(pairs, 2 * n)) if index % 2
+             else rng.randint(min(pairs, 2 * n), min(pairs, 6 * n)))
+        edges = _random_edges(rng, n, m)
+        if index % 4 == 3:  # small integer weights: many ties and blossoms
+            edges = [E(e.u, e.v, float(rng.randint(1, 4))) for e in edges]
+        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges), index
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.513])
+def test_agrees_with_networkx_on_tight_ladders(gamma):
+    for k in range(1, 9):
+        edges = tight_instance(TightExampleConfig(gamma=gamma, k=k, eps=1e-6)).edges
+        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges), k
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    weights = draw(st.lists(st.floats(min_value=5e-324, max_value=1.79e308),
+                            min_size=len(chosen), max_size=len(chosen)))
+    return [E(u, v, w) for (u, v), w in zip(chosen, weights)]
+
+
+@given(_small_graphs())
+def test_blossom_equals_brute_force_over_the_float_range(edges):
+    try:
+        expected = max_weight_matching_bruteforce(edges)
+    except OverflowError:  # the optimum's weight exceeds the float range
+        with pytest.raises(OverflowError):
+            max_weight_matching_exact(edges)
+        return
+    matching, dual = max_weight_matching_dual(edges)
+    verify_dual(edges, matching, dual)
+    assert matching.weight == expected
+
+
+class TestVerifyDual:
+    # Two triangles joined by one edge: the optimum needs blossoms.
+    EDGES = [E(0, 1, 6.0), E(1, 2, 6.0), E(0, 2, 6.0), E(2, 3, 5.0),
+             E(3, 4, 6.0), E(4, 5, 6.0), E(3, 5, 6.0), E(5, 6, 1.5)]
+
+    def solved(self):
+        matching, dual = max_weight_matching_dual(self.EDGES)
+        verify_dual(self.EDGES, matching, dual)
+        return matching, dual
+
+    def test_rejects_a_lowered_potential(self):
+        matching, dual = self.solved()
+        vertex = next(v for v, y in dual.potential.items() if y > 0)
+        lowered = dataclasses.replace(
+            dual, potential={**dual.potential, vertex: dual.potential[vertex] - 1})
+        with pytest.raises(ValueError, match="violates"):
+            verify_dual(self.EDGES, matching, lowered)
+
+    def test_rejects_a_dropped_matched_edge(self):
+        matching, dual = self.solved()
+        with pytest.raises(ValueError, match="unmatched"):
+            verify_dual(self.EDGES, Matching(matching.edges[1:]), dual)
+
+    def test_rejects_z_on_a_blossom_that_is_not_full(self):
+        matching, dual = self.solved()
+        # No matched edge lies inside {0, 3, 6}; a larger z keeps every edge feasible.
+        padded = dataclasses.replace(dual, blossoms=dual.blossoms + ((frozenset({0, 3, 6}), 2),))
+        with pytest.raises(ValueError, match="not odd and full"):
+            verify_dual(self.EDGES, matching, padded)
+
+    def test_exact_raises_when_the_check_fails(self, monkeypatch):
+        matching, dual = self.solved()
+        monkeypatch.setattr(oracle, "max_weight_matching_dual",
+                            lambda edges: (Matching(matching.edges[1:]), dual))
+        with pytest.raises(RuntimeError, match="oracle bug"):
+            max_weight_matching_exact(self.EDGES)
