@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Edge, Matching, StreamSource
+from .core import Edge, GreedyMatching, Matching, StreamSource
 
 __all__ = [
     "BucketConfig",
@@ -99,24 +99,6 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-class _ClassSlot:
-    """Maximal matching of one weight class with O(1) conflict checks."""
-
-    __slots__ = ("edges", "cover")
-
-    def __init__(self) -> None:
-        self.edges: list[Edge] = []
-        self.cover: set[int] = set()
-
-    def conflicts(self, edge: Edge) -> bool:
-        return edge.u in self.cover or edge.v in self.cover
-
-    def add(self, edge: Edge) -> None:
-        self.edges.append(edge)
-        self.cover.add(edge.u)
-        self.cover.add(edge.v)
-
-
 class BucketState:
     """Streaming state: running w_max, class window, per-class matchings."""
 
@@ -127,7 +109,7 @@ class BucketState:
         # Class floors gamma^(i+delta) for i = lo, lo+1, hi, hi+1 of the
         # window; +inf until the first prune, which must then recompute.
         self._floors = (math.inf,) * 4
-        self.matchings: dict[int, _ClassSlot] = {}
+        self.matchings: dict[int, GreedyMatching] = {}
         self.stored_edge_count = 0
         self.stored_edge_peak = 0
         self.edges_processed = 0
@@ -146,6 +128,10 @@ class BucketState:
         if threshold == math.inf:
             threshold = self.w_max / cfg.num_vertices * (2.0 * cfg.epsilon)
         return min(threshold, self.w_max) or _TINY
+
+    def floor(self, i: int) -> float:
+        """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
+        return _power(self.config.gamma, i + self.config.delta)
 
     def prune(self) -> None:
         """Recompute the class window for the current w_max and drop dead classes.
@@ -168,8 +154,7 @@ class BucketState:
         lo = class_index(threshold, gamma, delta)
         hi = class_index(self.w_max, gamma, delta)
         self.window = (lo, hi)
-        self._floors = (_power(gamma, lo + delta), _power(gamma, lo + 1 + delta),
-                        _power(gamma, hi + delta), _power(gamma, hi + 1 + delta))
+        self._floors = (self.floor(lo), self.floor(lo + 1), self.floor(hi), self.floor(hi + 1))
         for i in [i for i in self.matchings if i < lo]:
             self.stored_edge_count -= len(self.matchings[i].edges)
             del self.matchings[i]
@@ -191,10 +176,9 @@ class BucketState:
             i = class_index(w, cfg.gamma, cfg.delta)
         slot = self.matchings.get(i)
         if slot is None:
-            slot = self.matchings[i] = _ClassSlot()
-        if slot.conflicts(edge):
+            slot = self.matchings[i] = GreedyMatching()
+        if not slot.add(edge):
             return
-        slot.add(edge)
         self.stored_edge_count += 1
         if self.stored_edge_count > self.stored_edge_peak:
             self.stored_edge_peak = self.stored_edge_count
@@ -210,15 +194,10 @@ class BucketState:
 
 def greedy_merge(edges: Iterable[Edge]) -> Matching:
     """Take each edge in the given order unless it touches a vertex already taken."""
-    chosen: list[Edge] = []
-    covered: set[int] = set()
+    greedy = GreedyMatching()
     for e in edges:
-        if e.u in covered or e.v in covered:
-            continue
-        chosen.append(e)
-        covered.add(e.u)
-        covered.add(e.v)
-    return Matching.from_edges(chosen)
+        greedy.add(e)
+    return Matching(greedy.edges)
 
 
 def best_copy(per_copy: list[Matching]) -> Matching:

@@ -61,7 +61,7 @@ class AnalysisCertificate:
 
 
 def filter_to_final_window(state: BucketState, edges) -> list[Edge]:
-    """Edges whose class survived to the run's final window.
+    """Edges whose class survived to the run's final window: those at or above its floor.
 
     This is the instance the analysis speaks about: classes entirely
     below the final discard threshold were dropped from memory, so the
@@ -69,10 +69,8 @@ def filter_to_final_window(state: BucketState, edges) -> list[Edge]:
     """
     if state.window is None:
         return []
-    lo, _hi = state.window
-    cfg = state.config
-    return [e for e in edges
-            if class_index(e.weight, cfg.gamma, cfg.delta) >= lo]
+    floor = state.floor(state.window[0])
+    return [e for e in edges if e.weight >= floor]
 
 
 def build_certificate(state: BucketState, oracle_matching: Matching) -> AnalysisCertificate:
@@ -82,8 +80,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
     streamed graph restricted to edges above the final discard
     threshold; an edge from a pruned class is rejected.
     """
-    cfg = state.config
-    gamma, delta = cfg.gamma, cfg.delta
+    gamma, delta = state.config.gamma, state.config.delta
     lo = state.window[0] if state.window is not None else None
 
     opt_rounded_terms = []
@@ -93,7 +90,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
             raise ValueError(
                 f"oracle edge {e} lies below the final discard threshold "
                 f"(class {i}, window {state.window})")
-        opt_rounded_terms.append(gamma ** (i + delta))
+        opt_rounded_terms.append(state.floor(i))
 
     # Vertex association: walk classes top-down; a vertex covered by
     # several class matchings belongs to the highest one.
@@ -102,7 +99,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
         for e in state.matchings[i].edges:
             for vertex in (e.u, e.v):
                 if vertex not in per_vertex:
-                    per_vertex[vertex] = (i, gamma ** (i + delta))
+                    per_vertex[vertex] = (i, state.floor(i))
 
     return AnalysisCertificate(
         gamma=gamma,

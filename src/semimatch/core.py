@@ -1,9 +1,9 @@
 """Graph primitives shared by every other module: edges, matchings, streams.
 
-All values are immutable after construction and safe to share between
-concurrent tasks.  The edge-stream text format understood by
+Values other than the :class:`GreedyMatching` builder are immutable and
+safe to share between concurrent tasks.  The edge-stream text format of
 :func:`parse_stream_text` is one edge per line, ``<u> <v> <weight>``
-whitespace-separated, ``#`` comment lines, and an optional ``n=<num>``
+whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
 header (required when vertex labels are non-numeric).
 """
 
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
 __all__ = [
-    "Edge", "Matching", "StreamSource", "StreamEdgeError", "ValidityReport",
-    "StreamFormatError", "validate_matching", "matching_weight", "parse_stream_text",
-    "format_stream", "load_stream",
+    "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamEdgeError",
+    "StreamFormatError", "parse_stream_text", "format_stream", "load_stream",
 ]
 
 
@@ -48,61 +47,27 @@ class Edge:
 
 
 @dataclass(frozen=True, slots=True)
-class ValidityReport:
-    """Outcome of a matching validity scan.
-
-    ``conflict`` holds the first pair of edges sharing a vertex, together
-    with the shared vertex, when ``ok`` is False.
-    """
-
-    ok: bool
-    conflict: Optional[tuple[Edge, Edge, int]] = None
-
-
-def validate_matching(edges: Iterable[Edge]) -> ValidityReport:
-    """Report whether no vertex appears in two of the given edges."""
-    cover: dict[int, Edge] = {}
-    for e in edges:
-        for vertex in (e.u, e.v):
-            if vertex in cover:
-                return ValidityReport(ok=False, conflict=(cover[vertex], e, vertex))
-        cover[e.u] = e
-        cover[e.v] = e
-    return ValidityReport(ok=True)
-
-
-def matching_weight(edges: Iterable[Edge]) -> float:
-    """Combined weight of the edges.
-
-    Uses an exactly-rounded sum, so the result does not depend on the
-    order of the edge list.
-    """
-    if isinstance(edges, Matching):
-        return edges.weight
-    return math.fsum(e.weight for e in edges)
-
-
-@dataclass(frozen=True, slots=True)
 class Matching:
-    """Vertex-disjoint edge set; ``weight`` is their exactly-rounded sum."""
+    """Vertex-disjoint edge set; ``weight`` is their exactly-rounded sum.
 
-    edges: tuple[Edge, ...]
+    Takes any iterable of edges (``Matching()`` is empty) and raises
+    ValueError when two of them share a vertex.
+    """
+
+    edges: tuple[Edge, ...] = ()
     weight: float = field(init=False)
 
     def __post_init__(self) -> None:
-        report = validate_matching(self.edges)
-        if not report.ok:
-            a, b, vertex = report.conflict  # type: ignore[misc]
-            raise ValueError(f"not a matching: vertex {vertex} shared by {a} and {b}")
-        object.__setattr__(self, "weight", math.fsum(e.weight for e in self.edges))
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge]) -> "Matching":
-        return cls(tuple(edges))
-
-    @classmethod
-    def empty(cls) -> "Matching":
-        return cls(())
+        edges = tuple(self.edges)
+        cover: dict[int, Edge] = {}
+        for e in edges:
+            for vertex in (e.u, e.v):
+                if vertex in cover:
+                    raise ValueError(
+                        f"not a matching: vertex {vertex} shared by {cover[vertex]} and {e}")
+                cover[vertex] = e
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weight", math.fsum(e.weight for e in edges))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -112,6 +77,25 @@ class Matching:
 
     def keys(self) -> set[tuple[int, int]]:
         return {e.key for e in self.edges}
+
+
+class GreedyMatching:
+    """A matching grown greedily in ``edges``, whose endpoints are ``cover``."""
+
+    __slots__ = ("edges", "cover")
+
+    def __init__(self) -> None:
+        self.edges: list[Edge] = []
+        self.cover: set[int] = set()
+
+    def add(self, edge: Edge) -> bool:
+        """Keep the edge if neither end is covered; return whether it was kept."""
+        if edge.u in self.cover or edge.v in self.cover:
+            return False
+        self.edges.append(edge)
+        self.cover.add(edge.u)
+        self.cover.add(edge.v)
+        return True
 
 
 class StreamEdgeError(ValueError):
@@ -175,11 +159,12 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     Returns the stream plus the label-to-id mapping when vertex labels
     were not ids (None when ids were used verbatim).  A token is an id
     only when it is canonical ASCII decimal (``0`` or ``[1-9][0-9]*``);
-    one other token makes every token a label.  Labels require the
-    ``n=`` header and are remapped densely in order of first appearance.
-    Faults within a line are reported first; id range (for labels, more
-    labels than ``n``) and duplicate edges are checked by
-    :class:`StreamSource`.  A line ends at LF, CRLF or CR.
+    one other token makes every token a label.  The ``n=`` header's count
+    must be canonical and positive.  Labels require the header and are
+    remapped densely in order of first appearance.  Faults within a line
+    are reported first; id range (for labels, more labels than ``n``) and
+    duplicate edges are checked by :class:`StreamSource`.  A line ends at
+    LF, CRLF or CR.
     """
     return _parse_lines(io.StringIO(text, newline=None))
 
@@ -198,10 +183,13 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
                 raise StreamFormatError("n= header must precede edge lines", lineno)
             if header_n is not None:
                 raise StreamFormatError("duplicate n= header", lineno)
+            count = line[2:]
             try:
-                header_n = int(line[2:])
+                if not (count.isascii() and count.isdigit() and (count[0] != "0" or count == "0")):
+                    raise ValueError(count)
+                header_n = int(count)  # also raises past int()'s digit limit
             except ValueError:
-                raise StreamFormatError(f"bad vertex count {line[2:]!r}", lineno) from None
+                raise StreamFormatError(f"bad vertex count {count!r}", lineno) from None
             if header_n < 1:
                 raise StreamFormatError("n= must be positive", lineno)
             continue

@@ -440,7 +440,7 @@ def max_weight_matching_dual(edges: Sequence[Edge]) -> tuple[Matching, MatchingD
     mate, potential, blossoms = _Blossom(
         len(vertices), endpoint, [_scaled(e.weight, scale) for e in edges]).solve()
     matched = sorted({p >> 1 for p in mate if p != -1})
-    return Matching.from_edges(edges[k] for k in matched), MatchingDual(
+    return Matching(edges[k] for k in matched), MatchingDual(
         scale, dict(zip(vertices, potential)),
         tuple((frozenset(vertices[x] for x in members), z) for members, z in blossoms))
 
@@ -460,18 +460,6 @@ def max_weight_matching_exact(edges: Iterable[Edge]) -> tuple[Matching, float]:
     return matching, matching.weight
 
 
-def _vertex_masks(edges: Sequence[Edge]) -> list[int]:
-    """Each edge's two endpoints as bits, numbering vertices by first appearance."""
-    vertex_bit: dict[int, int] = {}
-    masks = []
-    for e in edges:
-        for vertex in (e.u, e.v):
-            if vertex not in vertex_bit:
-                vertex_bit[vertex] = 1 << len(vertex_bit)
-        masks.append(vertex_bit[e.u] | vertex_bit[e.v])
-    return masks
-
-
 def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:
     """Optimal weight by exhausting all 2^m edge subsets.
 
@@ -488,7 +476,8 @@ def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:
     if m == 0:
         return 0.0
 
-    masks = _vertex_masks(edges)
+    _vertices, endpoint = _number_vertices(edges)
+    masks = [1 << endpoint[2 * k] | 1 << endpoint[2 * k + 1] for k in range(m)]
     scale = _common_scale(edges)
     scaled = [_scaled(e.weight, scale) for e in edges]
     size = 1 << m

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bucket import BucketConfig, BucketState, greedy_merge
-from .core import Edge, Matching
+from .core import Edge, GreedyMatching, Matching
 
 __all__ = [
     "Decision",
@@ -91,7 +91,7 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
 
     @property
     def current_matching(self) -> Matching:
-        return Matching.from_edges(self._held.values())
+        return Matching(self._held.values())
 
 
 class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
@@ -99,21 +99,15 @@ class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
 
     def __init__(self) -> None:
         super().__init__()
-        self._held: list[Edge] = []
-        self._covered: set[int] = set()
+        self._held = GreedyMatching()
 
     def on_edge(self, edge: Edge) -> Decision:
         self._note_presented(edge)
-        if edge.u in self._covered or edge.v in self._covered:
-            return Decision(accepted=False)
-        self._held.append(edge)
-        self._covered.add(edge.u)
-        self._covered.add(edge.v)
-        return Decision(accepted=True)
+        return Decision(accepted=self._held.add(edge))
 
     @property
     def current_matching(self) -> Matching:
-        return Matching.from_edges(self._held)
+        return Matching(self._held.edges)
 
 
 class BucketPreemptiveAdapter(_PresentedMixin, PreemptiveAlgorithm):
@@ -134,7 +128,7 @@ class BucketPreemptiveAdapter(_PresentedMixin, PreemptiveAlgorithm):
         self._by_key: dict[tuple[int, int], Edge] = {}
         self._arrival: dict[tuple[int, int], int] = {}
         self._steps = 0
-        self._projection: Matching = Matching.empty()
+        self._projection: Matching = Matching()
         self._ever_absent: set[tuple[int, int]] = set()
         self.violation_step: Optional[int] = None
         self.finished = False

@@ -20,7 +20,7 @@ from semimatch.adversary import (
     solve_R,
     verify_identities,
 )
-from semimatch.core import Edge, Matching, validate_matching
+from semimatch.core import Edge, Matching
 from semimatch.oracle import max_weight_matching_exact
 from semimatch.preemptive import (
     DEFAULT_VICTIMS,
@@ -201,7 +201,7 @@ class TestRatioCheckpoint:
 
 class _DropEverything(PreemptiveAlgorithm):
     def __init__(self):
-        self._nothing = Matching.empty()
+        self._nothing = Matching()
 
     def on_edge(self, edge):
         return Decision(accepted=False)
@@ -241,7 +241,7 @@ class _Scripted(PreemptiveAlgorithm):
 
     @property
     def current_matching(self):
-        return Matching.from_edges(self._held.values())
+        return Matching(self._held.values())
 
 
 def _step_end_opt_weights(result):
@@ -353,12 +353,28 @@ class _WeightTamperer(PreemptiveAlgorithm):
 
     @property
     def current_matching(self):
-        return Matching.from_edges([self.fake] if self.fake else [])
+        return Matching([self.fake] if self.fake else [])
 
 
 def test_weight_tampering_detected():
     with pytest.raises(ContractViolationError, match="never given"):
         run_adversary(_WeightTamperer(), AdversaryConfig(C=4.5))
+
+
+class _ListHolder(PreemptiveAlgorithm):
+    """Holds nothing, but reports it as a list rather than a Matching."""
+
+    def on_edge(self, edge):
+        return Decision(accepted=False)
+
+    @property
+    def current_matching(self):
+        return []
+
+
+def test_hold_that_is_not_a_matching_detected():
+    with pytest.raises(ContractViolationError, match="a list, not a Matching"):
+        run_adversary(_ListHolder(), AdversaryConfig(C=4.5))
 
 
 class _Resurrector(PreemptiveAlgorithm):
@@ -382,7 +398,7 @@ class _Resurrector(PreemptiveAlgorithm):
 
     @property
     def current_matching(self):
-        return Matching.from_edges(self.held)
+        return Matching(self.held)
 
 
 def replay_transcript(result):
@@ -394,7 +410,7 @@ def replay_transcript(result):
         presented.add((record["u"], record["v"], record["weight"]))
         canonical = {(min(u, v), max(u, v), w) for (u, v, w) in presented}
         opt_edges = [Edge(int(u), int(v), w) for (u, v, w) in record["opt_after"]]
-        assert validate_matching(opt_edges).ok
+        Matching(opt_edges)  # raises when two edges share a vertex
         for u, v, w in record["opt_after"]:
             assert (u, v, w) in canonical
         held = {(u, v) for (u, v, _w) in record["held_after"]}

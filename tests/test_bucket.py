@@ -23,6 +23,7 @@ from semimatch.bucket import (
     run_shifted,
     stream_bucket_run,
 )
+from semimatch.certificate import filter_to_final_window
 from semimatch.core import Edge, StreamSource
 from semimatch.generators import (
     ExponentialClassWeights,
@@ -207,15 +208,20 @@ class TestWindowCache:
     def test_window_and_slots_exact(self, case, rng):
         gamma, delta, epsilon, n, weights = case
         state = make_state(gamma=gamma, epsilon=epsilon, n=n, delta=delta)
+        edges = []
         for w in weights:
             u, v = rng.sample(range(6), 2)
-            state.process(E(u, v, w))
+            edges.append(E(u, v, w))
+            state.process(edges[-1])
             lo, hi = state.window
             assert (lo, hi) == (class_index(state.threshold, gamma, delta),
                                 class_index(state.w_max, gamma, delta))
             assert all(i >= lo for i in state.matchings)
             for i, slot in state.matchings.items():
                 assert all(class_index(e.weight, gamma, delta) == i for e in slot.edges)
+        # The certificate's filter compares against the floor of class lo.
+        assert filter_to_final_window(state, edges) == [
+            e for e in edges if class_index(e.weight, gamma, delta) >= lo]
 
     def test_weights_at_window_floors(self):
         # gamma=2, eps=0.5, n=8, w_max=1024: threshold 128 = 2^7, window (7, 10)

@@ -100,7 +100,7 @@ class TestErrors:
         state = BucketState(BucketConfig(gamma=2.0, epsilon=1.0, num_vertices=4))
         state.process(Edge(0, 1, 1.0))
         state.process(Edge(2, 3, 4096.0))  # threshold 2048, window clamps high
-        dead = Matching.from_edges([Edge(0, 1, 1.0)])
+        dead = Matching([Edge(0, 1, 1.0)])
         with pytest.raises(ValueError, match="below the final discard threshold"):
             build_certificate(state, dead)
 

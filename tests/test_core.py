@@ -7,16 +7,15 @@ from hypothesis import given, strategies as st
 
 from semimatch.core import (
     Edge,
+    GreedyMatching,
     Matching,
     StreamEdgeError,
     StreamFormatError,
     StreamSource,
     format_stream,
     load_stream,
-    matching_weight,
     _parse_lines,
     parse_stream_text,
-    validate_matching,
 )
 
 _CANONICAL = ("0", "1", "7", "10", "12")
@@ -52,29 +51,30 @@ class TestEdge:
 
 
 class TestValidateMatching:
+    """The Matching constructor is the one disjointness check."""
+
     def test_empty_is_a_matching(self):
-        assert validate_matching([]).ok
+        assert Matching().edges == Matching([]).edges == ()
 
     def test_shared_endpoint_conflicts(self):
-        report = validate_matching([E(0, 1), E(1, 2)])
-        assert not report.ok
-        a, b, vertex = report.conflict
-        assert vertex == 1
-        assert {a.key, b.key} == {(0, 1), (1, 2)}
+        with pytest.raises(ValueError) as info:
+            Matching(iter([E(0, 1), E(1, 2)]))
+        assert str(info.value) == ("not a matching: vertex 1 shared by "
+                                   f"{E(0, 1)} and {E(1, 2)}")
 
     def test_disjoint_edges_ok(self):
-        assert validate_matching([E(0, 1, 1.0), E(2, 3, 5.0)]).ok
+        assert Matching([E(0, 1, 1.0), E(2, 3, 5.0)]).keys() == {(0, 1), (2, 3)}
 
 
 class TestMatchingWeight:
     def test_empty(self):
-        assert matching_weight([]) == 0.0
+        assert Matching().weight == 0.0
 
     def test_single(self):
-        assert matching_weight([E(0, 1, 3.5)]) == 3.5
+        assert Matching([E(0, 1, 3.5)]).weight == 3.5
 
     def test_two(self):
-        assert matching_weight([E(0, 1, 1.0), E(2, 3, 2.0)]) == 3.0
+        assert Matching([E(0, 1, 1.0), E(2, 3, 2.0)]).weight == 3.0
 
     @given(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=0, max_size=12),
            st.randoms(use_true_random=False))
@@ -82,24 +82,34 @@ class TestMatchingWeight:
         edges = [E(2 * i, 2 * i + 1, w) for i, w in enumerate(weights)]
         shuffled = list(edges)
         rng.shuffle(shuffled)
-        assert matching_weight(edges) == matching_weight(shuffled)
+        assert Matching(edges).weight == Matching(shuffled).weight
 
 
 class TestMatching:
     def test_from_edges_caches_weight(self):
-        m = Matching.from_edges([E(0, 1, 1.5), E(2, 3, 2.5)])
+        m = Matching(e for e in [E(0, 1, 1.5), E(2, 3, 2.5)])
+        assert m.edges == (E(0, 1, 1.5), E(2, 3, 2.5))
         assert m.weight == 4.0
         assert len(m) == 2
 
     def test_rejects_conflict(self):
         with pytest.raises(ValueError, match="not a matching"):
-            Matching.from_edges([E(0, 1), E(1, 2)])
+            Matching([E(0, 1), E(1, 2)])
 
     def test_weight_is_derived(self):
         edges = (E(0, 1, 0.1), E(2, 3, 0.2), E(4, 5, 0.3))
         with pytest.raises(TypeError):
             Matching(edges=edges, weight=3.0)
         assert Matching(edges).weight == math.fsum(e.weight for e in edges)
+
+
+class TestGreedyMatching:
+    def test_keeps_an_edge_only_when_both_ends_are_free(self):
+        greedy = GreedyMatching()
+        kept = [greedy.add(e) for e in (E(0, 1), E(1, 2), E(2, 3), E(3, 0), E(4, 5))]
+        assert kept == [True, False, True, False, True]
+        assert greedy.edges == [E(0, 1), E(2, 3), E(4, 5)]
+        assert greedy.cover == {0, 1, 2, 3, 4, 5}
 
 
 class TestStreamSource:
@@ -167,6 +177,27 @@ class TestParsing:
             parse_stream_text("0 1 2.0\n0 1\n")
         assert excinfo.value.line == 2
         assert "line 2" in str(excinfo.value)
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("0 1 1.0\nn=2\n", "n= header must precede edge lines", 2),
+        ("n=2\n# again\nn=2\n", "duplicate n= header", 3),
+        ("n=x\n0 1 1.0\n", "bad vertex count 'x'", 1),
+        ("# n\nn=1_0\n0 1 1.0\n", "bad vertex count '1_0'", 2),
+        ("n=+4\n", "bad vertex count '\\+4'", 1),
+        ("n= 4\n", "bad vertex count ' 4'", 1),
+        ("n=\u0663\n", "bad vertex count '\u0663'", 1),
+        ("n=04\n", "bad vertex count '04'", 1),
+        ("n=-1\n", "bad vertex count '-1'", 1),
+        ("n=\n", "bad vertex count ''", 1),
+        pytest.param("n=" + "9" * 5000 + "\n", "bad vertex count '9999", 1,
+                     id="count-past-int-digit-limit"),
+        ("n=0\n", "n= must be positive", 1),
+        ("# nothing\n\n", "empty stream needs an n= header", None),
+    ])
+    def test_header_faults(self, text, message, line):
+        with pytest.raises(StreamFormatError, match=message) as excinfo:
+            parse_stream_text(text)
+        assert excinfo.value.line == line
 
     def test_one_id_twice_is_self_loop_in_numeric_file(self):
         with pytest.raises(StreamFormatError, match="self-loop at vertex 7") as excinfo:

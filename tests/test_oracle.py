@@ -158,6 +158,23 @@ def test_blossom_equals_brute_force_over_the_float_range(edges):
     assert matching.weight == expected
 
 
+def test_expansion_relabels_the_odd_side():
+    # Expanding a T-blossom here relabels a child on its odd side after
+    # skipping an S-labelled one.
+    edges = [E(u, v, float(w)) for u, v, w in [
+        (1, 6, 1), (4, 5, 2), (3, 4, 2), (0, 3, 1), (1, 4, 3), (1, 3, 2), (2, 3, 1),
+        (2, 4, 1), (0, 1, 3), (0, 4, 3), (2, 6, 1), (0, 5, 2), (1, 5, 2), (1, 2, 1)]]
+    matching, dual = max_weight_matching_dual(edges)
+    verify_dual(edges, matching, dual)
+    assert matching.weight == max_weight_matching_bruteforce(edges) == 6.0
+
+
+def _raise_matched_ends(edges, matching, dual):
+    e = matching.edges[0]
+    raised = {**dual.potential, e.u: dual.potential[e.u] + 1, e.v: dual.potential[e.v] + 1}
+    return edges, matching, dataclasses.replace(dual, potential=raised)
+
+
 class TestVerifyDual:
     # Two triangles joined by one edge: the optimum needs blossoms.
     EDGES = [E(0, 1, 6.0), E(1, 2, 6.0), E(0, 2, 6.0), E(2, 3, 5.0),
@@ -187,6 +204,20 @@ class TestVerifyDual:
         padded = dataclasses.replace(dual, blossoms=dual.blossoms + ((frozenset({0, 3, 6}), 2),))
         with pytest.raises(ValueError, match="not odd and full"):
             verify_dual(self.EDGES, matching, padded)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda edges, matching, dual: (edges, matching, dataclasses.replace(
+            dual, potential={**dual.potential, 6: -1})), "negative potential"),
+        (lambda edges, matching, dual: (edges, matching, dataclasses.replace(
+            dual, blossoms=dual.blossoms + ((frozenset({0, 1, 2}), -2),))), "negative z"),
+        (_raise_matched_ends, "has slack 2"),
+        (lambda edges, matching, dual: (
+            [e for e in edges if e != matching.edges[0]], matching, dual), "not an input edge"),
+    ], ids=["negative-potential", "negative-z", "slack-on-matched-edge", "not-an-input-edge"])
+    def test_rejects_each_broken_condition(self, mutate, message):
+        matching, dual = self.solved()
+        with pytest.raises(ValueError, match=message):
+            verify_dual(*mutate(self.EDGES, matching, dual))
 
     def test_exact_raises_when_the_check_fails(self, monkeypatch):
         matching, dual = self.solved()
