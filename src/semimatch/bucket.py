@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
@@ -21,7 +21,6 @@ __all__ = [
     "BucketConfig",
     "BucketState",
     "class_index",
-    "greedy_merge",
     "best_copy",
     "run_deterministic",
     "run_shifted",
@@ -186,18 +185,14 @@ class BucketState:
     def finalize(self) -> Matching:
         """Greedy matching over the stored edges, highest class first.
 
-        Within one class edges keep insertion order.
+        Within one class edges keep insertion order.  An edge is taken
+        unless it touches a vertex already taken.
         """
-        return greedy_merge(e for i in sorted(self.matchings, reverse=True)
-                            for e in self.matchings[i].edges)
-
-
-def greedy_merge(edges: Iterable[Edge]) -> Matching:
-    """Take each edge in the given order unless it touches a vertex already taken."""
-    greedy = GreedyMatching()
-    for e in edges:
-        greedy.add(e)
-    return Matching(greedy.edges)
+        greedy = GreedyMatching()
+        for i in sorted(self.matchings, reverse=True):
+            for e in self.matchings[i].edges:
+                greedy.add(e)
+        return Matching(greedy.edges)
 
 
 def best_copy(per_copy: list[Matching]) -> Matching:

@@ -159,14 +159,20 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     Returns the stream plus the label-to-id mapping when vertex labels
     were not ids (None when ids were used verbatim).  A token is an id
     only when it is canonical ASCII decimal (``0`` or ``[1-9][0-9]*``);
-    one other token makes every token a label.  The ``n=`` header's count
-    must be canonical and positive.  Labels require the header and are
-    remapped densely in order of first appearance.  Faults within a line
-    are reported first; id range (for labels, more labels than ``n``) and
-    duplicate edges are checked by :class:`StreamSource`.  A line ends at
-    LF, CRLF or CR.
+    one other token makes every token a label.  A line of three fields is
+    an edge line; any other line that starts with ``n=`` is the header,
+    whose count must be canonical and positive.  Labels require the
+    header and are remapped densely in order of first appearance.  Faults
+    within a line are reported first; id range (for labels, more labels
+    than ``n``) and duplicate edges are checked by :class:`StreamSource`.
+    A line ends at LF, CRLF or CR.
     """
     return _parse_lines(io.StringIO(text, newline=None))
+
+
+def _is_header(line: str) -> bool:
+    """Whether a stripped line is the ``n=`` header: three fields are always an edge."""
+    return line.startswith("n=") and len(line.split()) != 3
 
 
 def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
@@ -178,7 +184,11 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("n="):
+        parts = line.split()
+        if len(parts) != 3:
+            if not _is_header(line):
+                raise StreamFormatError(
+                    f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
             if edges:
                 raise StreamFormatError("n= header must precede edge lines", lineno)
             if header_n is not None:
@@ -193,10 +203,6 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
             if header_n < 1:
                 raise StreamFormatError("n= must be positive", lineno)
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise StreamFormatError(
-                f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
         a, b, w = parts
         if (mapping is None and a.isdigit() and b.isdigit() and a.isascii() and b.isascii()
                 and (a[0] != "0" or a == "0") and (b[0] != "0" or b == "0")):
@@ -235,7 +241,8 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
     except StreamEdgeError as exc:
         handle.seek(0)
         edge_lines = ((lineno, line) for lineno, raw in enumerate(handle, start=1)
-                      if (line := raw.strip()) and not line.startswith(("#", "n=")))
+                      if (line := raw.strip()) and not line.startswith("#")
+                      and not _is_header(line))
         lineno, line = next(itertools.islice(edge_lines, exc.index, None))
         raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
 

@@ -1,46 +1,33 @@
-"""Preemptive online matching baselines and the bucket-run adapter.
+"""Preemptive online matching baselines, the victims of the adversary game.
 
 A preemptive algorithm must hold a feasible matching at all times; it
 may discard (preempt) a held edge, but an edge that was rejected or
-preempted is gone forever.  The baselines here are victims for the
-adversary game; the adapter wraps a bucketed run to demonstrate that
-its finalize step breaks exactly that irrevocability contract.
+preempted is gone forever.  A victim's held matching,
+``current_matching``, is the whole record of what it accepted and
+preempted: ``on_edge`` returns nothing.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .bucket import BucketConfig, BucketState, greedy_merge
 from .core import Edge, GreedyMatching, Matching
 
 __all__ = [
-    "Decision",
     "PreemptiveAlgorithm",
     "ThresholdPreemptive",
     "HoldFirst",
-    "BucketPreemptiveAdapter",
     "make_victim",
     "DEFAULT_VICTIMS",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """Outcome of presenting one edge."""
-
-    accepted: bool
-    preempted: tuple[Edge, ...] = ()
 
 
 class PreemptiveAlgorithm(abc.ABC):
     """Receives edges one at a time; exposes its held matching at any time."""
 
     @abc.abstractmethod
-    def on_edge(self, edge: Edge) -> Decision:
+    def on_edge(self, edge: Edge) -> None:
         """Irrevocably accept (possibly preempting held edges) or reject."""
 
     @property
@@ -72,7 +59,7 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
         self._held: dict[tuple[int, int], Edge] = {}
         self._cover: dict[int, Edge] = {}
 
-    def on_edge(self, edge: Edge) -> Decision:
+    def on_edge(self, edge: Edge) -> None:
         self._note_presented(edge)
         blockers: list[Edge] = []
         for f in (self._cover.get(edge.u), self._cover.get(edge.v)):
@@ -86,8 +73,6 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
             self._held[edge.key] = edge
             self._cover[edge.u] = edge
             self._cover[edge.v] = edge
-            return Decision(accepted=True, preempted=tuple(blockers))
-        return Decision(accepted=False)
 
     @property
     def current_matching(self) -> Matching:
@@ -101,77 +86,13 @@ class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
         super().__init__()
         self._held = GreedyMatching()
 
-    def on_edge(self, edge: Edge) -> Decision:
+    def on_edge(self, edge: Edge) -> None:
         self._note_presented(edge)
-        return Decision(accepted=self._held.add(edge))
+        self._held.add(edge)
 
     @property
     def current_matching(self) -> Matching:
         return Matching(self._held.edges)
-
-
-class BucketPreemptiveAdapter(_PresentedMixin, PreemptiveAlgorithm):
-    """View a bucketed run through the preemptive-online contract.
-
-    Per step the stored class matchings are projected to a greedy
-    matching in arrival order (what a preemption-free scan of the
-    stored edges would hold); :meth:`finish` swaps in the true
-    finalize output.  ``violation_step`` records the first step at
-    which an edge re-entered the exposed matching after being absent
-    from it, the irrevocability breach that shows the bucketed
-    algorithm is not a preemptive online algorithm.
-    """
-
-    def __init__(self, config: BucketConfig):
-        super().__init__()
-        self.state = BucketState(config)
-        self._by_key: dict[tuple[int, int], Edge] = {}
-        self._arrival: dict[tuple[int, int], int] = {}
-        self._steps = 0
-        self._projection: Matching = Matching()
-        self._ever_absent: set[tuple[int, int]] = set()
-        self.violation_step: Optional[int] = None
-        self.finished = False
-
-    def _project(self) -> Matching:
-        stored = [e for slot in self.state.matchings.values() for e in slot.edges]
-        stored.sort(key=lambda e: self._arrival[e.key])
-        return greedy_merge(stored)
-
-    def _expose(self, matching: Matching) -> None:
-        keys = matching.keys()
-        if self.violation_step is None and keys & self._ever_absent:
-            self.violation_step = self._steps
-        self._ever_absent.update(self._presented - keys)
-        self._projection = matching
-
-    def on_edge(self, edge: Edge) -> Decision:
-        if self.finished:
-            raise RuntimeError("stream already finished")
-        self._note_presented(edge)
-        self._steps += 1
-        self._by_key[edge.key] = edge
-        self._arrival[edge.key] = self._steps
-        self.state.process(edge)
-        before = self._projection.keys()
-        self._expose(self._project())
-        after = self._projection.keys()
-        return Decision(
-            accepted=edge.key in after,
-            preempted=tuple(self._by_key[k] for k in sorted(before - after)),
-        )
-
-    def finish(self) -> Matching:
-        """End of stream: expose the finalize output and return it."""
-        self._steps += 1
-        final = self.state.finalize()
-        self._expose(final)
-        self.finished = True
-        return final
-
-    @property
-    def current_matching(self) -> Matching:
-        return self._projection
 
 
 DEFAULT_VICTIMS: tuple[str, ...] = (

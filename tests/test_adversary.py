@@ -22,12 +22,7 @@ from semimatch.adversary import (
 )
 from semimatch.core import Edge, Matching
 from semimatch.oracle import max_weight_matching_exact
-from semimatch.preemptive import (
-    DEFAULT_VICTIMS,
-    Decision,
-    PreemptiveAlgorithm,
-    make_victim,
-)
+from semimatch.preemptive import DEFAULT_VICTIMS, PreemptiveAlgorithm, make_victim
 
 C_GRID = [2.05 + 0.15 * i for i in range(19)] + [4.9, 4.95, 4.96]  # inside (2, R - 1e-3)
 
@@ -204,7 +199,7 @@ class _DropEverything(PreemptiveAlgorithm):
         self._nothing = Matching()
 
     def on_edge(self, edge):
-        return Decision(accepted=False)
+        pass
 
     @property
     def current_matching(self):
@@ -227,7 +222,7 @@ class _Scripted(PreemptiveAlgorithm):
     def on_edge(self, edge):
         action = self._script.pop(0) if self._script else "R"
         if action == "R":
-            return Decision(accepted=False)
+            return
         blockers = {f.key: f for f in (self._cover.get(edge.u), self._cover.get(edge.v))
                     if f is not None}
         for f in blockers.values():
@@ -237,7 +232,6 @@ class _Scripted(PreemptiveAlgorithm):
         self._held[edge.key] = edge
         self._cover[edge.u] = edge
         self._cover[edge.v] = edge
-        return Decision(accepted=True, preempted=tuple(blockers.values()))
 
     @property
     def current_matching(self):
@@ -349,7 +343,6 @@ class _WeightTamperer(PreemptiveAlgorithm):
 
     def on_edge(self, edge):
         self.fake = Edge(edge.u, edge.v, edge.weight * 2)
-        return Decision(accepted=True)
 
     @property
     def current_matching(self):
@@ -365,7 +358,7 @@ class _ListHolder(PreemptiveAlgorithm):
     """Holds nothing, but reports it as a list rather than a Matching."""
 
     def on_edge(self, edge):
-        return Decision(accepted=False)
+        pass
 
     @property
     def current_matching(self):
@@ -394,7 +387,6 @@ class _Resurrector(PreemptiveAlgorithm):
         self.seen.append(edge)
         if len(self.seen) <= len(self.plan):
             self.held = [self.seen[self.plan[len(self.seen) - 1] - 1]]
-        return Decision(accepted=True)
 
     @property
     def current_matching(self):

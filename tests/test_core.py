@@ -171,6 +171,10 @@ class TestParsing:
         parsed, mapping = parse_stream_text("n=4\n007 7 1.0\nalice 7 1.0\n")
         assert mapping == {"007": 0, "7": 1, "alice": 2}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0))
+        # three fields make an edge line, even one whose first label starts with n=
+        parsed, mapping = parse_stream_text("n=3\nn=x y 1.0\n")
+        assert mapping == {"n=x": 0, "y": 1}
+        assert parsed.edges == (Edge(0, 1, 1.0),)
 
     def test_error_carries_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
@@ -181,6 +185,9 @@ class TestParsing:
     @pytest.mark.parametrize("text, message, line", [
         ("0 1 1.0\nn=2\n", "n= header must precede edge lines", 2),
         ("n=2\n# again\nn=2\n", "duplicate n= header", 3),
+        ("n=3\nn=x\n", "duplicate n= header", 2),
+        # Three fields are an edge line, which the duplicate's locator counts too.
+        ("n=4\nn=x y 1.0\nn=x y 2.0\n", "duplicate edge between 0 and 1", 3),
         ("n=x\n0 1 1.0\n", "bad vertex count 'x'", 1),
         ("# n\nn=1_0\n0 1 1.0\n", "bad vertex count '1_0'", 2),
         ("n=+4\n", "bad vertex count '\\+4'", 1),

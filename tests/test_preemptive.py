@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimatch.bucket import BucketConfig
-from semimatch.core import Edge
+from semimatch.bucket import BucketConfig, stream_bucket_run
+from semimatch.core import Edge, Matching
 from semimatch.generators import (
     RandomInstanceConfig,
     TightExampleConfig,
@@ -13,13 +13,7 @@ from semimatch.generators import (
     random_instance,
     tight_instance,
 )
-from semimatch.preemptive import (
-    DEFAULT_VICTIMS,
-    BucketPreemptiveAdapter,
-    HoldFirst,
-    ThresholdPreemptive,
-    make_victim,
-)
+from semimatch.preemptive import DEFAULT_VICTIMS, HoldFirst, ThresholdPreemptive, make_victim
 
 
 def E(u, v, w):
@@ -29,23 +23,21 @@ def E(u, v, w):
 class TestThresholdPreemptive:
     def test_accepts_on_empty(self):
         alg = ThresholdPreemptive(1.0)
-        decision = alg.on_edge(E(0, 1, 1.0))
-        assert decision.accepted and decision.preempted == ()
+        alg.on_edge(E(0, 1, 1.0))
+        assert alg.current_matching.keys() == {(0, 1)}
 
     def test_strict_comparison_rejects_equal(self):
         alg = ThresholdPreemptive(1.0)
         alg.on_edge(E(0, 1, 5.0))
-        decision = alg.on_edge(E(1, 2, 5.0))
-        assert not decision.accepted
+        alg.on_edge(E(1, 2, 5.0))
         assert alg.current_matching.keys() == {(0, 1)}
 
     def test_preempts_both_blockers(self):
         alg = ThresholdPreemptive(1.0)
         alg.on_edge(E(0, 1, 2.0))
         alg.on_edge(E(2, 3, 2.0))
-        decision = alg.on_edge(E(1, 2, 5.0))
-        assert decision.accepted
-        assert {e.key for e in decision.preempted} == {(0, 1), (2, 3)}
+        assert alg.current_matching.keys() == {(0, 1), (2, 3)}
+        alg.on_edge(E(1, 2, 5.0))
         assert alg.current_matching.keys() == {(1, 2)}
 
     def test_duplicate_presentation_rejected(self):
@@ -62,9 +54,8 @@ class TestThresholdPreemptive:
 class TestHoldFirst:
     def test_basic(self):
         alg = HoldFirst()
-        assert alg.on_edge(E(0, 1, 1.0)).accepted
-        assert not alg.on_edge(E(1, 2, 50.0)).accepted
-        assert alg.on_edge(E(2, 3, 1.0)).accepted
+        for e in (E(0, 1, 1.0), E(1, 2, 50.0), E(2, 3, 1.0)):
+            alg.on_edge(e)
         assert alg.current_matching.keys() == {(0, 1), (2, 3)}
 
 
@@ -129,56 +120,20 @@ def test_rejected_edges_were_sufficiently_blocked():
         n=12, m=40, weight_law=UniformWeights(1, 100), seed=13))
     for e in stream.edges:
         held_before = {v: f for f in alg.current_matching for v in (f.u, f.v)}
-        decision = alg.on_edge(e)
-        if not decision.accepted:
+        alg.on_edge(e)
+        if e.key not in alg.current_matching.keys():
             blockers = {f.key: f for f in (held_before.get(e.u), held_before.get(e.v))
                         if f is not None}
             assert math.fsum(f.weight for f in blockers.values()) >= e.weight / c
 
 
-class TestBucketAdapter:
-    def test_single_class_never_flags(self):
-        adapter = BucketPreemptiveAdapter(BucketConfig(
-            gamma=2.0, epsilon=0.1, num_vertices=8))
-        rng = random.Random(2)
-        edges = []
-        seen = set()
-        while len(edges) < 12:
-            u, v = rng.sample(range(8), 2)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(E(u, v, rng.uniform(1.0, 1.9)))  # all class 0
-        for e in edges:
-            adapter.on_edge(e)
-        final = adapter.finish()
-        assert adapter.violation_step is None
-        assert final.keys() == {e.key for e in edges
-                                if e.key in adapter.current_matching.keys()}
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_tight_instance_flags(self, k):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
-        adapter = BucketPreemptiveAdapter(BucketConfig(
-            gamma=2.0, epsilon=0.01, num_vertices=stream.num_vertices))
-        for e in stream:
-            adapter.on_edge(e)
-        final = adapter.finish()
-        assert final.keys() == {(0, 1)}  # finalize picks the center edge
-        assert adapter.violation_step is not None
-
-    def test_empty_stream_never_flags(self):
-        adapter = BucketPreemptiveAdapter(BucketConfig(
-            gamma=2.0, epsilon=0.1, num_vertices=4))
-        assert adapter.finish().weight == 0.0
-        assert adapter.violation_step is None
-
-    def test_projection_is_always_a_matching(self):
-        stream = random_instance(RandomInstanceConfig(
-            n=14, m=50, weight_law=UniformWeights(0.5, 2000), seed=6))
-        adapter = BucketPreemptiveAdapter(BucketConfig(
-            gamma=2.0, epsilon=0.2, num_vertices=14))
-        for e in stream:
-            adapter.on_edge(e)
-            assert adapter.current_matching.weight >= 0  # construction validates
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bucketed_run_stores_edges_that_are_not_a_matching(k):
+    # Why the bucketed run is not preemptive: the class matchings it stores
+    # overlap, and only finalize turns them into one matching.
+    stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+    state = stream_bucket_run(stream, BucketConfig(
+        gamma=2.0, epsilon=0.01, num_vertices=stream.num_vertices))
+    with pytest.raises(ValueError, match="not a matching"):
+        Matching(e for slot in state.matchings.values() for e in slot.edges)
+    assert state.finalize().keys() == {(0, 1)}
