@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Optional
 
 from .core import Edge, Matching
@@ -71,6 +71,18 @@ def solve_R() -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_C(C: float) -> None:
+    """Admit 1 < C < R - 1e-9.
+
+    On that range the discriminant C*(C^3 - 4C^2 - 4C - 4) of the
+    prefix-sum recurrence stays negative (about -1.5e-7 at the top), so
+    its characteristic roots are complex and the sequences turn down.
+    """
+    if not 1 < C < solve_R() - 1e-9:
+        raise ValueError(
+            f"C must lie strictly between 1 and the critical constant {solve_R():.6f}, got {C}")
+
+
 def _finite(value: float, C: float, term: str, j: int) -> float:
     if not math.isfinite(value):
         raise ValueError(f"C={C} is too close to the critical constant {solve_R():.6f}: "
@@ -85,11 +97,7 @@ class AdversaryConfig:
     C: float
 
     def __post_init__(self) -> None:
-        if not self.C > 1:
-            raise ValueError(f"C must exceed 1, got {self.C}")
-        if not self.C < solve_R() - 1e-9:
-            raise ValueError(
-                f"C must stay below the critical constant {solve_R():.6f}, got {self.C}")
+        _check_C(self.C)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +123,7 @@ def generate_sequences(C: float) -> SequenceTable:
     turn down; that raises ValueError, so the loop ends within about
     1,400 terms.
     """
-    if not 1 < C < solve_R() - 1e-9:
-        raise ValueError(f"need 1 < C < {solve_R():.6f}, got {C}")
+    _check_C(C)
     w = [math.nan, 1.0]
     S = [0.0, 1.0]
 
@@ -140,32 +147,26 @@ def generate_sequences(C: float) -> SequenceTable:
 class ClosedFormParams:
     """Characteristic roots of the prefix-sum recurrence for one C.
 
-    x1 and x2 = conj(x1) solve (2C+1)x^2 - (C^2+2C+2)x + (C^2+C+1) = 0;
+    x1 and its conjugate solve (2C+1)x^2 - (C^2+2C+2)x + (C^2+C+1) = 0;
     r and theta are the modulus and argument of x1, and the boundary
     coefficient alpha = A*i (with beta = -alpha) is purely imaginary.
     """
 
     C: float
     x1: complex
-    x2: complex
     r: float
     theta: float
     A: float
 
 
 def closed_form_params(C: float) -> ClosedFormParams:
-    if not 1 < C < solve_R() - 1e-9:
-        raise ValueError(f"need 1 < C < {solve_R():.6f}, got {C}")
-    disc = C * (C ** 3 - 4.0 * C ** 2 - 4.0 * C - 4.0)
-    if not disc < 0:
-        raise ValueError(f"discriminant must be negative below the root, got {disc}")
-    root = math.sqrt(-disc)
+    _check_C(C)
+    root = math.sqrt(-C * _cubic(C))
     denom = 2.0 * (2.0 * C + 1.0)
     x1 = complex((C * C + 2.0 * C + 2.0) / denom, root / denom)
     return ClosedFormParams(
         C=C,
         x1=x1,
-        x2=x1.conjugate(),
         r=abs(x1),
         theta=cmath.phase(x1),
         A=-(2.0 * C + 1.0) / root,
@@ -226,23 +227,17 @@ def verify_identities(table: SequenceTable) -> IdentityReport:
     """Check w'_{i+1} + w_{i+1} + S_{i-1} = C w_i  (i = 1..n-2)
     and S_{i-2} + w_i + w_{i+1} + w'_{i+1} = C w'_i  (i = 2..n-2)."""
     C, w, wp, S, n = table.C, table.w, table.w_prime, table.S, table.n
+    identities = chain(
+        (("chain", i, wp[i + 1] + w[i + 1] + S[i - 1], C * w[i]) for i in range(1, n - 1)),
+        (("escape", i, S[i - 2] + w[i] + w[i + 1] + wp[i + 1], C * wp[i])
+         for i in range(2, n - 1)))
     worst = 0.0
-    for i in range(1, n - 1):
-        lhs = wp[i + 1] + w[i + 1] + S[i - 1]
-        rhs = C * w[i]
+    for identity in identities:
+        _name, _i, lhs, rhs = identity
         err = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, err)
         if err > REL_TOL:
-            return IdentityReport(ok=False, first_failure=("chain", i, lhs, rhs),
-                                  max_rel_error=worst)
-    for i in range(2, n - 1):
-        lhs = S[i - 2] + w[i] + w[i + 1] + wp[i + 1]
-        rhs = C * wp[i]
-        err = abs(lhs - rhs) / max(1.0, abs(rhs))
-        worst = max(worst, err)
-        if err > REL_TOL:
-            return IdentityReport(ok=False, first_failure=("escape", i, lhs, rhs),
-                                  max_rel_error=worst)
+            return IdentityReport(ok=False, first_failure=identity, max_rel_error=worst)
     return IdentityReport(ok=True, max_rel_error=worst)
 
 

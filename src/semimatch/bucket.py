@@ -23,7 +23,6 @@ __all__ = [
     "class_index",
     "best_copy",
     "run_deterministic",
-    "run_shifted",
     "choose_q",
     "run_ensemble",
     "expected_rounded_weight",
@@ -216,13 +215,6 @@ def stream_bucket_run(stream: StreamSource, config: BucketConfig) -> BucketState
 def run_deterministic(stream: StreamSource, gamma: float, epsilon: float) -> Matching:
     """Single pass with delta = 0 (phi = 1), then greedy finalize."""
     config = BucketConfig(gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices)
-    return stream_bucket_run(stream, config).finalize()
-
-
-def run_shifted(stream: StreamSource, gamma: float, epsilon: float, delta: float) -> Matching:
-    """Same pipeline with shifted classes (phi = gamma^delta)."""
-    config = BucketConfig(
-        gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta)
     return stream_bucket_run(stream, config).finalize()
 
 

@@ -31,7 +31,6 @@ class AnalysisCertificate:
     """Measured inequality-chain ingredients for one run."""
 
     gamma: float
-    delta: float
     alg_weight: float
     opt_weight: float
     opt_rounded: float
@@ -103,7 +102,6 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
 
     return AnalysisCertificate(
         gamma=gamma,
-        delta=delta,
         alg_weight=state.finalize().weight,
         opt_weight=oracle_matching.weight,
         opt_rounded=math.fsum(opt_rounded_terms),

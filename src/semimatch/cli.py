@@ -2,20 +2,19 @@
 
 Exit codes: 0 success, 2 validation or configuration error (including a
 weight sum beyond the float range), 3 I/O error.
-``SEMIMATCH_SEED`` supplies the default seed; flags override it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
-import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import adversary as adv
 from .bucket import (
@@ -48,16 +47,6 @@ EXIT_IO = 3
 VARIANTS = ("deterministic", "shifted", "ensemble")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SEMIMATCH_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SEMIMATCH_SEED must be an integer, got {raw!r}") from None
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -81,16 +70,23 @@ def _parse_law(text: str):
         f"bad weight law {text!r}; use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>")
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks, one at a time, to the file ``out`` or else to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
+    _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
+
+
+def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:
+    """One JSON object per line, each written as it is encoded: a long
+    transcript is never held as one string."""
+    _write((json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records), out)
 
 
 def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: float,
@@ -141,7 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if mapping is not None:
         report["vertex_labels"] = mapping
     if args.with_oracle:
-        opt, opt_weight = max_weight_matching_exact(stream.edges)
+        opt_weight = max_weight_matching_exact(stream.edges).weight
         report["result"]["oracle_weight"] = opt_weight
         report["result"]["ratio_vs_oracle"] = (
             opt_weight / record["weight"] if record["weight"] > 0 else None)
@@ -156,8 +152,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         gamma=args.gamma, epsilon=args.epsilon,
         num_vertices=stream.num_vertices, delta=delta))
     survivors = filter_to_final_window(state, stream.edges)
-    opt, _w = max_weight_matching_exact(survivors)
-    cert = build_certificate(state, opt)
+    cert = build_certificate(state, max_weight_matching_exact(survivors))
     report = {
         "command": "certificate",
         "config": {
@@ -183,13 +178,13 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     stream, _mapping = load_stream(args.stream)
-    matching, weight = max_weight_matching_exact(stream.edges)
+    matching = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",
         "stream": args.stream,
         "stream_sha256": _sha256(args.stream),
         "matching": _matching_payload(matching),
-        "weight": weight,
+        "weight": matching.weight,
     }, args.out)
     return EXIT_OK
 
@@ -201,7 +196,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         config = RandomInstanceConfig(
             n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=args.seed)
         stream = random_instance(config)
-    _write(format_stream(stream), args.out)
+    _write([format_stream(stream)], args.out)
     return EXIT_OK
 
 
@@ -214,9 +209,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     payload["victim"] = args.victim
     payload["C"] = args.C
     if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as handle:
-            for record in result.transcript:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        _emit_lines(result.transcript, args.transcript)
         payload["transcript"] = f"written to {args.transcript}"
     _emit(payload, args.out)
     return EXIT_OK
@@ -261,12 +254,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             stream = random_instance(RandomInstanceConfig(
                 n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=seed))
-        _opt, opt_weight = max_weight_matching_exact(stream.edges)
+        opt_weight = max_weight_matching_exact(stream.edges).weight
+        permuted = permute_stream(stream, seed)
         for gamma in gammas:
             for variant in ("deterministic", "ensemble"):
-                record = _run_variant(
-                    permute_stream(stream, seed), variant, gamma, args.epsilon,
-                    0.0, None)
+                record = _run_variant(permuted, variant, gamma, args.epsilon, 0.0, None)
                 ratio = opt_weight / record["weight"] if record["weight"] > 0 else None
                 # OPT counts the edges below the final threshold too, hence (1 + epsilon).
                 bound = (deterministic_ratio_bound(gamma) if variant == "deterministic"
@@ -289,14 +281,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow({k: ("" if row[k] is None else row[k]) for k in fieldnames})
-    _write(buffer.getvalue(), args.csv)
+    _write([buffer.getvalue()], args.csv)
     if args.jsonl:
-        _write("".join(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
-                       for row in rows), args.jsonl)
+        _emit_lines(rows, args.jsonl)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="semimatch",
         description="Semi-streaming weighted matching toolkit and preemptive-matching adversary.")
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ensemble copies; omitted = smallest q within the epsilon budget")
     p_run.add_argument("--with-oracle", action="store_true",
                        help="also solve exactly and report the ratio")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -344,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--n", type=int, required=True)
     p_rand.add_argument("--m", type=int, required=True)
     p_rand.add_argument("--law", default="uniform:1,100")
-    p_rand.add_argument("--seed", type=int, default=None)
+    p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("-o", "--out", default=None)
     p_rand.set_defaults(func=cmd_gen)
 
@@ -383,8 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)

@@ -445,8 +445,8 @@ def max_weight_matching_dual(edges: Sequence[Edge]) -> tuple[Matching, MatchingD
         tuple((frozenset(vertices[x] for x in members), z) for members, z in blossoms))
 
 
-def max_weight_matching_exact(edges: Iterable[Edge]) -> tuple[Matching, float]:
-    """Globally optimal matching and its weight (the ``fsum`` of its edges).
+def max_weight_matching_exact(edges: Iterable[Edge]) -> Matching:
+    """Globally optimal matching; its ``weight`` is the ``fsum`` of its edges.
 
     Every result is checked by :func:`verify_dual`; a failed check raises
     RuntimeError.
@@ -457,7 +457,7 @@ def max_weight_matching_exact(edges: Iterable[Edge]) -> tuple[Matching, float]:
         verify_dual(edges, matching, dual)
     except ValueError as exc:
         raise RuntimeError(f"oracle bug: {exc}") from exc
-    return matching, matching.weight
+    return matching
 
 
 def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:

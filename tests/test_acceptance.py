@@ -77,7 +77,7 @@ def test_criterion_1_tight_example_convergence():
             assert alg.weight == gamma ** k
             analytic = tight_instance_opt_weight(config)
             if k <= 3:
-                _, oracle_opt = max_weight_matching_exact(stream.edges)
+                oracle_opt = max_weight_matching_exact(stream.edges).weight
                 assert abs(oracle_opt - analytic) <= 1e-6 * analytic
             ratios.append(analytic / alg.weight)
         assert ratios[-1] >= 7.8
@@ -100,7 +100,7 @@ def test_criterion_2_worst_case_guarantee():
                    else ExponentialClassWeights(2.0, 8))
             stream = random_instance(RandomInstanceConfig(
                 n=n, m=m, weight_law=law, seed=index))
-            _, opt = max_weight_matching_exact(stream.edges)
+            opt = max_weight_matching_exact(stream.edges).weight
             for perm_seed in range(10):
                 permuted = permute_stream(stream, perm_seed)
                 for g in (2.0, 3.513):
@@ -146,7 +146,7 @@ def test_criterion_5_certificate_chain():
                     gamma=gamma, epsilon=0.01,
                     num_vertices=stream.num_vertices, delta=delta))
                 survivors = filter_to_final_window(state, stream.edges)
-                opt, _ = max_weight_matching_exact(survivors)
+                opt = max_weight_matching_exact(survivors)
                 cert = build_certificate(state, opt)
                 assert cert.opt_rounded <= cert.opt_weight * slack
                 assert cert.opt_weight <= gamma * cert.opt_rounded * slack
@@ -193,7 +193,7 @@ def test_criterion_8_adversary_victory():
             result = run_adversary(make_victim(name), AdversaryConfig(C=4.9))
             assert result.unbounded or result.achieved_ratio >= 4.9 * (1 - 1e-9), name
             _replay_opt_validity(result)
-            _, oracle_opt = max_weight_matching_exact(result.presented_edges)
+            oracle_opt = max_weight_matching_exact(result.presented_edges).weight
             assert result.tracked_opt_weight <= oracle_opt, name
 
 
@@ -219,6 +219,6 @@ def test_criterion_10_oracle_self_consistency():
             m = rng.randint(2, min(16, n * (n - 1) // 2))
             stream = random_instance(RandomInstanceConfig(
                 n=n, m=m, weight_law=UniformWeights(0.1, 100), seed=index))
-            _, exact = max_weight_matching_exact(stream.edges)
+            exact = max_weight_matching_exact(stream.edges).weight
             brute = max_weight_matching_bruteforce(stream.edges)
             assert exact == brute, (index, exact, brute)

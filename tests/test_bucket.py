@@ -20,7 +20,6 @@ from semimatch.bucket import (
     randomized_ratio_bound,
     run_deterministic,
     run_ensemble,
-    run_shifted,
     stream_bucket_run,
 )
 from semimatch.certificate import filter_to_final_window
@@ -86,6 +85,12 @@ class TestClassIndex:
     def test_containment_over_float_range(self, w, gamma, delta):
         i = class_index(w, gamma, delta)
         assert power(gamma, i + delta) <= w < power(gamma, i + 1 + delta)
+
+
+def shifted_run(stream, gamma, epsilon, delta):
+    """One pass with classes shifted by gamma^delta, then finalize."""
+    return stream_bucket_run(stream, BucketConfig(
+        gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta)).finalize()
 
 
 def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):
@@ -288,7 +293,7 @@ class TestRunDeterministic:
         stream = tight_instance(TightExampleConfig(gamma=2.0, k=3, eps=1e-6))
         alg = run_deterministic(stream, 2.0, 0.01)
         assert alg.weight == 8.0
-        _, opt = max_weight_matching_exact(stream.edges)
+        opt = max_weight_matching_exact(stream.edges).weight
         assert opt == pytest.approx(59.999992, abs=1e-12)
         assert opt / alg.weight == pytest.approx(7.499999, abs=1e-9)
 
@@ -306,21 +311,21 @@ class TestRunShifted:
         stream = random_instance(RandomInstanceConfig(
             n=12, m=30, weight_law=UniformWeights(1, 100), seed=3))
         a = run_deterministic(stream, 2.0, 0.1)
-        b = run_shifted(stream, 2.0, 0.1, 0.0)
+        b = shifted_run(stream, 2.0, 0.1, 0.0)
         assert a.edges == b.edges
 
     def test_negative_class_single_edge(self):
         gamma = 2.0
         stream = StreamSource(2, [E(0, 1, gamma ** 0.5)])
-        result = run_shifted(stream, gamma, 0.1, 0.6)
+        result = shifted_run(stream, gamma, 0.1, 0.6)
         assert result.keys() == {(0, 1)}
         assert class_index(gamma ** 0.5, gamma, 0.6) == -1
 
     def test_tight_shifted_ratio(self):
         gamma = 3.513
         stream = tight_instance(TightExampleConfig(gamma=gamma, k=3, eps=1e-6))
-        alg = run_shifted(stream, gamma, 0.01, 0.5)
-        _, opt = max_weight_matching_exact(stream.edges)
+        alg = shifted_run(stream, gamma, 0.01, 0.5)
+        opt = max_weight_matching_exact(stream.edges).weight
         assert opt / alg.weight <= 4.92
 
 
@@ -404,7 +409,7 @@ class TestRunEnsemble:
             n=12, m=30, weight_law=UniformWeights(1, 100), seed=9))
         _, per_copy = run_ensemble(stream, 3.513, 0.2, 5)
         for d, copy in zip(delta_grid(5), per_copy):
-            assert copy.edges == run_shifted(stream, 3.513, 0.2, d).edges
+            assert copy.edges == shifted_run(stream, 3.513, 0.2, d).edges
 
     def test_ensemble_dominates_average(self):
         for seed in range(10):
@@ -421,7 +426,7 @@ class TestRunEnsemble:
         for seed in range(100):
             stream = random_instance(RandomInstanceConfig(
                 n=12, m=30, weight_law=UniformWeights(1, 100), seed=seed))
-            _, opt = max_weight_matching_exact(stream.edges)
+            opt = max_weight_matching_exact(stream.edges).weight
             best, _ = run_ensemble(stream, gamma, 0.001, q)
             assert opt / best.weight <= bound + 0.01
 
@@ -525,13 +530,13 @@ class TestInvariants:
         for seed in range(8):
             stream = random_instance(RandomInstanceConfig(
                 n=10, m=24, weight_law=UniformWeights(1, 100), seed=seed))
-            opt, _ = max_weight_matching_exact(stream.edges)
+            opt = max_weight_matching_exact(stream.edges)
             opt_rounded_sum = 0.0
             alg_sum = 0.0
             for d in delta_grid(q):
                 opt_rounded_sum += math.fsum(
                     gamma ** (class_index(e.weight, gamma, d) + d) for e in opt)
-                alg_sum += run_shifted(stream, gamma, epsilon, d).weight
+                alg_sum += shifted_run(stream, gamma, epsilon, d).weight
             lhs = opt_rounded_sum / q
             rhs = (2 * gamma / (gamma - 1) + epsilon) * (alg_sum / q)
             assert lhs <= rhs * (1 + 1e-9)

@@ -34,7 +34,7 @@ def build_for(stream, gamma, epsilon, delta=0.0):
     state = stream_bucket_run(stream, BucketConfig(
         gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta))
     survivors = filter_to_final_window(state, stream.edges)
-    opt, _ = max_weight_matching_exact(survivors)
+    opt = max_weight_matching_exact(survivors)
     return state, build_certificate(state, opt)
 
 
@@ -70,7 +70,7 @@ class TestVertexAssociation:
         for e in edges:
             state.process(e)
         assert sorted(state.matchings) == [1, 3]
-        opt, _ = max_weight_matching_exact(filter_to_final_window(state, edges))
+        opt = max_weight_matching_exact(filter_to_final_window(state, edges))
         cert = build_certificate(state, opt)
         assert cert.per_vertex_association[0] == (3, 8.0)
         assert cert.per_vertex_association[1] == (1, 2.0)
@@ -116,7 +116,7 @@ class TestChainOnRandomInstances:
 
 
 def hand_cert(**fields):
-    values = dict(gamma=2.0, delta=0.0, alg_weight=1.0, opt_weight=1.0,
+    values = dict(gamma=2.0, alg_weight=1.0, opt_weight=1.0,
                   opt_rounded=1.0, total_associated_weight=1.0,
                   per_vertex_association={})
     values.update(fields)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -49,10 +50,9 @@ class TestGen:
         _, out2, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10", "--seed", "3")
         assert out1 == out2
 
-    def test_env_var_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEMIMATCH_SEED", "42")
+    def test_seed_defaults_to_zero(self, capsys):
         _, out1, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10")
-        _, out2, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10", "--seed", "42")
+        _, out2, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10", "--seed", "0")
         assert out1 == out2
 
     def test_bad_law(self, capsys):
@@ -141,6 +141,25 @@ class TestOracle:
         assert code == EXIT_OK
         config = TightExampleConfig(gamma=2.0, k=5, eps=1e-6)
         assert json.loads(out)["weight"] == tight_instance_opt_weight(config)
+
+
+class TestParser:
+    def test_second_call_builds_no_parser(self, capsys, tmp_path):
+        # A parser holds reference cycles (actions <-> containers), so one
+        # built per call would land in gc.garbage under DEBUG_SAVEALL.
+        path = gen_tight(capsys, tmp_path, k=2)
+        run_cli(capsys, "oracle", str(path))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_cli(capsys, "oracle", str(path))
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage
+                      if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestCertificate:
@@ -368,3 +387,57 @@ class TestSweep:
         for row in rows:
             assert row["n"] == "30" and row["opt_weight"] != ""
             assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
+
+
+class TestGoldenOutputs:
+    """SHA-256 of every file the commands write, on generated streams.
+
+    The commands run in ``tmp_path`` on relative paths, so each report
+    names its files by their basename.  Run reports drop their
+    ``wall_time_s`` line; every other byte is pinned, so a change to a
+    matching, a number, a key or the JSON layout shows up here.
+    """
+
+    COMMANDS = [
+        ("gen", "random", "--n", "12", "--m", "30", "--seed", "5", "-o", "rand.txt"),
+        ("gen", "tight", "--gamma", "2", "--k", "3", "--eps", "1e-6", "-o", "tight.txt"),
+        ("run", "rand.txt", "deterministic", "--gamma", "2", "--epsilon", "0.01",
+         "--out", "deterministic.json"),
+        ("run", "rand.txt", "shifted", "--gamma", "2", "--epsilon", "0.01", "--delta", "0.37",
+         "--with-oracle", "--out", "shifted.json"),
+        ("run", "rand.txt", "ensemble", "--gamma", "3.513", "--epsilon", "0.5",
+         "--out", "ensemble.json"),
+        ("certificate", "rand.txt", "--gamma", "2", "--epsilon", "0.01",
+         "--out", "certificate.json"),
+        ("oracle", "tight.txt", "--out", "oracle.json"),
+        ("sweep", "--seeds", "0,1", "--csv", "sweep.csv", "--jsonl", "sweep.jsonl"),
+        ("adversary", "--victim", "threshold:1", "--C", "4.9",
+         "--transcript", "transcript.jsonl", "--out", "adversary.json"),
+        ("verify-sequences", "--C", "4.9", "--out", "verify_sequences.json"),
+    ]
+
+    DIGESTS = {
+        "adversary.json": "52587153fce4eca82cd3c4b82e83b1a87efc540118296c63f3630b344731a242",
+        "certificate.json": "66141dfb0888c34fd8448894a1ef20324f1950dc9247ddc27f46a699b21c2b85",
+        "oracle.json": "bf95eca34974d26a13dffcdd044626305a0031cfcbb8f0e01f9913698705192f",
+        "deterministic.json": "f961c3ea613e1c82a5112d5f6eaa903e66b4968050ec53e4dbe65db980adb981",
+        "ensemble.json": "cae9024d03b72e7f99719c86d91b5ec7ee887d4ff69d51b38326698532a09f76",
+        "shifted.json": "bbf2bb2e43b4a78cac988aab39e21add3c12c353ade0cce24c6c3e56b73baee0",
+        "sweep.csv": "04d5978226127ba6d40ae79dc7ee3addd7082143b0c788fe41a6bdeb5881ea03",
+        "sweep.jsonl": "3db44742f626ff07a14c9ca6ae9b5d1e0375033f97742f9e893eb02792981697",
+        "transcript.jsonl": "6e89ea72fb20b1ff37eb60d9938ce827d4fc86c2ee39df80a63d5b915c3628e4",
+        "verify_sequences.json": "31bbcf7a5fc6b5c0bf78da1879fb07c55bee24dc25467589ad3305ad54fd2d07",
+    }
+
+    def test_report_digests(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in self.COMMANDS:
+            assert main(list(argv)) == EXIT_OK, argv
+        assert capsys.readouterr().out == ""
+        digests = {}
+        for path in sorted(tmp_path.iterdir()):
+            if path.suffix in (".json", ".jsonl", ".csv"):
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                text = "".join(l for l in lines if '"wall_time_s":' not in l)
+                digests[path.name] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == self.DIGESTS

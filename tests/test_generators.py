@@ -30,7 +30,7 @@ class TestTightInstance:
     def test_oracle_value_and_ratio(self):
         config = TightExampleConfig(gamma=2.0, k=2, eps=1e-6)
         stream = tight_instance(config)
-        _, opt = max_weight_matching_exact(stream.edges)
+        opt = max_weight_matching_exact(stream.edges).weight
         assert opt == pytest.approx(27.999994, abs=1e-12)
         assert opt == pytest.approx(tight_instance_opt_weight(config), abs=1e-12)
         ratio = opt / run_deterministic(stream, 2.0, 0.01).weight
@@ -130,7 +130,7 @@ class TestStoredUnionOptimum:
         state = stream_bucket_run(stream, BucketConfig(
             gamma=gamma, epsilon=0.01, num_vertices=stream.num_vertices))
         stored = [e for slot in state.matchings.values() for e in slot.edges]
-        _, stored_opt = max_weight_matching_exact(stored)
+        stored_opt = max_weight_matching_exact(stored).weight
         assert stored_opt == state.finalize().weight == gamma ** 3
 
 
@@ -139,7 +139,7 @@ class TestGuaranteeUnderPermutation:
         gamma, epsilon = 2.0, 0.01
         stream = random_instance(RandomInstanceConfig(
             n=14, m=35, weight_law=UniformWeights(1, 400), seed=21))
-        _, opt = max_weight_matching_exact(stream.edges)
+        opt = max_weight_matching_exact(stream.edges).weight
         bound = deterministic_ratio_bound(gamma) + gamma * epsilon
         for seed in range(50):
             alg = run_deterministic(permute_stream(stream, seed), gamma, epsilon)

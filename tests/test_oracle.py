@@ -30,50 +30,50 @@ def _networkx_optimum(edges):
 class TestExact:
     def test_triangle_takes_heaviest(self):
         edges = [E(0, 1, 3.0), E(1, 2, 2.0), E(2, 0, 2.0)]
-        matching, weight = max_weight_matching_exact(edges)
-        assert weight == 3.0
+        matching = max_weight_matching_exact(edges)
+        assert matching.weight == 3.0
         assert matching.keys() == {(0, 1)}
 
     def test_path_middle_wins(self):
         edges = [E(0, 1, 1.0), E(1, 2, 3.0), E(2, 3, 1.0)]
-        _, weight = max_weight_matching_exact(edges)
+        weight = max_weight_matching_exact(edges).weight
         assert weight == 3.0
 
     def test_path_outer_pair_wins(self):
         edges = [E(0, 1, 2.0), E(1, 2, 3.0), E(2, 3, 2.0)]
-        matching, weight = max_weight_matching_exact(edges)
-        assert weight == 4.0
+        matching = max_weight_matching_exact(edges)
+        assert matching.weight == 4.0
         assert matching.keys() == {(0, 1), (2, 3)}
 
     def test_tight_ladder_value(self):
         stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
-        _, weight = max_weight_matching_exact(stream.edges)
+        weight = max_weight_matching_exact(stream.edges).weight
         assert weight == pytest.approx(27.999994, abs=1e-12)
         assert weight == max_weight_matching_bruteforce(stream.edges)
 
     def test_empty(self):
-        matching, weight = max_weight_matching_exact([])
-        assert weight == 0.0
+        matching = max_weight_matching_exact([])
+        assert matching.weight == 0.0
         assert len(matching) == 0
 
     def test_no_vertex_limit(self):
         # 11 disjoint edges on 22 vertices
         rng = random.Random(11)
         edges = [E(2 * i, 2 * i + 1, rng.uniform(1, 100)) for i in range(11)]
-        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges)
+        assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges)
 
     def test_no_edge_limit(self):
         # 65 edges among 20 vertices
         rng = random.Random(65)
         pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
         edges = [E(u, v, rng.uniform(1, 100)) for u, v in pairs[:65]]
-        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges)
+        assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges)
 
     def test_deterministic_tie_break(self):
         # two disjoint optimal single edges of equal weight: lexicographic first
         edges = [E(2, 3, 5.0), E(0, 1, 5.0), E(1, 2, 5.0)]
-        matching, weight = max_weight_matching_exact(edges)
-        assert weight == 10.0
+        matching = max_weight_matching_exact(edges)
+        assert matching.weight == 10.0
         assert matching.keys() == {(0, 1), (2, 3)}
 
 
@@ -109,10 +109,10 @@ def test_branch_and_bound_matches_brute_force():
         n = rng.randint(3, 10)
         m = rng.randint(0, min(16, n * (n - 1) // 2))
         edges = _random_edges(rng, n, m)
-        matching, weight = max_weight_matching_exact(edges)
-        assert weight == max_weight_matching_bruteforce(edges)
-        # sanity: reported weight really is the exactly-rounded edge sum
-        assert weight == math.fsum(e.weight for e in matching)
+        matching = max_weight_matching_exact(edges)
+        assert matching.weight == max_weight_matching_bruteforce(edges)
+        # sanity: the cached weight really is the exactly-rounded edge sum
+        assert matching.weight == math.fsum(e.weight for e in matching)
 
 
 def test_agrees_with_networkx_on_random_instances():
@@ -125,14 +125,14 @@ def test_agrees_with_networkx_on_random_instances():
         edges = _random_edges(rng, n, m)
         if index % 4 == 3:  # small integer weights: many ties and blossoms
             edges = [E(e.u, e.v, float(rng.randint(1, 4))) for e in edges]
-        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges), index
+        assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges), index
 
 
 @pytest.mark.parametrize("gamma", [2.0, 3.513])
 def test_agrees_with_networkx_on_tight_ladders(gamma):
     for k in range(1, 9):
         edges = tight_instance(TightExampleConfig(gamma=gamma, k=k, eps=1e-6)).edges
-        assert max_weight_matching_exact(edges)[1] == _networkx_optimum(edges), k
+        assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges), k
 
 
 @st.composite
