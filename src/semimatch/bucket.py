@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
@@ -53,10 +53,10 @@ class BucketConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 1 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         if self.num_vertices < 1:
@@ -136,16 +136,12 @@ class BucketState:
 
         The window spans the classes whose interval intersects
         [threshold, w_max]; matchings of classes entirely below the
-        threshold are deleted.  A no-op when neither end of the window moves.
+        threshold are deleted.
         """
-        if self.w_max <= 0:
-            return
-        threshold = self.threshold
-        lo_floor, lo_ceil, hi_floor, hi_ceil = self._floors
-        # The floors are the powers class_index compares against, so these
-        # tests agree with it exactly.
-        if lo_floor <= threshold < lo_ceil and hi_floor <= self.w_max < hi_ceil:
-            return
+        if self.w_max > 0:
+            self._move_window(self.threshold)
+
+    def _move_window(self, threshold: float) -> None:
         gamma, delta = self.config.gamma, self.config.delta
         # The class containing the threshold is the lowest whose interval
         # still intersects [threshold, w_max].
@@ -159,27 +155,7 @@ class BucketState:
 
     def process(self, edge: Edge) -> None:
         """Classify one arriving edge; store it or discard it forever."""
-        self.edges_processed += 1
-        w = edge.weight
-        if w > self.w_max:
-            self.w_max = w
-            self.prune()
-        lo_floor, _, hi_floor, _ = self._floors
-        if w < lo_floor:
-            return
-        if w >= hi_floor:
-            i = self.window[1]  # type: ignore[index]  # w <= w_max < hi_ceil
-        else:
-            cfg = self.config
-            i = class_index(w, cfg.gamma, cfg.delta)
-        slot = self.matchings.get(i)
-        if slot is None:
-            slot = self.matchings[i] = GreedyMatching()
-        if not slot.add(edge):
-            return
-        self.stored_edge_count += 1
-        if self.stored_edge_count > self.stored_edge_peak:
-            self.stored_edge_peak = self.stored_edge_count
+        _feed([self], (edge,))
 
     def finalize(self) -> Matching:
         """Greedy matching over the stored edges, highest class first.
@@ -204,11 +180,51 @@ def best_copy(per_copy: list[Matching]) -> Matching:
     return max(per_copy, key=lambda m: m.weight)
 
 
+def _feed(states: list[BucketState], edges: Iterable[Edge]) -> None:
+    """The one pass loop: feed each edge to every copy, in copy order.
+
+    The copies differ only in delta, so they share w_max and the discard
+    threshold, and both are derived once per edge.  A copy recomputes its
+    window only when the threshold or w_max left the classes at its ends.
+    """
+    first, count = states[0], 0
+    for edge in edges:
+        count += 1
+        w = edge.weight
+        if w > first.w_max:
+            first.w_max = w
+            threshold = first.threshold
+            for state in states:
+                state.w_max = w
+                # The floors are the powers class_index compares against,
+                # so these tests agree with it exactly.
+                lo_floor, lo_ceil, hi_floor, hi_ceil = state._floors
+                if not (lo_floor <= threshold < lo_ceil and hi_floor <= w < hi_ceil):
+                    state._move_window(threshold)
+        for state in states:
+            lo_floor, _, hi_floor, _ = state._floors
+            if w < lo_floor:
+                continue
+            if w >= hi_floor:
+                i = state.window[1]  # type: ignore[index]  # w <= w_max < hi_ceil
+            else:
+                cfg = state.config
+                i = class_index(w, cfg.gamma, cfg.delta)
+            slot = state.matchings.get(i)
+            if slot is None:
+                slot = state.matchings[i] = GreedyMatching()
+            if slot.add(edge):
+                state.stored_edge_count += 1
+                if state.stored_edge_count > state.stored_edge_peak:
+                    state.stored_edge_peak = state.stored_edge_count
+    for state in states:
+        state.edges_processed += count
+
+
 def stream_bucket_run(stream: StreamSource, config: BucketConfig) -> BucketState:
     """Fold a whole stream through a fresh state (one pass)."""
     state = BucketState(config)
-    for edge in stream:
-        state.process(edge)
+    _feed([state], stream)
     return state
 
 
@@ -226,8 +242,8 @@ def choose_q(gamma: float, epsilon: float) -> int:
     doubling until the test passes and then bisecting, in O(log q) powers.
     A q above MAX_COPIES raises ValueError.
     """
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     target = 1.0 + epsilon / 5.0
@@ -266,9 +282,7 @@ def ensemble_states(
             gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=d))
         for d in delta_grid(q)
     ]
-    for edge in stream:
-        for state in states:
-            state.process(edge)
+    _feed(states, stream)
     return states
 
 

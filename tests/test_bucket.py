@@ -15,6 +15,7 @@ from semimatch.bucket import (
     delta_grid,
     deterministic_ratio_bound,
     ensemble_ratio_bound,
+    ensemble_states,
     expected_rounded_weight,
     minimize_randomized_bound,
     randomized_ratio_bound,
@@ -240,9 +241,7 @@ class TestWindowCache:
             == {10: [1024.0, 1024.0], 7: [128.0], 9: [under_top]}
 
     def test_class_index_calls_on_ascending_stream(self, monkeypatch):
-        stream = random_instance(RandomInstanceConfig(
-            n=1000, m=2000, weight_law=ExponentialClassWeights(2.0, 40), seed=1))
-        edges = sorted(stream.edges, key=lambda e: (e.weight, e.key))
+        edges = ascending_class_edges()
         gamma, epsilon = 3.513, 0.5
         calls = 0
 
@@ -264,6 +263,57 @@ class TestWindowCache:
             assert calls <= 2 * moves + interior
             # Every arrival raises w_max, yet the window moves rarely.
             assert calls < len(edges) // 10
+
+
+def ascending_class_edges():
+    """2,000 edges over 40 binary weight classes, in ascending weight order."""
+    stream = random_instance(RandomInstanceConfig(
+        n=1000, m=2000, weight_law=ExponentialClassWeights(2.0, 40), seed=1))
+    return sorted(stream.edges, key=lambda e: (e.weight, e.key))
+
+
+class TestEnsembleDriver:
+    """The ensemble's copies share one pass, yet each ends as if it ran alone."""
+
+    @settings(max_examples=200)
+    @given(window_cases(), st.integers(min_value=1, max_value=8),
+           st.randoms(use_true_random=False))
+    def test_each_copy_equals_its_own_run(self, case, q, rng):
+        gamma, _, epsilon, n, weights = case
+        # Few vertices, so that edges of one class often share an end.
+        pairs = [(u, v) for v in range(min(n, 10)) for u in range(v)]
+        rng.shuffle(pairs)
+        stream = StreamSource(n, [E(u, v, w) for (u, v), w in zip(pairs, weights)])
+        for j, state in enumerate(ensemble_states(stream, gamma, epsilon, q)):
+            alone = stream_bucket_run(stream, BucketConfig(
+                gamma=gamma, epsilon=epsilon, num_vertices=n, delta=j / q))
+            for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
+                          "edges_processed"):
+                assert getattr(state, field) == getattr(alone, field), field
+            assert {i: slot.edges for i, slot in state.matchings.items()} == \
+                {i: slot.edges for i, slot in alone.matchings.items()}
+
+    def test_threshold_derived_once_per_raise(self, monkeypatch):
+        edges = ascending_class_edges()
+        derived = 0
+        threshold = BucketState.threshold
+
+        def counting(state):
+            nonlocal derived
+            derived += 1
+            return threshold.fget(state)
+
+        monkeypatch.setattr(BucketState, "threshold", property(counting))
+        states = ensemble_states(StreamSource(1000, edges), 3.513, 0.5, 14)
+        raises, w_max = 0, 0.0
+        for e in edges:
+            raises += e.weight > w_max
+            w_max = max(w_max, e.weight)
+        assert raises == len(edges) == 2000
+        # The 14 copies share w_max, so the threshold is derived once per
+        # raise, not once per copy (28,000).
+        assert derived <= raises
+        assert sum(state.edges_processed for state in states) == 14 * len(edges)
 
 
 class TestFinalize:
@@ -304,6 +354,21 @@ class TestRunDeterministic:
     def test_two_disjoint_same_class(self):
         stream = StreamSource(4, [E(0, 1, 5.0), E(2, 3, 6.0)])
         assert run_deterministic(stream, 2.0, 0.1).keys() == {(0, 1), (2, 3)}
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("gamma, epsilon, name", [
+        (math.inf, 0.5, "gamma"), (math.nan, 0.5, "gamma"),
+        (2.0, math.inf, "epsilon"), (2.0, math.nan, "epsilon")])
+    def test_run_deterministic_refuses(self, gamma, epsilon, name):
+        stream = StreamSource(4, [E(0, 1, 1.0), E(2, 3, 2.0)])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run_deterministic(stream, gamma, epsilon)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_choose_q_refuses(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            choose_q(gamma, 0.5)
 
 
 class TestRunShifted:

@@ -126,6 +126,20 @@ class TestRun:
         assert "gamma" in err
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("command, name", [
+        (("run", "{path}", "deterministic", "--gamma", "inf", "--epsilon", "0.1"), "gamma"),
+        (("run", "{path}", "deterministic", "--gamma", "2", "--epsilon", "inf"), "epsilon"),
+        (("run", "{path}", "ensemble", "--gamma", "inf", "--epsilon", "0.5"), "gamma"),
+        (("certificate", "{path}", "--gamma", "inf", "--epsilon", "0.1"), "gamma"),
+        (("sweep", "--seeds", "1", "--gammas", "inf"), "gamma")])
+    def test_non_finite_parameter_is_config_error(self, capsys, tmp_path, command, name):
+        path = gen_tight(capsys, tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in command))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"{name} must be finite" in err
+
+
 class TestOracle:
     def test_prints_matching_and_weight(self, capsys, tmp_path):
         path = gen_tight(capsys, tmp_path, k=2)
