@@ -21,12 +21,13 @@ the tracked-to-algorithm ratio is at least C.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import Edge, Matching
 from .preemptive import PreemptiveAlgorithm
@@ -320,9 +321,9 @@ def ratio_checkpoint(state: GameState, table: SequenceTable, C: float) -> Option
     return ratio
 
 
-def _rows(edges: Iterable[Edge]) -> list[list]:
-    """Transcript form of a matching: sorted ``[u, v, weight]`` rows with u < v."""
-    return sorted([*e.key, e.weight] for e in edges)
+def _row(edge: Edge) -> tuple[int, int, float]:
+    """Transcript form of an edge: ``(u, v, weight)`` with u < v."""
+    return (*edge.key, edge.weight)
 
 
 def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> GameResult:
@@ -332,7 +333,9 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     when the final step completes, or when the victim holds nothing
     (unbounded ratio).  Each presented edge gets one transcript record;
     its ``opt_after`` is the tracked optimum once the adversary has
-    answered the victim's reply to that edge.
+    answered the victim's reply to that edge.  Every record owns its
+    ``opt_after`` list, but the immutable row tuples in it are shared
+    with the other records, so a game of s steps keeps O(s) rows.
     """
     table = generate_sequences(config.C)
     w, wp, n = table.w, table.w_prime, table.n
@@ -341,13 +344,12 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     transcript: list[dict] = []
     held = Matching()
     # The tracked optimum, a matching of presented edges stored under both
-    # ends of each edge; it bounds OPT from below.
+    # ends of each edge; it bounds OPT from below.  ``rows`` holds the
+    # same edges as sorted transcript rows, so a record copies, not sorts.
     opt: dict[int, Edge] = {}
+    rows: list[tuple[int, int, float]] = []
     alloc = count().__next__  # hands out vertex ids 0, 1, 2, ...
     state = GameState()
-
-    def opt_edges() -> list[Edge]:
-        return [e for vertex, e in opt.items() if vertex == e.u]
 
     def insert(edge: Edge) -> Optional[Edge]:
         """Add an edge to the optimum; evict and return the edge at a shared end."""
@@ -357,14 +359,20 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         evicted = at_u or at_v
         if evicted is not None:
             del opt[evicted.u], opt[evicted.v]
+            row = _row(evicted)
+            i = bisect.bisect_left(rows, row)
+            if rows[i:i + 1] != [row]:
+                raise RuntimeError(f"adversary bug: {evicted} is not among the tracked rows")
+            del rows[i]
         opt[edge.u] = opt[edge.v] = edge
+        bisect.insort(rows, _row(edge))
         return evicted
 
     def offer(edge: Edge, label: str) -> set[tuple[int, int]]:
         """Present an edge, check the victim's reply, and return the held keys."""
         nonlocal held
         if transcript:
-            transcript[-1]["opt_after"] = _rows(opt_edges())
+            transcript[-1]["opt_after"] = rows.copy()
         presented[edge.key] = edge
         before = held.keys() | {edge.key}
         algorithm.on_edge(edge)
@@ -390,7 +398,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             "u": edge.u,
             "v": edge.v,
             "weight": edge.weight,
-            "held_after": _rows(held),
+            "held_after": sorted(map(_row, held)),
             "opt_after": None,
         })
         return keys
@@ -401,9 +409,10 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         first["label"], second["label"] = second["label"], first["label"]
 
     def finish(step: int, violation_step: Optional[int] = None) -> GameResult:
-        edges = opt_edges()
-        transcript[-1]["opt_after"] = _rows(edges)
-        opt_weight, alg_weight = math.fsum(e.weight for e in edges), held.weight
+        transcript[-1]["opt_after"] = rows.copy()
+        # Summed from ``opt``, so that the last record's rows can be checked against it.
+        opt_weight = math.fsum(e.weight for vertex, e in opt.items() if vertex == e.u)
+        alg_weight = held.weight
         return GameResult(
             achieved_ratio=opt_weight / alg_weight if alg_weight > 0 else None,
             unbounded=not alg_weight > 0,

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from typing import Iterable, Optional, Sequence
@@ -46,6 +47,12 @@ EXIT_IO = 3
 
 VARIANTS = ("deterministic", "shifted", "ensemble")
 
+# Every file argument, by destination, with the name a message gives it.
+# Each command reads at most one of them, so two that name one file mean
+# that something written would be lost.
+_FILE_ARGS = {"stream": "stream", "out": "--out", "transcript": "--transcript",
+             "csv": "--csv", "jsonl": "--jsonl"}
+
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -68,6 +75,18 @@ def _parse_law(text: str):
         return ExponentialClassWeights(gamma=float(parts[0]), depth=int(parts[1]))
     raise ValueError(
         f"bad weight law {text!r}; use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>")
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse two file arguments that name one file, before any work."""
+    seen: dict[str, str] = {}
+    for dest, name in _FILE_ARGS.items():
+        path = getattr(args, dest, None)
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {name} name the same file {path!r}")
+            seen[real] = name
 
 
 def _write(chunks: Iterable[str], out: Optional[str]) -> None:
@@ -376,6 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_paths(args)
         return args.func(args)
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)

@@ -405,10 +405,18 @@ class _Resurrector(PreemptiveAlgorithm):
 
 def replay_transcript(result):
     """Every record's tracked optimum must be a valid matching made of
-    already-presented edges, and held sets must obey irrevocability."""
+    already-presented edges, and held sets must obey irrevocability.
+
+    Both sets are rows (u, v, weight) with u < v in strictly increasing
+    order, and the last tracked optimum sums exactly to the reported
+    weight, which the game totals from its own by-vertex store.
+    """
     presented = set()
     ever_absent = set()
     for record in result.transcript:
+        for rows in (record["opt_after"], record["held_after"]):
+            assert all(u < v for u, v, _w in rows)
+            assert all(a < b for a, b in zip(rows, rows[1:]))
         presented.add((record["u"], record["v"], record["weight"]))
         canonical = {(min(u, v), max(u, v), w) for (u, v, w) in presented}
         opt_edges = [Edge(int(u), int(v), w) for (u, v, w) in record["opt_after"]]
@@ -418,6 +426,8 @@ def replay_transcript(result):
         held = {(u, v) for (u, v, _w) in record["held_after"]}
         assert not held & ever_absent, "a held edge had been dropped before"
         ever_absent |= {(u, v) for (u, v, _w) in canonical} - held
+    last = result.transcript[-1]["opt_after"]
+    assert math.fsum(w for _u, _v, w in last) == result.tracked_opt_weight
 
 
 class TestRunAdversary:
@@ -438,6 +448,16 @@ class TestRunAdversary:
         assert result.achieved_ratio == pytest.approx(
             result.tracked_opt_weight / result.algorithm_weight, rel=1e-12)
         replay_transcript(result)
+
+    def test_records_share_rows(self):
+        # Each record owns its list, but a row is made once per insertion
+        # into the tracked optimum, not once per record that holds it.
+        result = run_adversary(make_victim("threshold:1"), AdversaryConfig(C=4.965))
+        lists = [record["opt_after"] for record in result.transcript]
+        assert all(type(rows) is list for rows in lists)
+        assert len({id(rows) for rows in lists}) == len(lists)
+        distinct = {id(row) for rows in lists for row in rows}
+        assert len(distinct) <= len(result.presented_edges)
 
     def test_tracked_opt_below_oracle_on_small_games(self):
         games = [(name, 4.9) for name in DEFAULT_VICTIMS] + [("threshold:1", 4.965)]

@@ -244,6 +244,33 @@ class TestAdversary:
         assert {"step", "label", "weight", "held_after"} <= set(records[0])
 
 
+class TestFileCollisions:
+    """Two file arguments naming one file exit 2 before anything is written."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (("run", "s.txt", "deterministic", "--gamma", "2", "--epsilon", "0.1",
+          "--out", "./s.txt"), ("stream", "--out")),
+        (("certificate", "s.txt", "--gamma", "2", "--epsilon", "0.1",
+          "--out", "sub/../s.txt"), ("stream", "--out")),
+        (("oracle", "s.txt", "--out", "link.txt"), ("stream", "--out")),
+        (("adversary", "--victim", "threshold:1", "--C", "4.5",
+          "--transcript", "game.jsonl", "--out", "./game.jsonl"), ("--out", "--transcript")),
+        (("sweep", "--seeds", "0", "--csv", "table", "--jsonl", "sub/../table"),
+         ("--csv", "--jsonl")),
+    ], ids=["run", "certificate", "oracle", "adversary", "sweep"])
+    def test_same_file_twice_is_config_error(self, capsys, tmp_path, monkeypatch, argv, names):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        stream = tmp_path / "s.txt"
+        stream.write_text("n=2\n0 1 1.0\n")
+        os.symlink("s.txt", tmp_path / "link.txt")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"{names[0]} and {names[1]} name the same file" in err
+        assert stream.read_text() == "n=2\n0 1 1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "s.txt", "sub"]
+
+
 class TestStreamHandling:
     def test_parse_error_reports_line_and_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

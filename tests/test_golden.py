@@ -12,6 +12,7 @@ labels and every record's ``opt_after``.
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -193,6 +194,14 @@ TOUR_SCRIPT, TOUR_C = "AR" + "AR" + "RA" + "RRA" + "RRA" + "AR", 4.5
 TOUR_DIGEST = "f4391c59c2ad2ea71ea9ad1f229765d4bd624b0d21ab788a12d3f438ee7d3c5c"
 
 
+# Near the critical constant: 1,159 steps and 2,319 presented edges.  The
+# transcript grows as the square of the steps, so the tracemalloc peak
+# shows whether records share their rows (12.5 MiB) or copy them (167 MiB).
+NEAR_R_C = 4.9673
+NEAR_R_DIGEST = "5a661468d3ed02c129d4aba586abeeb2270bf0725d650ad7bc0a7611694fc932"
+NEAR_R_PEAK_MIB = 32
+
+
 def game_digest(result):
     payload = {"result": result.to_json_dict(),
                "presented_edges": [[e.u, e.v, e.weight] for e in result.presented_edges]}
@@ -209,3 +218,15 @@ def test_adversary_game(victim, C):
 def test_adversary_transition_tour():
     result = run_adversary(_Scripted(TOUR_SCRIPT), AdversaryConfig(C=TOUR_C))
     assert game_digest(result) == TOUR_DIGEST
+
+
+def test_adversary_game_near_the_critical_constant():
+    tracemalloc.start()
+    try:
+        result = run_adversary(make_victim("threshold:1"), AdversaryConfig(C=NEAR_R_C))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.steps_played == 1159
+    assert peak < NEAR_R_PEAK_MIB * 2 ** 20
+    assert game_digest(result) == NEAR_R_DIGEST
