@@ -47,12 +47,14 @@ __all__ = [
     "first_nonpositive_recurrence",
     "first_nonpositive_closed_form",
     "verify_identities",
-    "ratio_checkpoint",
     "run_adversary",
 ]
 
 
 REL_TOL = 1e-9  # relative slack of each identity that verify_identities checks
+# The game's two state kinds, which also name the identity that prices each.
+CHAIN = "chain"
+ESCAPE = "escape"
 
 
 def _cubic(x: float) -> float:
@@ -197,6 +199,7 @@ def first_nonpositive_recurrence(C: float) -> int:
     The terms grow like r^j with r > 1, so within about 1,400 terms the
     loop finds the sign change or raises ValueError at the float range.
     """
+    _check_C(C)
     prev, cur = 0.0, 1.0
     j = 1
     while cur > 0:
@@ -229,8 +232,8 @@ def verify_identities(table: SequenceTable) -> IdentityReport:
     and S_{i-2} + w_i + w_{i+1} + w'_{i+1} = C w'_i  (i = 2..n-2)."""
     C, w, wp, S, n = table.C, table.w, table.w_prime, table.S, table.n
     identities = chain(
-        (("chain", i, wp[i + 1] + w[i + 1] + S[i - 1], C * w[i]) for i in range(1, n - 1)),
-        (("escape", i, S[i - 2] + w[i] + w[i + 1] + wp[i + 1], C * wp[i])
+        ((CHAIN, i, wp[i + 1] + w[i + 1] + S[i - 1], C * w[i]) for i in range(1, n - 1)),
+        ((ESCAPE, i, S[i - 2] + w[i] + w[i + 1] + wp[i + 1], C * wp[i])
          for i in range(2, n - 1)))
     worst = 0.0
     for identity in identities:
@@ -246,9 +249,6 @@ def verify_identities(table: SequenceTable) -> IdentityReport:
 # The game
 # ---------------------------------------------------------------------------
 
-CHAIN = "chain"
-ESCAPE = "escape"
-
 
 class ContractViolationError(RuntimeError):
     """The victim broke the preemptive contract (resurrection or invalid hold)."""
@@ -261,11 +261,10 @@ class GameState:
     The victim holds ``algorithm_edge``, oriented as (y, anchor): the next
     pair of edges attaches at ``anchor`` and the next escape edge at
     ``y``.  ``restore`` is the chain edge that the tracked optimum gave
-    up on entering the current escape run; it is None in the chain kind.
+    up on entering the current escape run; it is None exactly in the chain kind.
     """
 
     step: int = 0
-    kind: str = "none"
     algorithm_edge: Optional[Edge] = None
     restore: Optional[Edge] = None
 
@@ -297,30 +296,6 @@ class GameResult:
         }
 
 
-def ratio_checkpoint(state: GameState, table: SequenceTable, C: float) -> Optional[float]:
-    """Certified ratio at a construction decision point.
-
-    For a victim declining both mandated switches at step ``state.step``
-    the identities give OPT/ALG of exactly C (chain kind) or at least C
-    (escape kind); at the final step the bound is S_{n-1}/w_{n-1}.
-    Returns the ratio, or None when the state is not at a decision
-    point or the ratio does not reach C.
-    """
-    if state.kind not in (CHAIN, ESCAPE):
-        return None
-    i, n = state.step, table.n
-    w, wp, S = table.w, table.w_prime, table.S
-    if i >= n - 1:
-        ratio = S[n - 1] / w[n - 1]
-    elif state.kind == CHAIN:
-        ratio = (S[i - 1] + w[i + 1] + wp[i + 1]) / w[i]
-    else:
-        ratio = (S[i - 2] + w[i] + w[i + 1] + wp[i + 1]) / wp[i]
-    if ratio < C * (1.0 - 1e-12):
-        return None
-    return ratio
-
-
 def _row(edge: Edge) -> tuple[int, int, float]:
     """Transcript form of an edge: ``(u, v, weight)`` with u < v."""
     return (*edge.key, edge.weight)
@@ -340,7 +315,6 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     table = generate_sequences(config.C)
     w, wp, n = table.w, table.w_prime, table.n
     presented: dict[tuple[int, int], Edge] = {}
-    ever_absent: set[tuple[int, int]] = set()
     transcript: list[dict] = []
     held = Matching()
     # The tracked optimum, a matching of presented edges stored under both
@@ -385,13 +359,9 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             if presented.get(e.key) != e:
                 raise ContractViolationError(
                     f"victim holds an edge it was never given: {e}")
-            if e.key in ever_absent:
+            if e.key not in before:
                 raise ContractViolationError(
                     f"victim resurrected {e} after dropping it ({label})")
-        keys = held.keys()
-        # Every edge absent now was held before this edge, is this edge,
-        # or was already absent.
-        ever_absent.update(before - keys)
         transcript.append({
             "step": state.step + 1,
             "label": label,
@@ -401,7 +371,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             "held_after": sorted(map(_row, held)),
             "opt_after": None,
         })
-        return keys
+        return held.keys()
 
     def relabel() -> None:
         """WLOG: the victim's edge of the symmetric pair is the ``a`` edge."""
@@ -439,7 +409,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     else:
         a, b = p, q
     insert(Edge(b, x1, w[1]))
-    state = GameState(1, CHAIN, Edge(x1, a, w[1]))
+    state = GameState(1, Edge(x1, a, w[1]))
 
     # Steps 2 .. n-1: a symmetric pair at the anchor, then the escape edge.
     for i in range(2, n):
@@ -456,7 +426,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             insert(pair_b)
             if state.restore is not None:
                 insert(state.restore)
-            state = GameState(i, CHAIN, pair_a)
+            state = GameState(i, pair_a)
             continue
         # Otherwise it still holds its old edge, which shares the anchor with both.
 
@@ -468,11 +438,11 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             insert(pair_b)
             # Only the run's first escape edge evicts: the chain edge at y.
             restore = insert(escape) or state.restore
-            state = GameState(i, ESCAPE, escape, restore)
+            state = GameState(i, escape, restore)
             continue
 
         # Declined both mandated switches (it holds its old edge at y): the checkpoint fires.
-        insert(pair_b if state.kind == CHAIN else pair_a)
+        insert(pair_b if state.restore is None else pair_a)
         insert(escape)
         return finish(i, violation_step=i)
 

@@ -105,7 +105,7 @@ class BucketState:
         self.w_max = 0.0
         self.window: Optional[tuple[int, int]] = None
         # Class floors gamma^(i+delta) for i = lo, lo+1, hi, hi+1 of the
-        # window; +inf until the first prune, which must then recompute.
+        # window; +inf until the first edge, whose window move fills them.
         self._floors = (math.inf,) * 4
         self.matchings: dict[int, GreedyMatching] = {}
         self.stored_edge_count = 0
@@ -130,16 +130,6 @@ class BucketState:
     def floor(self, i: int) -> float:
         """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
         return _power(self.config.gamma, i + self.config.delta)
-
-    def prune(self) -> None:
-        """Recompute the class window for the current w_max and drop dead classes.
-
-        The window spans the classes whose interval intersects
-        [threshold, w_max]; matchings of classes entirely below the
-        threshold are deleted.
-        """
-        if self.w_max > 0:
-            self._move_window(self.threshold)
 
     def _move_window(self, threshold: float) -> None:
         gamma, delta = self.config.gamma, self.config.delta

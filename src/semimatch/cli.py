@@ -1,7 +1,8 @@
 """Command-line harness tying streams, algorithms, oracle, and the game together.
 
 Exit codes: 0 success, 2 validation or configuration error (including a
-weight sum beyond the float range), 3 I/O error.
+weight sum beyond the float range, or a flag the chosen variant does not
+read), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ _FILE_ARGS = {"stream": "stream", "out": "--out", "transcript": "--transcript",
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
+    with open(path, "rb", buffering=0) as handle:
+        # At most 64 KiB and no more than the file: a small stream costs only its size.
+        buffer = memoryview(bytearray(min(1 << 16, os.fstat(handle.fileno()).st_size + 1)))
+        while count := handle.readinto(buffer):
+            digest.update(buffer[:count])
     return digest.hexdigest()
 
 
@@ -87,6 +91,14 @@ def _check_paths(args: argparse.Namespace) -> None:
             if real in seen:
                 raise ValueError(f"{seen[real]} and {name} name the same file {path!r}")
             seen[real] = name
+
+
+def _check_variant_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag that the chosen variant would ignore, before any work."""
+    for dest, variant in (("delta", "shifted"), ("q", "ensemble")):
+        if getattr(args, dest, None) is not None and args.variant != variant:
+            raise ValueError(
+                f"--{dest} is read only by the {variant} variant, not by {args.variant}")
 
 
 def _write(chunks: Iterable[str], out: Optional[str]) -> None:
@@ -135,8 +147,8 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
 
 def cmd_run(args: argparse.Namespace) -> int:
     stream, mapping = load_stream(args.stream)
-    record = _run_variant(stream, args.variant, args.gamma, args.epsilon,
-                          args.delta, args.q)
+    delta = 0.0 if args.delta is None else args.delta
+    record = _run_variant(stream, args.variant, args.gamma, args.epsilon, delta, args.q)
     report = {
         "command": "run",
         "config": {
@@ -145,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "variant": args.variant,
             "gamma": args.gamma,
             "epsilon": args.epsilon,
-            "delta": args.delta if args.variant == "shifted" else None,
+            "delta": delta if args.variant == "shifted" else None,
             "q": record.get("q"),
             "num_vertices": stream.num_vertices,
             "num_edges": len(stream),
@@ -166,7 +178,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     stream, _mapping = load_stream(args.stream)
-    delta = args.delta if args.variant == "shifted" else 0.0
+    delta = 0.0 if args.delta is None else args.delta
     state = stream_bucket_run(stream, BucketConfig(
         gamma=args.gamma, epsilon=args.epsilon,
         num_vertices=stream.num_vertices, delta=delta))
@@ -319,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("variant", choices=VARIANTS)
     p_run.add_argument("--gamma", type=float, required=True)
     p_run.add_argument("--epsilon", type=float, required=True)
-    p_run.add_argument("--delta", type=float, default=0.0)
+    p_run.add_argument("--delta", type=float, help="shifted only; omitted = 0")
     p_run.add_argument("--q", type=int, default=None,
-                       help="ensemble copies; omitted = smallest q within the epsilon budget")
+                       help="ensemble only; omitted = smallest q within the epsilon budget")
     p_run.add_argument("--with-oracle", action="store_true",
                        help="also solve exactly and report the ratio")
     p_run.add_argument("--seed", type=int, default=0)
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="deterministic")
     p_cert.add_argument("--gamma", type=float, required=True)
     p_cert.add_argument("--epsilon", type=float, required=True)
-    p_cert.add_argument("--delta", type=float, default=0.0)
+    p_cert.add_argument("--delta", type=float, help="shifted only; omitted = 0")
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certificate)
 
@@ -396,6 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_paths(args)
+        _check_variant_flags(args)
         return args.func(args)
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
         if not 1 <= improvement_factor < math.inf:
             raise ValueError(f"threshold factor must be finite and >= 1, got {improvement_factor}")
         self.improvement_factor = improvement_factor
-        self._held: dict[tuple[int, int], Edge] = {}
+        # Each held edge under both of its ends, in the order it was accepted.
         self._cover: dict[int, Edge] = {}
 
     def on_edge(self, edge: Edge) -> None:
@@ -67,16 +67,14 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
                 blockers.append(f)
         if edge.weight > self.improvement_factor * math.fsum(f.weight for f in blockers):
             for f in blockers:
-                del self._held[f.key]
                 del self._cover[f.u]
                 del self._cover[f.v]
-            self._held[edge.key] = edge
             self._cover[edge.u] = edge
             self._cover[edge.v] = edge
 
     @property
     def current_matching(self) -> Matching:
-        return Matching(self._held.values())
+        return Matching(dict.fromkeys(self._cover.values()))
 
 
 class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):

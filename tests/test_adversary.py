@@ -7,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from semimatch.adversary import (
     CHAIN,
-    ESCAPE,
     AdversaryConfig,
     ContractViolationError,
-    GameState,
     closed_form_S,
     closed_form_params,
     first_nonpositive_closed_form,
     first_nonpositive_recurrence,
     generate_sequences,
-    ratio_checkpoint,
     run_adversary,
     solve_R,
     verify_identities,
@@ -96,6 +93,8 @@ class TestIdentities:
             report = verify_identities(table)
             assert report.ok, (C, report.first_failure)
             assert report.max_rel_error <= 1e-9
+            # The final step certifies S_{n-1}/w_{n-1}, which must reach C too.
+            assert table.S[table.n - 1] / table.w[table.n - 1] >= C, C
 
     def test_first_failure_is_the_earliest_chain_identity(self):
         # w'_5 enters the chain identity at i=4 and the escape identities at
@@ -163,6 +162,12 @@ class TestClosedForm:
         assert by_c[4.967318719302683] == [None, 1377]
 
 
+@pytest.mark.parametrize("C", [5.0, 0.5, 1.0, -1.0])
+def test_sign_change_search_rejects_c_out_of_range(C):
+    with pytest.raises(ValueError, match="strictly between"):
+        first_nonpositive_recurrence(C)
+
+
 class TestConfig:
     def test_rejects_c_above_root(self):
         with pytest.raises(ValueError, match="critical"):
@@ -171,37 +176,6 @@ class TestConfig:
     def test_rejects_c_below_one(self):
         with pytest.raises(ValueError):
             AdversaryConfig(C=0.9)
-
-
-class TestRatioCheckpoint:
-    def test_chain_decline_equals_c(self):
-        C = 4.9
-        table = generate_sequences(C)
-        for i in range(1, table.n - 1):
-            state = GameState(step=i, kind=CHAIN)
-            ratio = ratio_checkpoint(state, table, C)
-            assert ratio == pytest.approx(C, rel=1e-9)
-
-    def test_escape_decline_equals_c(self):
-        C = 4.9
-        table = generate_sequences(C)
-        for i in range(2, table.n - 1):
-            state = GameState(step=i, kind=ESCAPE)
-            ratio = ratio_checkpoint(state, table, C)
-            assert ratio == pytest.approx(C, rel=1e-9)
-
-    def test_final_step_bound(self):
-        C = 4.9
-        table = generate_sequences(C)
-        state = GameState(step=table.n, kind=CHAIN)
-        ratio = ratio_checkpoint(state, table, C)
-        assert ratio is not None
-        assert ratio >= C
-        assert ratio == pytest.approx(table.S[table.n - 1] / table.w[table.n - 1], rel=1e-12)
-
-    def test_none_when_not_at_a_decision_point(self):
-        table = generate_sequences(4.9)
-        assert ratio_checkpoint(GameState(step=0, kind="none"), table, 4.9) is None
 
 
 class _DropEverything(PreemptiveAlgorithm):

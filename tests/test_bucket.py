@@ -148,14 +148,6 @@ class TestPruneClasses:
         assert state.stored_edge_count == 4
         assert state.stored_edge_peak == 4
 
-    def test_noop_when_unchanged(self):
-        state = make_state()
-        state.process(E(0, 1, 4.0))
-        before = (state.window, dict(state.matchings), state.stored_edge_count)
-        state.prune()
-        assert (state.window, state.matchings, state.stored_edge_count) == \
-            (before[0], before[1], before[2])
-
     def test_straddling_class_retained(self):
         # threshold falls inside class lo: the class intersects and stays
         state = make_state(gamma=2.0, epsilon=0.5, n=8)

@@ -111,6 +111,28 @@ class TestRun:
         assert (code, out) == (EXIT_CONFIG, "")
         assert "q" in err and "10000" in err
 
+    @pytest.mark.parametrize("command, flag, variant", [
+        (("run", "{path}", "deterministic", "--delta", "0.7", "--q", "5"), "--delta", "shifted"),
+        (("run", "{path}", "shifted", "--q", "5"), "--q", "ensemble"),
+        (("certificate", "{path}", "--delta", "0.7"), "--delta", "shifted"),
+    ], ids=["run-deterministic", "run-shifted", "certificate-deterministic"])
+    def test_flag_the_variant_does_not_read_is_config_error(
+            self, capsys, tmp_path, command, flag, variant):
+        path = gen_tight(capsys, tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in command),
+                                 "--gamma", "2", "--epsilon", "0.01")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"{flag} is read only by the {variant} variant" in err
+
+    @pytest.mark.parametrize("command", [("run", "{path}", "shifted"),
+                                         ("certificate", "{path}", "--variant", "shifted")])
+    def test_shifted_without_delta_runs_at_zero(self, capsys, tmp_path, command):
+        path = gen_tight(capsys, tmp_path)
+        code, out, _ = run_cli(capsys, *(a.format(path=path) for a in command),
+                               "--gamma", "2", "--epsilon", "0.01")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["delta"] == 0.0
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(tmp_path / "nope.txt"),
                                  "deterministic", "--gamma", "2", "--epsilon", "0.1")
@@ -450,6 +472,8 @@ class TestGoldenOutputs:
          "--out", "ensemble.json"),
         ("certificate", "rand.txt", "--gamma", "2", "--epsilon", "0.01",
          "--out", "certificate.json"),
+        ("certificate", "rand.txt", "--variant", "shifted", "--delta", "0.37", "--gamma", "2",
+         "--epsilon", "0.01", "--out", "cert_shifted.json"),
         ("oracle", "tight.txt", "--out", "oracle.json"),
         ("sweep", "--seeds", "0,1", "--csv", "sweep.csv", "--jsonl", "sweep.jsonl"),
         ("adversary", "--victim", "threshold:1", "--C", "4.9",
@@ -459,6 +483,7 @@ class TestGoldenOutputs:
 
     DIGESTS = {
         "adversary.json": "52587153fce4eca82cd3c4b82e83b1a87efc540118296c63f3630b344731a242",
+        "cert_shifted.json": "a94fb692a41617bb241c0b97735d4773d74bab815c587e8cdfa424eb2eaed009",
         "certificate.json": "66141dfb0888c34fd8448894a1ef20324f1950dc9247ddc27f46a699b21c2b85",
         "oracle.json": "bf95eca34974d26a13dffcdd044626305a0031cfcbb8f0e01f9913698705192f",
         "deterministic.json": "f961c3ea613e1c82a5112d5f6eaa903e66b4968050ec53e4dbe65db980adb981",
