@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
@@ -54,17 +53,6 @@ VARIANTS = ("deterministic", "shifted", "ensemble")
 _FILE_ARGS = {"stream": "stream", "out": "--out", "transcript": "--transcript",
              "csv": "--csv", "jsonl": "--jsonl"}
 
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb", buffering=0) as handle:
-        # At most 64 KiB and no more than the file: a small stream costs only its size.
-        buffer = memoryview(bytearray(min(1 << 16, os.fstat(handle.fileno()).st_size + 1)))
-        while count := handle.readinto(buffer):
-            digest.update(buffer[:count])
-    return digest.hexdigest()
-
-
 def _matching_payload(matching) -> list[list[float]]:
     return [[e.u, e.v, e.weight] for e in matching]
 
@@ -93,12 +81,14 @@ def _check_paths(args: argparse.Namespace) -> None:
             seen[real] = name
 
 
-def _check_variant_flags(args: argparse.Namespace) -> None:
-    """Refuse a flag that the chosen variant would ignore, before any work."""
-    for dest, variant in (("delta", "shifted"), ("q", "ensemble")):
-        if getattr(args, dest, None) is not None and args.variant != variant:
-            raise ValueError(
-                f"--{dest} is read only by the {variant} variant, not by {args.variant}")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag that the chosen variant or family would ignore, before any work."""
+    for dest, kind, reader in (("delta", "variant", "shifted"), ("q", "variant", "ensemble"),
+                               ("n", "family", "random"), ("m", "family", "random"),
+                               ("law", "family", "random"), ("k", "family", "tight")):
+        chosen = getattr(args, kind, None)
+        if getattr(args, dest, None) is not None and chosen not in (None, reader):
+            raise ValueError(f"--{dest} is read only by the {reader} {kind}, not by {chosen}")
 
 
 def _write(chunks: Iterable[str], out: Optional[str]) -> None:
@@ -146,14 +136,14 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    stream, mapping = load_stream(args.stream)
+    stream, mapping, sha256 = load_stream(args.stream)
     delta = 0.0 if args.delta is None else args.delta
     record = _run_variant(stream, args.variant, args.gamma, args.epsilon, delta, args.q)
     report = {
         "command": "run",
         "config": {
             "stream": args.stream,
-            "stream_sha256": _sha256(args.stream),
+            "stream_sha256": sha256,
             "variant": args.variant,
             "gamma": args.gamma,
             "epsilon": args.epsilon,
@@ -177,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    stream, _mapping = load_stream(args.stream)
+    stream, _mapping, sha256 = load_stream(args.stream)
     delta = 0.0 if args.delta is None else args.delta
     state = stream_bucket_run(stream, BucketConfig(
         gamma=args.gamma, epsilon=args.epsilon,
@@ -188,7 +178,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         "command": "certificate",
         "config": {
             "stream": args.stream,
-            "stream_sha256": _sha256(args.stream),
+            "stream_sha256": sha256,
             "variant": args.variant,
             "gamma": args.gamma,
             "epsilon": args.epsilon,
@@ -208,12 +198,12 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    stream, _mapping = load_stream(args.stream)
+    stream, _mapping, sha256 = load_stream(args.stream)
     matching = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",
         "stream": args.stream,
-        "stream_sha256": _sha256(args.stream),
+        "stream_sha256": sha256,
         "matching": _matching_payload(matching),
         "weight": matching.weight,
     }, args.out)
@@ -281,10 +271,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for seed in seeds:
         if args.family == "tight":
-            stream = tight_instance(TightExampleConfig(gamma=2.0, k=args.k, eps=1e-6))
+            k = 2 if args.k is None else args.k
+            stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
         else:
             stream = random_instance(RandomInstanceConfig(
-                n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=seed))
+                n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
+                weight_law=_parse_law("uniform:1,100" if args.law is None else args.law),
+                seed=seed))
         opt_weight = max_weight_matching_exact(stream.edges).weight
         permuted = permute_stream(stream, seed)
         for gamma in gammas:
@@ -391,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", choices=("random", "tight"), default="random")
     p_sweep.add_argument("--gammas", default="2,2.5,3,3.513,4")
     p_sweep.add_argument("--seeds", default="")
-    p_sweep.add_argument("--n", type=int, default=12)
-    p_sweep.add_argument("--m", type=int, default=30)
-    p_sweep.add_argument("--k", type=int, default=2)
-    p_sweep.add_argument("--law", default="uniform:1,100")
+    p_sweep.add_argument("--n", type=int, help="random only; omitted = 12")
+    p_sweep.add_argument("--m", type=int, help="random only; omitted = 30")
+    p_sweep.add_argument("--k", type=int, help="tight only; omitted = 2")
+    p_sweep.add_argument("--law", help="random only; omitted = uniform:1,100")
     p_sweep.add_argument("--epsilon", type=float, default=0.5)
     p_sweep.add_argument("--csv", default=None)
     p_sweep.add_argument("--jsonl", default=None)
@@ -408,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_paths(args)
-        _check_variant_flags(args)
+        _check_flags(args)
         return args.func(args)
     except OSError as exc:
         print(f"semimatch: i/o error: {exc}", file=sys.stderr)

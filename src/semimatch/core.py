@@ -9,8 +9,8 @@ header (required when vertex labels are non-numeric).
 
 from __future__ import annotations
 
+import hashlib
 import io
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,6 +44,18 @@ class Edge:
     def key(self) -> tuple[int, int]:
         """Orientation-independent identity of the edge."""
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
+
+
+_set_u, _set_v, _set_weight = Edge.u.__set__, Edge.v.__set__, Edge.weight.__set__
+
+
+def _edge(u: int, v: int, weight: float) -> Edge:
+    """An :class:`Edge` whose every check the caller has already made."""
+    edge = object.__new__(Edge)
+    _set_u(edge, u)
+    _set_v(edge, v)
+    _set_weight(edge, weight)
+    return edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,9 +141,14 @@ class StreamSource:
             if key in seen:
                 raise StreamEdgeError(f"duplicate edge between {key[0]} and {key[1]}", index)
             seen.add(key)
-        self.num_vertices = num_vertices
-        self.edges = edges
-        self.passes = 0
+        self.num_vertices, self.edges, self.passes = num_vertices, edges, 0
+
+    @classmethod
+    def _checked(cls, num_vertices: int, edges: tuple[Edge, ...]) -> "StreamSource":
+        """A stream whose count and edges the caller has already checked."""
+        stream = cls.__new__(cls)
+        stream.num_vertices, stream.edges, stream.passes = num_vertices, edges, 0
+        return stream
 
     def __iter__(self) -> Iterator[Edge]:
         self.passes += 1
@@ -163,30 +180,44 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     an edge line; any other line that starts with ``n=`` is the header,
     whose count must be canonical and positive.  Labels require the
     header and are remapped densely in order of first appearance.  Faults
-    within a line are reported first; id range (for labels, more labels
-    than ``n``) and duplicate edges are checked by :class:`StreamSource`.
-    A line ends at LF, CRLF or CR.
+    within a line are reported first; then the first edge with an id not
+    below ``n`` (for labels, the first past ``n`` labels) or a repeated
+    vertex pair.  A line ends at LF, CRLF or CR.
     """
     return _parse_lines(io.StringIO(text, newline=None))
 
 
-def _is_header(line: str) -> bool:
-    """Whether a stripped line is the ``n=`` header: three fields are always an edge."""
-    return line.startswith("n=") and len(line.split()) != 3
+def _canonical(token: str) -> bool:
+    """Whether a token is canonical ASCII decimal: ``0`` or ``[1-9][0-9]*``."""
+    return token.isdigit() and token.isascii() and (token[0] != "0" or token == "0")
+
+
+def _pair(u: int, v: int) -> int:
+    """One int per unordered pair of distinct non-negative ids."""
+    return u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
 
 
 def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Parse a handle in one forward pass; only a fault found by StreamSource seeks back."""
+    """Parse a handle in one forward pass that makes each check once, where its value is read.
+
+    ``ids`` maps each token to its vertex in order of first appearance.
+    The first edge with an id not below n, the first past n tokens (the
+    range fault for labels) and the first repeated pair are held as (edge
+    index, line number, line) until the loop ends: in-line faults come first.
+    """
     header_n: Optional[int] = None
-    mapping: Optional[dict[str, int]] = None
+    ids: dict[str, int] = {}
+    labels = False
     edges: list[Edge] = []
+    pairs: set[int] = set()
+    out_of_range = past_n = repeated = None
     for lineno, raw in enumerate(handle, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            if not _is_header(line):
+        parts = raw.split()
+        if len(parts) != 3 or parts[0][0] == "#":
+            if not parts or parts[0][0] == "#":
+                continue
+            line = raw.strip()
+            if not line.startswith("n="):
                 raise StreamFormatError(
                     f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
             if edges:
@@ -195,7 +226,7 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
                 raise StreamFormatError("duplicate n= header", lineno)
             count = line[2:]
             try:
-                if not (count.isascii() and count.isdigit() and (count[0] != "0" or count == "0")):
+                if not _canonical(count):
                     raise ValueError(count)
                 header_n = int(count)  # also raises past int()'s digit limit
             except ValueError:
@@ -204,47 +235,58 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
                 raise StreamFormatError("n= must be positive", lineno)
             continue
         a, b, w = parts
-        if (mapping is None and a.isdigit() and b.isdigit() and a.isascii() and b.isascii()
-                and (a[0] != "0" or a == "0") and (b[0] != "0" or b == "0")):
-            try:
-                u, v = int(a), int(b)
-            except ValueError:
-                raise StreamFormatError(
-                    f"vertex id of {max(len(a), len(b))} digits is longer than int() reads",
-                    lineno) from None
-        else:
-            if mapping is None:
+        u, v = ids.get(a), ids.get(b)
+        if u is None or v is None:
+            if not labels and not ((u is not None or _canonical(a))
+                                   and (v is not None or _canonical(b))):
                 if header_n is None:
                     raise StreamFormatError(
                         "n= header is required when vertex labels are non-numeric", lineno)
-                # A canonical id prints back as its own label.
-                mapping = {}
-                edges = [Edge(mapping.setdefault(str(e.u), len(mapping)),
-                              mapping.setdefault(str(e.v), len(mapping)), e.weight)
-                         for e in edges]
-            u = mapping.setdefault(a, len(mapping))
-            v = mapping.setdefault(b, len(mapping))
+                # Every token becomes a label; a canonical id prints back as its own.
+                dense = {vertex: i for i, vertex in enumerate(ids.values())}
+                ids = dict(zip(ids, dense.values()))
+                edges = [_edge(dense[e.u], dense[e.v], e.weight) for e in edges]
+                pairs = {_pair(e.u, e.v) for e in edges}
+                labels = True
+            if labels:
+                u, v = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
+            else:
+                try:
+                    u = ids.setdefault(a, int(a)) if u is None else u
+                    v = ids.setdefault(b, int(b)) if v is None else v
+                except ValueError:  # past int()'s digit limit
+                    raise StreamFormatError(
+                        f"vertex id of {max(len(a), len(b))} digits is longer than int() reads",
+                        lineno) from None
+                if out_of_range is None and header_n is not None and max(u, v) >= header_n:
+                    out_of_range = (len(edges), lineno, raw.strip())
+            if past_n is None and header_n is not None and len(ids) > header_n:
+                past_n = (len(edges), lineno, raw.strip())
         try:
             weight = float(w)
         except ValueError:
             raise StreamFormatError(f"bad weight {w!r}", lineno) from None
-        try:
-            edges.append(Edge(u, v, weight))
-        except ValueError as exc:
-            raise StreamFormatError(str(exc), lineno) from None
-    num_vertices = (header_n if header_n is not None
-                    else 1 + max((max(e.u, e.v) for e in edges), default=-1))
+        if u == v or not 0.0 < weight < math.inf:
+            try:
+                Edge(u, v, weight)  # raises with the message stated there
+            except ValueError as exc:
+                raise StreamFormatError(str(exc), lineno) from None
+        pair = _pair(u, v)
+        if pair in pairs and repeated is None:
+            repeated = (len(edges), lineno, raw.strip())
+        pairs.add(pair)
+        edges.append(_edge(u, v, weight))
+    num_vertices = header_n if header_n is not None else 1 + max(ids.values(), default=-1)
     if num_vertices < 1:
         raise StreamFormatError("empty stream needs an n= header")
-    try:
-        return StreamSource(num_vertices, edges), mapping
-    except StreamEdgeError as exc:
-        handle.seek(0)
-        edge_lines = ((lineno, line) for lineno, raw in enumerate(handle, start=1)
-                      if (line := raw.strip()) and not line.startswith("#")
-                      and not _is_header(line))
-        lineno, line = next(itertools.islice(edge_lines, exc.index, None))
-        raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
+    faults = [f for f in (past_n if labels else out_of_range, repeated) if f is not None]
+    if faults:
+        index, lineno, line = min(faults)
+        try:  # the public constructor words both: out of range alone, else repeated twice
+            StreamSource(num_vertices, [edges[index]] * 2)
+        except StreamEdgeError as exc:
+            raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
+    return StreamSource._checked(num_vertices, tuple(edges)), ids if labels else None
 
 
 def format_stream(stream: StreamSource) -> str:
@@ -270,16 +312,32 @@ def _not_utf8(data: bytes, exc: UnicodeDecodeError) -> StreamFormatError:
     return StreamFormatError(f"not UTF-8 ({exc.reason}); the file changed while read")
 
 
-def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]]]:
+class _Sha256File(io.FileIO):
+    """A file read in binary that adds every byte read through ``readinto`` to ``digest``."""
+
+    def __init__(self, path: str):
+        super().__init__(path)
+        self.digest = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        count = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:count])
+        return count
+
+
+def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]], str]:
     """Read and parse an edge-stream file; a pipe, which cannot be reread, is refused.
 
-    A byte that is not UTF-8 raises :class:`StreamFormatError` with its line.
+    Returns the stream, the label mapping of :func:`parse_stream_text`,
+    and the SHA-256 (hex) of the bytes parsed, taken in the same read.  A
+    byte that is not UTF-8 raises :class:`StreamFormatError` with its line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    raw = _Sha256File(path)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as handle:
         if not handle.seekable():
             raise ValueError(f"stream {path!r} is not seekable; pass a regular file, not a pipe")
         try:
-            return _parse_lines(handle)
+            return (*_parse_lines(handle), raw.digest.hexdigest())
         except UnicodeDecodeError as exc:
             handle.seek(0)
             raise _not_utf8(handle.buffer.read(), exc) from None

@@ -5,13 +5,11 @@ blossom algorithm in O(n^3) (Edmonds 1965; Galil, "Efficient algorithms
 for finding maximum matching in graphs", ACM Computing Surveys 1986) on
 exact integers, and checks every result with :func:`verify_dual` before
 returning it, so no reported optimum rests on trusting the solver.  There
-is no size limit.  An all-subsets brute force, for at most 16 edges,
-checks the blossom in the tests.
+is no size limit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,11 +19,8 @@ __all__ = [
     "MatchingDual",
     "max_weight_matching_dual",
     "max_weight_matching_exact",
-    "max_weight_matching_bruteforce",
     "verify_dual",
 ]
-
-_BRUTEFORCE_MAX_EDGES = 16
 
 
 def _common_scale(edges: Iterable[Edge]) -> int:
@@ -458,49 +453,3 @@ def max_weight_matching_exact(edges: Iterable[Edge]) -> Matching:
     except ValueError as exc:
         raise RuntimeError(f"oracle bug: {exc}") from exc
     return matching
-
-
-def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:
-    """Optimal weight by exhausting all 2^m edge subsets.
-
-    Subsets are swept in mask order with an incremental
-    is-a-matching/cover table, which visits every subset exactly once.
-    Subset weights are exact integers (weights times a common power of
-    two), so no rounding can prefer a lighter subset.  Rejects instances
-    above 16 edges with ValueError.
-    """
-    edges = list(edges)
-    m = len(edges)
-    if m > _BRUTEFORCE_MAX_EDGES:
-        raise ValueError(f"brute force handles at most {_BRUTEFORCE_MAX_EDGES} edges, got {m}")
-    if m == 0:
-        return 0.0
-
-    _vertices, endpoint = _number_vertices(edges)
-    masks = [1 << endpoint[2 * k] | 1 << endpoint[2 * k + 1] for k in range(m)]
-    scale = _common_scale(edges)
-    scaled = [_scaled(e.weight, scale) for e in edges]
-    size = 1 << m
-    valid = bytearray(size)
-    cover = [0] * size
-    weight = [0] * size
-    valid[0] = 1
-    best = 0
-    best_mask = 0
-    for s in range(1, size):
-        low = s & -s
-        rest = s ^ low
-        if not valid[rest]:
-            continue
-        idx = low.bit_length() - 1
-        if cover[rest] & masks[idx]:
-            continue
-        valid[s] = 1
-        cover[s] = cover[rest] | masks[idx]
-        weight[s] = weight[rest] + scaled[idx]
-        if weight[s] > best:
-            best = weight[s]
-            best_mask = s
-    # Exactly-rounded total for the winning subset, matching how
-    # Matching caches weights.
-    return math.fsum(edges[i].weight for i in range(m) if best_mask >> i & 1)

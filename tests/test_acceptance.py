@@ -44,11 +44,10 @@ from semimatch.generators import (
     tight_instance,
     tight_instance_opt_weight,
 )
-from semimatch.oracle import (
-    max_weight_matching_bruteforce,
-    max_weight_matching_exact,
-)
+from semimatch.oracle import max_weight_matching_exact
 from semimatch.preemptive import DEFAULT_VICTIMS, make_victim
+
+from bruteforce import max_weight_matching_bruteforce
 
 
 @contextmanager

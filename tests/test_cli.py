@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import semimatch
+from semimatch import cli
 from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from semimatch.generators import TightExampleConfig, tight_instance_opt_weight
@@ -336,6 +337,31 @@ class TestStreamHandling:
         assert (json.loads(redirected.stdout)["config"]["stream_sha256"]
                 == hashlib.sha256(path.read_bytes()).hexdigest())
 
+    def test_stream_sha256_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
+        # The file changes after each parse; each report hashes what was parsed.
+        path = gen_tight(capsys, tmp_path)
+        parsed = []
+        load_stream = cli.load_stream
+
+        def load_then_append(name):
+            result = load_stream(name)
+            parsed.append(Path(name).read_bytes())
+            with open(name, "a", encoding="utf-8") as handle:
+                handle.write("# appended after the parse\n")
+            return result
+
+        monkeypatch.setattr(cli, "load_stream", load_then_append)
+        for command in (("run", str(path), "deterministic", "--gamma", "2", "--epsilon", "0.1"),
+                        ("certificate", str(path), "--gamma", "2", "--epsilon", "0.1"),
+                        ("oracle", str(path))):
+            code, out, _ = run_cli(capsys, *command)
+            assert code == EXIT_OK
+            report = json.loads(out)
+            # oracle reports the hash at the top level, run and certificate in config
+            digest = report.get("config", report)["stream_sha256"]
+            assert digest == hashlib.sha256(parsed[-1]).hexdigest()
+        assert path.read_bytes() != parsed[0]
+
 
 class TestWeightRange:
     def run_file(self, capsys, tmp_path, text, *argv):
@@ -450,6 +476,16 @@ class TestSweep:
         for row in rows:
             assert row["n"] == "30" and row["opt_weight"] != ""
             assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("family, flag, value, reader", [
+        ("tight", "--law", "zipf:2", "random"), ("tight", "--n", "5", "random"),
+        ("tight", "--m", "3", "random"), ("random", "--k", "7", "tight")])
+    def test_flag_the_family_does_not_read_is_config_error(
+            self, capsys, family, flag, value, reader):
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--seeds", "0",
+                                 flag, value)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"{flag} is read only by the {reader} family, not by {family}" in err
 
 
 class TestGoldenOutputs:

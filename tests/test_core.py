@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semimatch.core import (
     Edge,
@@ -24,6 +24,65 @@ _TOKENS = _CANONICAL + ("007", "07", "+7", "1_0", "-0", "\u0663")
 
 def E(u, v, w=1.0):
     return Edge(u, v, w)
+
+
+# Canonical ids (some at or above a small n) and labels, among them "007".
+_VERTEX = st.sampled_from(("0", "1", "2", "3", "7", "x", "y", "007"))
+_WEIGHT = st.sampled_from(("1.0", "2.5", "0.5", "4.0", "1.5", "3.0", "2.0", "oops"))
+
+
+@st.composite
+def _stream_lines(draw):
+    """Edge lines, some repeating an earlier pair in either orientation, among
+    comment and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        earlier = [line.split()[:2] for line in lines if line[:1] not in ("", " ", "#")]
+        kind = draw(st.sampled_from(("edge", "edge", "edge", "repeat", "repeat", "other", "loop")))
+        if kind == "repeat" and earlier:
+            pair = draw(st.permutations(draw(st.sampled_from(earlier))))
+        elif kind == "other":
+            lines.append(draw(st.sampled_from(("# c", "", "  ", "#0 1 1.0"))))
+            continue
+        elif kind == "loop":
+            pair = [draw(_VERTEX)] * 2
+        else:
+            pair = draw(st.lists(_VERTEX, min_size=2, max_size=2, unique=True))
+        lines.append(" ".join([*pair, draw(_WEIGHT)]))
+    return lines
+
+
+def _naive_scan(header, lines, first_line):
+    """What parsing ``lines`` after an optional ``n=header`` gives, by the README's rules.
+
+    Returns ("fault", line, text in the message) or ("ok", n, edges, mapping).
+    """
+    edge_lines = [(lineno, *line.split()) for lineno, line in enumerate(lines, first_line)
+                  if len(line.split()) == 3 and not line.startswith("#")]
+    canonical = lambda t: t.isdigit() and t.isascii() and (t[0] != "0" or t == "0")
+    labels = not all(canonical(a) and canonical(b) for _, a, b, _ in edge_lines)
+    for lineno, a, b, w in edge_lines:
+        if header is None and not (canonical(a) and canonical(b)):
+            return "fault", lineno, "n= header is required"
+        if w == "oops":
+            return "fault", lineno, "bad weight"
+        if a == b:
+            return "fault", lineno, "self-loop"
+    mapping = {t: i for i, t in enumerate(dict.fromkeys(
+        t for _, a, b, _ in edge_lines for t in (a, b)))} if labels else None
+    vertex = mapping.__getitem__ if labels else int
+    edges = tuple(Edge(vertex(a), vertex(b), float(w)) for _, a, b, w in edge_lines)
+    n = header if header else 1 + max((max(e.u, e.v) for e in edges), default=-1)
+    if n < 1:
+        return "fault", None, "empty stream"
+    seen = set()
+    for (lineno, *_), e in zip(edge_lines, edges):
+        if max(e.u, e.v) >= n:
+            return "fault", lineno, "exceeds"
+        if e.key in seen:
+            return "fault", lineno, "duplicate"
+        seen.add(e.key)
+    return "ok", n, edges, mapping
 
 
 class TestEdge:
@@ -255,9 +314,15 @@ class TestParsing:
         for text in ("n=4\n0 1 1.0\n2 3 1.0\n", "n=4\n0 1 1.0\nalice 1 2.0\n"):
             parsed, _ = _parse_lines(NoSeek(text, newline=None))
             assert len(parsed) == 2
+        # An id-range or duplicate fault is found in the same pass, too.
+        for text, message in (("n=2\n0 1 1.0\n1 2 1.0\n", "exceeds"),
+                              ("n=4\n0 1 1.0\nalice 1 2.0\n1 0 3.0\n", "duplicate")):
+            with pytest.raises(StreamFormatError, match=message) as excinfo:
+                _parse_lines(NoSeek(text, newline=None))
+            assert excinfo.value.line == text.count("\n")
 
     def test_labels_over_n_are_an_id_range_fault(self):
-        # More labels than n is found by StreamSource, after every in-line fault.
+        # More labels than n is held until the file ends, after every in-line fault.
         with pytest.raises(StreamFormatError, match="bad weight 'oops'") as excinfo:
             parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\nx y oops\n")
         assert excinfo.value.line == 4
@@ -290,7 +355,7 @@ class TestParsing:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_breaks_from_a_file(self, tmp_path, newline):
         # A label file with a duplicate: the ids read before the first label
-        # are remapped, and the file is reread to find the duplicate's line.
+        # are remapped, and the duplicate's line is found in the same pass.
         text = newline.join(["n=4", "0 1 1.0", "# c", "", "alice 1 1.0", "1 alice 2.0", ""])
         path = tmp_path / "stream.txt"
         path.write_bytes(text.encode("utf-8"))
@@ -299,7 +364,7 @@ class TestParsing:
                 parse()
             assert excinfo.value.line == 6
         path.write_bytes(text.replace("1 alice", "bob alice").encode("utf-8"))
-        parsed, mapping = load_stream(str(path))
+        parsed, mapping, _ = load_stream(str(path))
         assert mapping == {"0": 0, "1": 1, "alice": 2, "bob": 3}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0), Edge(3, 2, 2.0))
 
@@ -324,6 +389,24 @@ class TestParsing:
             parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\n")
         assert excinfo.value.line == 3
         assert "carol" in str(excinfo.value)
+
+    @settings(max_examples=500)
+    @given(st.sampled_from((None, 1, 3, 4, 6, 8)), _stream_lines())
+    def test_one_pass_matches_a_naive_scan(self, header, lines):
+        text = "".join(f"{line}\n" for line in ([f"n={header}"] if header else []) + lines)
+        expected = _naive_scan(header, lines, first_line=2 if header else 1)
+        try:
+            parsed, mapping = parse_stream_text(text)
+        except StreamFormatError as exc:
+            assert expected[0] == "fault", (text, exc)
+            assert (exc.line, expected[2] in str(exc)) == (expected[1], True), (text, exc)
+            return
+        assert expected[0] == "ok", text
+        _, num_vertices, edges, labels = expected
+        public = StreamSource(parsed.num_vertices,
+                              [Edge(e.u, e.v, e.weight) for e in parsed.edges])
+        assert (public.num_vertices, public.edges) == (parsed.num_vertices, parsed.edges)
+        assert (parsed.num_vertices, parsed.edges, mapping) == (num_vertices, edges, labels)
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=2, max_value=9),
            st.integers(min_value=0, max_value=12))

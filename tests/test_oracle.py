@@ -9,11 +9,12 @@ from semimatch import oracle
 from semimatch.core import Edge, Matching
 from semimatch.generators import TightExampleConfig, tight_instance
 from semimatch.oracle import (
-    max_weight_matching_bruteforce,
     max_weight_matching_dual,
     max_weight_matching_exact,
     verify_dual,
 )
+
+from bruteforce import max_weight_matching_bruteforce
 
 
 def E(u, v, w):
