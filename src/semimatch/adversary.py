@@ -21,7 +21,6 @@ the tracked-to-algorithm ratio is at least C.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -307,10 +306,10 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     Terminates when a declined mandated switch certifies a ratio >= C,
     when the final step completes, or when the victim holds nothing
     (unbounded ratio).  Each presented edge gets one transcript record;
-    its ``opt_after`` is the tracked optimum once the adversary has
-    answered the victim's reply to that edge.  Every record owns its
-    ``opt_after`` list, but the immutable row tuples in it are shared
-    with the other records, so a game of s steps keeps O(s) rows.
+    its ``opt_added`` and ``opt_removed`` are the sorted ``(u, v, weight)``
+    tuples, u < v, that the answer to that edge added to and evicted from
+    the tracked optimum, which starts empty.  Apply ``opt_removed``, then
+    ``opt_added``, in record order to rebuild each optimum.
     """
     table = generate_sequences(config.C)
     w, wp, n = table.w, table.w_prime, table.n
@@ -318,10 +317,10 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     transcript: list[dict] = []
     held = Matching()
     # The tracked optimum, a matching of presented edges stored under both
-    # ends of each edge; it bounds OPT from below.  ``rows`` holds the
-    # same edges as sorted transcript rows, so a record copies, not sorts.
+    # ends of each edge; it bounds OPT from below.  ``delta`` nets its changes
+    # by row since the last record closed: +1 added, -1 evicted, 0 both.
     opt: dict[int, Edge] = {}
-    rows: list[tuple[int, int, float]] = []
+    delta: dict[tuple[int, int, float], int] = {}
     alloc = count().__next__  # hands out vertex ids 0, 1, 2, ...
     state = GameState()
 
@@ -333,20 +332,22 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         evicted = at_u or at_v
         if evicted is not None:
             del opt[evicted.u], opt[evicted.v]
-            row = _row(evicted)
-            i = bisect.bisect_left(rows, row)
-            if rows[i:i + 1] != [row]:
-                raise RuntimeError(f"adversary bug: {evicted} is not among the tracked rows")
-            del rows[i]
+            delta[_row(evicted)] = delta.get(_row(evicted), 0) - 1
         opt[edge.u] = opt[edge.v] = edge
-        bisect.insort(rows, _row(edge))
+        delta[_row(edge)] = delta.get(_row(edge), 0) + 1
         return evicted
+
+    def close() -> None:
+        """Move the optimum's net change into the last record."""
+        transcript[-1]["opt_added"] = sorted(row for row, n in delta.items() if n > 0)
+        transcript[-1]["opt_removed"] = sorted(row for row, n in delta.items() if n < 0)
+        delta.clear()
 
     def offer(edge: Edge, label: str) -> set[tuple[int, int]]:
         """Present an edge, check the victim's reply, and return the held keys."""
         nonlocal held
         if transcript:
-            transcript[-1]["opt_after"] = rows.copy()
+            close()
         presented[edge.key] = edge
         before = held.keys() | {edge.key}
         algorithm.on_edge(edge)
@@ -369,7 +370,6 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             "v": edge.v,
             "weight": edge.weight,
             "held_after": sorted(map(_row, held)),
-            "opt_after": None,
         })
         return held.keys()
 
@@ -379,8 +379,8 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         first["label"], second["label"] = second["label"], first["label"]
 
     def finish(step: int, violation_step: Optional[int] = None) -> GameResult:
-        transcript[-1]["opt_after"] = rows.copy()
-        # Summed from ``opt``, so that the last record's rows can be checked against it.
+        close()
+        # Summed from ``opt``, so that the optimum rebuilt from the records can be checked.
         opt_weight = math.fsum(e.weight for vertex, e in opt.items() if vertex == e.u)
         alg_weight = held.weight
         return GameResult(

@@ -268,6 +268,7 @@ def cmd_verify_sequences(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     gammas = [float(g) for g in args.gammas.split(",") if g]
     seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else []
+    law = _parse_law("uniform:1,100" if args.law is None else args.law)
     rows: list[dict] = []
     for seed in seeds:
         if args.family == "tight":
@@ -276,8 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             stream = random_instance(RandomInstanceConfig(
                 n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
-                weight_law=_parse_law("uniform:1,100" if args.law is None else args.law),
-                seed=seed))
+                weight_law=law, seed=seed))
         opt_weight = max_weight_matching_exact(stream.edges).weight
         permuted = permute_stream(stream, seed)
         for gamma in gammas:

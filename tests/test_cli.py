@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from semimatch import cli
 from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from semimatch.generators import TightExampleConfig, tight_instance_opt_weight
+
+from test_adversary import opt_after_form, optima
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +269,15 @@ class TestAdversary:
         assert len(records) == 5
         assert {"step", "label", "weight", "held_after"} <= set(records[0])
 
+    def test_report_embeds_deltas_that_rebuild_the_optimum(self, capsys, tmp_path):
+        out_path = tmp_path / "r.json"
+        code, out, _ = run_cli(capsys, "adversary", "--victim", "threshold:1",
+                               "--C", "4.9", "--out", str(out_path))
+        assert (code, out) == (EXIT_OK, "")
+        report = json.loads(out_path.read_text())
+        *_, last = optima(report["transcript"])
+        assert math.fsum(w for _u, _v, w in last) == report["tracked_opt_weight"]
+
 
 class TestFileCollisions:
     """Two file arguments naming one file exit 2 before anything is written."""
@@ -477,6 +489,13 @@ class TestSweep:
             assert row["n"] == "30" and row["opt_weight"] != ""
             assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("seeds", ["", "0"])
+    def test_bad_law_is_config_error_with_or_without_seeds(self, capsys, seeds):
+        code, out, err = run_cli(capsys, "sweep", "--family", "random", "--seeds", seeds,
+                                 "--law", "zipf:2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "bad weight law" in err
+
     @pytest.mark.parametrize("family, flag, value, reader", [
         ("tight", "--law", "zipf:2", "random"), ("tight", "--n", "5", "random"),
         ("tight", "--m", "3", "random"), ("random", "--k", "7", "tight")])
@@ -530,6 +549,10 @@ class TestGoldenOutputs:
         "transcript.jsonl": "6e89ea72fb20b1ff37eb60d9938ce827d4fc86c2ee39df80a63d5b915c3628e4",
         "verify_sequences.json": "31bbcf7a5fc6b5c0bf78da1879fb07c55bee24dc25467589ad3305ad54fd2d07",
     }
+    # The "transcript.jsonl" pin above dates from records that listed the
+    # whole tracked optimum as ``opt_after``; it is checked over the file's
+    # records rebuilt in that form.  This pins the file's own bytes.
+    DELTA_TRANSCRIPT_DIGEST = "e76a8454eadb7e530dc3f4784762a14f1e16e3857307621d6933733c030dbec8"
 
     def test_report_digests(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -542,4 +565,10 @@ class TestGoldenOutputs:
                 lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
                 text = "".join(l for l in lines if '"wall_time_s":' not in l)
                 digests[path.name] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests.pop("transcript.jsonl") == self.DELTA_TRANSCRIPT_DIGEST
+        lines = (tmp_path / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        expanded = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                           for r in opt_after_form(records))
+        digests["transcript.jsonl"] = hashlib.sha256(expanded.encode()).hexdigest()
         assert digests == self.DIGESTS
