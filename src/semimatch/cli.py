@@ -8,11 +8,13 @@ read), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import os
+import stat
 import sys
 import time
 from typing import Iterable, Optional, Sequence
@@ -92,8 +94,15 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _write(chunks: Iterable[str], out: Optional[str]) -> None:
-    """Write the chunks, one at a time, to the file ``out`` or else to stdout."""
+    """Write the chunks, one at a time, to the file ``out`` or else to stdout.
+
+    A plain file at ``out`` is unlinked, not truncated: ext4 flushes a file
+    truncated to zero when it is closed, and the next truncation waits for that flush.
+    """
     if out:
+        with contextlib.suppress(OSError):  # absent or not removable: open() decides
+            if (st := os.lstat(out)).st_nlink == 1 and stat.S_ISREG(st.st_mode):
+                os.unlink(out)
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     else:

@@ -279,6 +279,33 @@ class TestAdversary:
         assert math.fsum(w for _u, _v, w in last) == report["tracked_opt_weight"]
 
 
+class TestOutputFiles:
+    def test_rewrite_replaces_a_plain_file_and_writes_through_links(self, capsys, tmp_path):
+        """A plain file is replaced by a new one, never truncated, so a reader
+        that opened it still sees the old bytes; a symlink's target and a file
+        with a second hard link are written in place."""
+        plain, target, hard = (tmp_path / n for n in ("plain.json", "target.json", "hard.json"))
+        for path in (plain, target, hard):
+            path.write_text("old\n")
+        os.symlink("target.json", tmp_path / "link.json")
+        os.link(hard, tmp_path / "alias.json")
+        readers = [open(path, encoding="utf-8") for path in (plain, target, hard)]
+        try:
+            for name in ("plain.json", "link.json", "hard.json"):
+                code, out, _ = run_cli(capsys, "verify-sequences", "--C", "4.9",
+                                       "--out", str(tmp_path / name))
+                assert (code, out) == (EXIT_OK, "")
+            seen = [reader.read() for reader in readers]
+        finally:
+            for reader in readers:
+                reader.close()
+        report = plain.read_text()
+        assert json.loads(report)["n"] == 35
+        assert seen == ["old\n", report, report]
+        assert (tmp_path / "link.json").is_symlink()
+        assert (tmp_path / "alias.json").read_text() == report
+
+
 class TestFileCollisions:
     """Two file arguments naming one file exit 2 before anything is written."""
 
