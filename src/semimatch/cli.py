@@ -72,15 +72,20 @@ def _parse_law(text: str):
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    """Refuse two file arguments that name one file, before any work."""
-    seen: dict[str, str] = {}
+    """Refuse two file arguments that name one file, before any work; a file that
+    exists is known by device and inode, which its hard links share."""
+    seen: dict[object, str] = {}
     for dest, name in _FILE_ARGS.items():
         path = getattr(args, dest, None)
         if path:
-            real = os.path.realpath(path)
-            if real in seen:
-                raise ValueError(f"{seen[real]} and {name} name the same file {path!r}")
-            seen[real] = name
+            try:
+                st = os.stat(path)
+                key: object = (st.st_dev, st.st_ino)
+            except FileNotFoundError:
+                key = os.path.realpath(path)
+            if key in seen:
+                raise ValueError(f"{seen[key]} and {name} name the same file {path!r}")
+            seen[key] = name
 
 
 def _check_flags(args: argparse.Namespace) -> None:

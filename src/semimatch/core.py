@@ -4,7 +4,9 @@ Values other than the :class:`GreedyMatching` builder are immutable and
 safe to share between concurrent tasks.  The edge-stream text format of
 :func:`parse_stream_text` is one edge per line, ``<u> <v> <weight>``
 whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
-header (required when vertex labels are non-numeric).
+header (required when vertex labels are non-numeric).  :func:`load_stream`
+reads a file, pipe or FIFO once, forward, and checks each line, its
+UTF-8 included, as it is read.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
 __all__ = [
-    "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamEdgeError",
-    "StreamFormatError", "parse_stream_text", "format_stream", "load_stream",
+    "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamFormatError",
+    "parse_stream_text", "format_stream", "load_stream",
 ]
 
 
@@ -110,19 +111,11 @@ class GreedyMatching:
         return True
 
 
-class StreamEdgeError(ValueError):
-    """An edge that :class:`StreamSource` rejects; ``index`` is its position."""
-
-    def __init__(self, message: str, index: int):
-        self.index = index
-        super().__init__(message)
-
-
 class StreamSource:
     """A declared vertex count plus a sequence of distinct edges.
 
     Construction checks each edge's ids against the count and rejects a
-    repeated vertex pair in either orientation (:class:`StreamEdgeError`).
+    repeated vertex pair in either orientation (ValueError).
     Iterating delivers the edges one at a time, in order.  ``passes``
     counts how many iterations have been requested; single-pass
     algorithms are audited against it.
@@ -133,13 +126,13 @@ class StreamSource:
             raise ValueError("num_vertices must be positive")
         edges = tuple(edges)
         seen: set[tuple[int, int]] = set()
-        for index, e in enumerate(edges):
+        for e in edges:
             if e.u >= num_vertices or e.v >= num_vertices:
-                raise StreamEdgeError(f"vertex id {max(e.u, e.v)} exceeds the largest id "
-                                      f"{num_vertices - 1} for num_vertices={num_vertices}", index)
+                raise ValueError(f"vertex id {max(e.u, e.v)} exceeds the largest id "
+                                 f"{num_vertices - 1} for num_vertices={num_vertices}")
             key = e.key
             if key in seen:
-                raise StreamEdgeError(f"duplicate edge between {key[0]} and {key[1]}", index)
+                raise ValueError(f"duplicate edge between {key[0]} and {key[1]}")
             seen.add(key)
         self.num_vertices, self.edges, self.passes = num_vertices, edges, 0
 
@@ -182,7 +175,8 @@ def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]
     header and are remapped densely in order of first appearance.  Faults
     within a line are reported first; then the first edge with an id not
     below ``n`` (for labels, the first past ``n`` labels) or a repeated
-    vertex pair.  A line ends at LF, CRLF or CR.
+    vertex pair.  A line ends at LF, CRLF or CR.  A lone surrogate (a
+    byte that is not UTF-8, in a file) is a fault within its line.
     """
     return _parse_lines(io.StringIO(text, newline=None))
 
@@ -212,6 +206,11 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
     pairs: set[int] = set()
     out_of_range = past_n = repeated = None
     for lineno, raw in enumerate(handle, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise _not_utf8(raw, exc, lineno) from None
         parts = raw.split()
         if len(parts) != 3 or parts[0][0] == "#":
             if not parts or parts[0][0] == "#":
@@ -284,7 +283,7 @@ def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]
         index, lineno, line = min(faults)
         try:  # the public constructor words both: out of range alone, else repeated twice
             StreamSource(num_vertices, [edges[index]] * 2)
-        except StreamEdgeError as exc:
+        except ValueError as exc:
             raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
     return StreamSource._checked(num_vertices, tuple(edges)), ids if labels else None
 
@@ -296,20 +295,17 @@ def format_stream(stream: StreamSource) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _not_utf8(data: bytes, exc: UnicodeDecodeError) -> StreamFormatError:
-    """Report the first byte of a file that is not UTF-8, on its line.
-
-    ``exc`` comes from the text decoder, whose offsets count from its
-    chunk, so the bytes are decoded again whole.  No UTF-8 sequence holds a
-    CR or LF byte, so line ends are counted on the bytes before the fault.
-    """
+def _not_utf8(line: str, exc: UnicodeEncodeError, lineno: int) -> StreamFormatError:
+    """Report the lone surrogate ``exc`` found in a line: the byte that a file's
+    ``surrogateescape`` decoder stood it in for, else (text given as a str) itself."""
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        lineno = 1 + len(re.findall(rb"\r\n|\r|\n", data[:whole.start]))
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as bad:
         return StreamFormatError(
-            f"byte 0x{data[whole.start]:02x} is not UTF-8 ({whole.reason})", lineno)
-    return StreamFormatError(f"not UTF-8 ({exc.reason}); the file changed while read")
+            f"byte 0x{bad.object[bad.start]:02x} is not UTF-8 ({bad.reason})", lineno)
+    except UnicodeEncodeError:
+        pass
+    return StreamFormatError(f"character {line[exc.start]!r} is not UTF-8 ({exc.reason})", lineno)
 
 
 class _Sha256File(io.FileIO):
@@ -326,18 +322,14 @@ class _Sha256File(io.FileIO):
 
 
 def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]], str]:
-    """Read and parse an edge-stream file; a pipe, which cannot be reread, is refused.
+    """Read and parse an edge-stream file, pipe or FIFO in one forward pass.
 
     Returns the stream, the label mapping of :func:`parse_stream_text`,
     and the SHA-256 (hex) of the bytes parsed, taken in the same read.  A
-    byte that is not UTF-8 raises :class:`StreamFormatError` with its line.
+    byte that is not UTF-8 raises :class:`StreamFormatError` at its line,
+    in file order with the other faults within a line.
     """
     raw = _Sha256File(path)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as handle:
-        if not handle.seekable():
-            raise ValueError(f"stream {path!r} is not seekable; pass a regular file, not a pipe")
-        try:
-            return (*_parse_lines(handle), raw.digest.hexdigest())
-        except UnicodeDecodeError as exc:
-            handle.seek(0)
-            raise _not_utf8(handle.buffer.read(), exc) from None
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                          errors="surrogateescape") as handle:
+        return (*_parse_lines(handle), raw.digest.hexdigest())

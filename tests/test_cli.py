@@ -312,6 +312,8 @@ class TestFileCollisions:
     @pytest.mark.parametrize("argv, names", [
         (("run", "s.txt", "deterministic", "--gamma", "2", "--epsilon", "0.1",
           "--out", "./s.txt"), ("stream", "--out")),
+        (("run", "s.txt", "deterministic", "--gamma", "2", "--epsilon", "0.1",
+          "--out", "hard.txt"), ("stream", "--out")),
         (("certificate", "s.txt", "--gamma", "2", "--epsilon", "0.1",
           "--out", "sub/../s.txt"), ("stream", "--out")),
         (("oracle", "s.txt", "--out", "link.txt"), ("stream", "--out")),
@@ -319,18 +321,20 @@ class TestFileCollisions:
           "--transcript", "game.jsonl", "--out", "./game.jsonl"), ("--out", "--transcript")),
         (("sweep", "--seeds", "0", "--csv", "table", "--jsonl", "sub/../table"),
          ("--csv", "--jsonl")),
-    ], ids=["run", "certificate", "oracle", "adversary", "sweep"])
+    ], ids=["run", "run-hard-link", "certificate", "oracle", "adversary", "sweep"])
     def test_same_file_twice_is_config_error(self, capsys, tmp_path, monkeypatch, argv, names):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         stream = tmp_path / "s.txt"
         stream.write_text("n=2\n0 1 1.0\n")
         os.symlink("s.txt", tmp_path / "link.txt")
+        os.link(stream, tmp_path / "hard.txt")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, "")
         assert f"{names[0]} and {names[1]} name the same file" in err
         assert stream.read_text() == "n=2\n0 1 1.0\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "s.txt", "sub"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.txt", "link.txt", "s.txt",
+                                                              "sub"]
 
 
 class TestStreamHandling:
@@ -354,27 +358,34 @@ class TestStreamHandling:
         assert report["result"]["weight"] == 4.0
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-    def test_piped_stream_is_refused(self, tmp_path):
-        # A pipe cannot be reread to locate a fault or to hash the stream;
-        # "< file" redirection gives a regular file and still works.
+    def test_piped_stream_runs_as_the_file(self, tmp_path):
+        # A pipe is read in the same one forward pass as "< file": the same exit
+        # code, fault line and report (wall_time_s is a timing, so it differs).
         path = tmp_path / "stream.txt"
-        path.write_text("n=3\n0 1 1.0\n1 2 2.0\n")
         argv = [sys.executable, "-m", "semimatch.cli", "run", "/dev/stdin", "deterministic",
                 "--gamma", "2", "--epsilon", "0.1"]
         src = str(Path(semimatch.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for text in (path.read_text(), "n=3\n0 1 1.0\n1 0 2.0\n"):
+        runs = []
+        for text in ("n=3\n0 1 1.0\n1 2 2.0\n", "n=3\n0 1 1.0\n1 0 2.0\n"):
+            path.write_text(text)
             piped = subprocess.run(argv, input=text, capture_output=True, text=True,
                                    env=env, timeout=60)
-            assert (piped.returncode, piped.stdout) == (EXIT_CONFIG, "")
-            assert "not seekable" in piped.stderr
-        with open(path, encoding="utf-8") as handle:
-            redirected = subprocess.run(argv, stdin=handle, capture_output=True, text=True,
-                                        env=env, timeout=60)
-        assert redirected.returncode == EXIT_OK, redirected.stderr
-        assert (json.loads(redirected.stdout)["config"]["stream_sha256"]
-                == hashlib.sha256(path.read_bytes()).hexdigest())
+            with open(path, encoding="utf-8") as handle:
+                redirected = subprocess.run(argv, stdin=handle, capture_output=True,
+                                            text=True, env=env, timeout=60)
+            assert (piped.returncode, piped.stderr) == (redirected.returncode, redirected.stderr)
+            runs.append((piped, redirected))
+        (valid, valid_file), (repeat, _) = runs
+        assert (valid.returncode, repeat.returncode, repeat.stdout) == (EXIT_OK, EXIT_CONFIG, "")
+        assert "line 3: duplicate edge between 0 and 1" in repeat.stderr
+        reports = [json.loads(run.stdout) for run in (valid, valid_file)]
+        for report in reports:
+            del report["result"]["wall_time_s"]
+        assert reports[0] == reports[1]
+        assert (reports[0]["config"]["stream_sha256"]
+                == hashlib.sha256(b"n=3\n0 1 1.0\n1 2 2.0\n").hexdigest())
 
     def test_stream_sha256_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
         # The file changes after each parse; each report hashes what was parsed.
