@@ -36,7 +36,6 @@ __all__ = [
     "SequenceTable",
     "ClosedFormParams",
     "IdentityReport",
-    "GameState",
     "GameResult",
     "ContractViolationError",
     "solve_R",
@@ -254,21 +253,6 @@ class ContractViolationError(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class GameState:
-    """The position after a finished step.
-
-    The victim holds ``algorithm_edge``, oriented as (y, anchor): the next
-    pair of edges attaches at ``anchor`` and the next escape edge at
-    ``y``.  ``restore`` is the chain edge that the tracked optimum gave
-    up on entering the current escape run; it is None exactly in the chain kind.
-    """
-
-    step: int = 0
-    algorithm_edge: Optional[Edge] = None
-    restore: Optional[Edge] = None
-
-
-@dataclass(frozen=True, slots=True)
 class GameResult:
     """Outcome of one adversary game."""
 
@@ -322,7 +306,11 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     opt: dict[int, Edge] = {}
     delta: dict[tuple[int, int, float], int] = {}
     alloc = count().__next__  # hands out vertex ids 0, 1, 2, ...
-    state = GameState()
+    # The position after finished step ``step``: the victim holds ``holds``, oriented
+    # as (y, anchor): the next pair of edges attaches at ``anchor`` and the next escape
+    # edge at ``y``.  ``restore`` is the chain edge that the tracked optimum gave up on
+    # entering the current escape run; it is None exactly in the chain kind.
+    step, restore = 0, None
 
     def insert(edge: Edge) -> Optional[Edge]:
         """Add an edge to the optimum; evict and return the edge at a shared end."""
@@ -364,7 +352,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
                 raise ContractViolationError(
                     f"victim resurrected {e} after dropping it ({label})")
         transcript.append({
-            "step": state.step + 1,
+            "step": step + 1,
             "label": label,
             "u": edge.u,
             "v": edge.v,
@@ -378,7 +366,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         first, second = transcript[-2], transcript[-1]
         first["label"], second["label"] = second["label"], first["label"]
 
-    def finish(step: int, violation_step: Optional[int] = None) -> GameResult:
+    def finish(steps_played: int, violation_step: Optional[int] = None) -> GameResult:
         close()
         # Summed from ``opt``, so that the optimum rebuilt from the records can be checked.
         opt_weight = math.fsum(e.weight for vertex, e in opt.items() if vertex == e.u)
@@ -386,7 +374,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         return GameResult(
             achieved_ratio=opt_weight / alg_weight if alg_weight > 0 else None,
             unbounded=not alg_weight > 0,
-            steps_played=step,
+            steps_played=steps_played,
             violation_step=violation_step,
             transcript=tuple(transcript),
             tracked_opt_weight=opt_weight,
@@ -409,11 +397,11 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     else:
         a, b = p, q
     insert(Edge(b, x1, w[1]))
-    state = GameState(1, Edge(x1, a, w[1]))
+    step, holds = 1, Edge(x1, a, w[1])
 
     # Steps 2 .. n-1: a symmetric pair at the anchor, then the escape edge.
     for i in range(2, n):
-        y, anchor = state.algorithm_edge.u, state.algorithm_edge.v
+        y, anchor = holds.u, holds.v
         pair_b, pair_a = Edge(anchor, alloc(), w[i]), Edge(anchor, alloc(), w[i])
         offer(pair_b, f"x{i}-b{i}")
         keys = offer(pair_a, f"x{i}-a{i}")
@@ -424,9 +412,9 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             pair_a, pair_b = pair_b, pair_a
         if keys == {pair_a.key}:  # the victim switched: (re)enter the chain
             insert(pair_b)
-            if state.restore is not None:
-                insert(state.restore)
-            state = GameState(i, pair_a)
+            if restore is not None:
+                insert(restore)
+            step, holds, restore = i, pair_a, None
             continue
         # Otherwise it still holds its old edge, which shares the anchor with both.
 
@@ -437,24 +425,24 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         if keys == {escape.key}:
             insert(pair_b)
             # Only the run's first escape edge evicts: the chain edge at y.
-            restore = insert(escape) or state.restore
-            state = GameState(i, escape, restore)
+            restore = insert(escape) or restore
+            step, holds = i, escape
             continue
 
         # Declined both mandated switches (it holds its old edge at y): the checkpoint fires.
-        insert(pair_b if state.restore is None else pair_a)
+        insert(pair_b if restore is None else pair_a)
         insert(escape)
         return finish(i, violation_step=i)
 
     # Final step n.
     if w[n] > 0:
-        final = Edge(state.algorithm_edge.v, alloc(), w[n])
+        final = Edge(holds.v, alloc(), w[n])
         offer(final, f"x{n}-b{n}")
         insert(final)
-        if state.restore is not None:
-            insert(state.restore)
-    elif state.restore is not None and state.restore.weight > state.algorithm_edge.weight:
+        if restore is not None:
+            insert(restore)
+    elif restore is not None and restore.weight > holds.weight:
         # No positive final edge to present; restoring the missing chain
         # edge in place of the shared escape edge certifies S_{n-1}.
-        insert(state.restore)
+        insert(restore)
     return finish(n)

@@ -12,13 +12,11 @@ and an ensemble of q shifted copies on a delta grid, best one wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
 __all__ = [
-    "BucketConfig",
     "BucketState",
     "class_index",
     "best_copy",
@@ -41,26 +39,6 @@ _TINY = math.ulp(0.0)  # the smallest positive float
 # The most grid copies an ensemble runs.  Each copy is a full BucketState,
 # and all of them are built before the pass.
 MAX_COPIES = 10_000
-
-
-@dataclass(frozen=True, slots=True)
-class BucketConfig:
-    """Parameters of one bucketed run."""
-
-    gamma: float
-    epsilon: float
-    num_vertices: int
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 1 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.num_vertices < 1:
-            raise ValueError("num_vertices must be positive")
 
 
 def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
@@ -100,8 +78,17 @@ def _power(base: float, exponent: float) -> float:
 class BucketState:
     """Streaming state: running w_max, class window, per-class matchings."""
 
-    def __init__(self, config: BucketConfig):
-        self.config = config
+    def __init__(self, gamma: float, epsilon: float, num_vertices: int, delta: float = 0.0):
+        if not 1 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+        if not 0 <= delta < 1:
+            raise ValueError(f"delta must lie in [0, 1), got {delta}")
+        if num_vertices < 1:
+            raise ValueError("num_vertices must be positive")
+        self.gamma, self.epsilon, self.delta = gamma, epsilon, delta
+        self.num_vertices = num_vertices
         self.w_max = 0.0
         self.window: Optional[tuple[int, int]] = None
         # Class floors gamma^(i+delta) for i = lo, lo+1, hi, hi+1 of the
@@ -121,18 +108,17 @@ class BucketState:
         weight lies.  Capping at w_max keeps the edge that raised w_max
         from discarding itself when epsilon > n/2.
         """
-        cfg = self.config
-        threshold = 2.0 * cfg.epsilon * self.w_max / cfg.num_vertices
+        threshold = 2.0 * self.epsilon * self.w_max / self.num_vertices
         if threshold == math.inf:
-            threshold = self.w_max / cfg.num_vertices * (2.0 * cfg.epsilon)
+            threshold = self.w_max / self.num_vertices * (2.0 * self.epsilon)
         return min(threshold, self.w_max) or _TINY
 
     def floor(self, i: int) -> float:
         """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
-        return _power(self.config.gamma, i + self.config.delta)
+        return _power(self.gamma, i + self.delta)
 
     def _move_window(self, threshold: float) -> None:
-        gamma, delta = self.config.gamma, self.config.delta
+        gamma, delta = self.gamma, self.delta
         # The class containing the threshold is the lowest whose interval
         # still intersects [threshold, w_max].
         lo = class_index(threshold, gamma, delta)
@@ -198,8 +184,7 @@ def _feed(states: list[BucketState], edges: Iterable[Edge]) -> None:
             if w >= hi_floor:
                 i = state.window[1]  # type: ignore[index]  # w <= w_max < hi_ceil
             else:
-                cfg = state.config
-                i = class_index(w, cfg.gamma, cfg.delta)
+                i = class_index(w, state.gamma, state.delta)
             slot = state.matchings.get(i)
             if slot is None:
                 slot = state.matchings[i] = GreedyMatching()
@@ -211,17 +196,17 @@ def _feed(states: list[BucketState], edges: Iterable[Edge]) -> None:
         state.edges_processed += count
 
 
-def stream_bucket_run(stream: StreamSource, config: BucketConfig) -> BucketState:
+def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
+                      delta: float = 0.0) -> BucketState:
     """Fold a whole stream through a fresh state (one pass)."""
-    state = BucketState(config)
+    state = BucketState(gamma, epsilon, stream.num_vertices, delta)
     _feed([state], stream)
     return state
 
 
 def run_deterministic(stream: StreamSource, gamma: float, epsilon: float) -> Matching:
     """Single pass with delta = 0 (phi = 1), then greedy finalize."""
-    config = BucketConfig(gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices)
-    return stream_bucket_run(stream, config).finalize()
+    return stream_bucket_run(stream, gamma, epsilon).finalize()
 
 
 def choose_q(gamma: float, epsilon: float) -> int:
@@ -267,11 +252,7 @@ def ensemble_states(
     stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> list[BucketState]:
     """One pass over the stream feeding q shifted copies, one per grid delta."""
-    states = [
-        BucketState(BucketConfig(
-            gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=d))
-        for d in delta_grid(q)
-    ]
+    states = [BucketState(gamma, epsilon, stream.num_vertices, d) for d in delta_grid(q)]
     _feed(states, stream)
     return states
 

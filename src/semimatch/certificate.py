@@ -79,7 +79,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
     streamed graph restricted to edges above the final discard
     threshold; an edge from a pruned class is rejected.
     """
-    gamma, delta = state.config.gamma, state.config.delta
+    gamma, delta = state.gamma, state.delta
     lo = state.window[0] if state.window is not None else None
 
     opt_rounded_terms = []

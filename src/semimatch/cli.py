@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 
 from . import adversary as adv
 from .bucket import (
-    BucketConfig,
     best_copy,
     choose_q,
     deterministic_ratio_bound,
@@ -114,7 +113,9 @@ def _write(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
+def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> None:
+    if labels is not None:  # a label file's map from its labels to the reported ids
+        payload["vertex_labels"] = labels
     _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
 
 
@@ -134,8 +135,7 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
         states = ensemble_states(stream, gamma, epsilon, q)
     else:
         record["delta"] = d = 0.0 if variant == "deterministic" else delta
-        states = [stream_bucket_run(stream, BucketConfig(
-            gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=d))]
+        states = [stream_bucket_run(stream, gamma, epsilon, d)]
     per_copy = [s.finalize() for s in states]
     best = best_copy(per_copy)
     record["matching"] = _matching_payload(best)
@@ -169,23 +169,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "result": record,
     }
-    if mapping is not None:
-        report["vertex_labels"] = mapping
     if args.with_oracle:
         opt_weight = max_weight_matching_exact(stream.edges).weight
         report["result"]["oracle_weight"] = opt_weight
         report["result"]["ratio_vs_oracle"] = (
             opt_weight / record["weight"] if record["weight"] > 0 else None)
-    _emit(report, args.out)
+    _emit(report, args.out, mapping)
     return EXIT_OK
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    stream, _mapping, sha256 = load_stream(args.stream)
+    stream, mapping, sha256 = load_stream(args.stream)
     delta = 0.0 if args.delta is None else args.delta
-    state = stream_bucket_run(stream, BucketConfig(
-        gamma=args.gamma, epsilon=args.epsilon,
-        num_vertices=stream.num_vertices, delta=delta))
+    state = stream_bucket_run(stream, args.gamma, args.epsilon, delta)
     survivors = filter_to_final_window(state, stream.edges)
     cert = build_certificate(state, max_weight_matching_exact(survivors))
     report = {
@@ -207,12 +203,12 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         "per_vertex_association": {
             str(v): [i, w] for v, (i, w) in sorted(cert.per_vertex_association.items())},
     }
-    _emit(report, args.out)
+    _emit(report, args.out, mapping)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    stream, _mapping, sha256 = load_stream(args.stream)
+    stream, mapping, sha256 = load_stream(args.stream)
     matching = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",
@@ -220,7 +216,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "stream_sha256": sha256,
         "matching": _matching_payload(matching),
         "weight": matching.weight,
-    }, args.out)
+    }, args.out, mapping)
     return EXIT_OK
 
 

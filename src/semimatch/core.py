@@ -327,9 +327,10 @@ def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]], str]
     Returns the stream, the label mapping of :func:`parse_stream_text`,
     and the SHA-256 (hex) of the bytes parsed, taken in the same read.  A
     byte that is not UTF-8 raises :class:`StreamFormatError` at its line,
-    in file order with the other faults within a line.
+    in file order with the other faults within a line.  A leading UTF-8
+    byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
     """
     raw = _Sha256File(path)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig",
                           errors="surrogateescape") as handle:
         return (*_parse_lines(handle), raw.digest.hexdigest())

@@ -21,7 +21,6 @@ from semimatch.adversary import (
     verify_identities,
 )
 from semimatch.bucket import (
-    BucketConfig,
     choose_q,
     class_index,
     deterministic_ratio_bound,
@@ -142,9 +141,7 @@ def test_criterion_5_certificate_chain():
             cases.append(tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6)))
         for stream in cases:
             for gamma, delta in ((2.0, 0.0), (3.513, 0.0), (2.0, 0.37), (3.513, 0.7)):
-                state = stream_bucket_run(stream, BucketConfig(
-                    gamma=gamma, epsilon=0.01,
-                    num_vertices=stream.num_vertices, delta=delta))
+                state = stream_bucket_run(stream, gamma, 0.01, delta)
                 survivors = filter_to_final_window(state, stream.edges)
                 opt = max_weight_matching_exact(survivors)
                 cert = build_certificate(state, opt)
@@ -203,8 +200,7 @@ def test_criterion_9_memory_audit():
         n, m, gamma, epsilon = 1000, 100_000, 2.0, 0.1
         stream = random_instance(RandomInstanceConfig(
             n=n, m=m, weight_law=UniformWeights(1, 100), seed=42))
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=gamma, epsilon=epsilon, num_vertices=n))
+        state = stream_bucket_run(stream, gamma, epsilon)
         bound = (n / 2) * (math.ceil(math.log(n / (2 * epsilon), gamma)) + 2)
         assert state.stored_edge_peak <= bound
         assert stream.passes == 1

@@ -193,9 +193,10 @@ class _DropEverything(PreemptiveAlgorithm):
 class _Scripted(PreemptiveAlgorithm):
     """Plays a fixed accept/reject script, one letter per presented edge.
 
-    'A' accepts (preempting whatever blocks), 'R' rejects; an exhausted
-    script rejects.  Because the adversary is deterministic given the
-    victim's choices, a script pins down the whole game tree path.
+    'A' accepts (preempting whatever blocks), 'R' rejects, 'D' rejects and
+    discards every held edge; an exhausted script rejects.  Because the
+    adversary is deterministic given the victim's choices, a script pins
+    down the whole game tree path.
     """
 
     def __init__(self, script):
@@ -205,7 +206,10 @@ class _Scripted(PreemptiveAlgorithm):
 
     def on_edge(self, edge):
         action = self._script.pop(0) if self._script else "R"
-        if action == "R":
+        if action == "D":
+            self._held.clear()
+            self._cover.clear()
+        if action != "A":
             return
         blockers = {f.key: f for f in (self._cover.get(edge.u), self._cover.get(edge.v))
                     if f is not None}
@@ -333,6 +337,20 @@ class TestScriptedTransitions:
         result = run_adversary(_Scripted(script), AdversaryConfig(C=C))
         assert result.algorithm_weight == pytest.approx(table.w[n], rel=1e-12)
         assert result.achieved_ratio >= table.S[n] / table.w[n - 1]
+        replay_transcript(result)
+
+    @pytest.mark.parametrize("i", [2, 3, 6])
+    @pytest.mark.parametrize("tail", ["RD", "RRD"], ids=["after-pair", "after-escape"])
+    def test_dropping_the_whole_hold_ends_the_game_unbounded(self, i, tail):
+        # Switch at every step up to i-1, then discard everything on the
+        # second pair edge or on the escape edge of step i.
+        result = run_adversary(_Scripted("AR" * (i - 1) + tail), AdversaryConfig(C=4.5))
+        assert result.unbounded
+        assert result.achieved_ratio is None
+        assert (result.steps_played, result.violation_step) == (i, None)
+        assert result.algorithm_weight == 0.0
+        assert result.transcript[-1]["held_after"] == []
+        assert len(result.transcript) == 2 * (i - 1) + len(tail)
         replay_transcript(result)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from semimatch import bucket
 from semimatch.bucket import (
     MAX_COPIES,
-    BucketConfig,
     BucketState,
     choose_q,
     class_index,
@@ -90,12 +89,11 @@ class TestClassIndex:
 
 def shifted_run(stream, gamma, epsilon, delta):
     """One pass with classes shifted by gamma^delta, then finalize."""
-    return stream_bucket_run(stream, BucketConfig(
-        gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta)).finalize()
+    return stream_bucket_run(stream, gamma, epsilon, delta).finalize()
 
 
 def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):
-    return BucketState(BucketConfig(gamma=gamma, epsilon=epsilon, num_vertices=n, delta=delta))
+    return BucketState(gamma, epsilon, n, delta)
 
 
 class TestProcessEdge:
@@ -277,8 +275,7 @@ class TestEnsembleDriver:
         rng.shuffle(pairs)
         stream = StreamSource(n, [E(u, v, w) for (u, v), w in zip(pairs, weights)])
         for j, state in enumerate(ensemble_states(stream, gamma, epsilon, q)):
-            alone = stream_bucket_run(stream, BucketConfig(
-                gamma=gamma, epsilon=epsilon, num_vertices=n, delta=j / q))
+            alone = stream_bucket_run(stream, gamma, epsilon, j / q)
             for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
                           "edges_processed"):
                 assert getattr(state, field) == getattr(alone, field), field
@@ -320,8 +317,7 @@ class TestFinalize:
 
     def test_tight_instance_single_edge(self):
         stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=2.0, epsilon=0.1, num_vertices=stream.num_vertices))
+        state = stream_bucket_run(stream, 2.0, 0.1)
         result = state.finalize()
         assert result.keys() == {(0, 1)}
         assert result.weight == 4.0
@@ -361,6 +357,29 @@ class TestNonFiniteParameters:
     def test_choose_q_refuses(self, gamma):
         with pytest.raises(ValueError, match="^gamma must be finite"):
             choose_q(gamma, 0.5)
+
+
+class TestBucketStateRefusals:
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.1, 4), "gamma must be finite and exceed 1, got 1.0"),
+        ((math.inf, 0.1, 4), "gamma must be finite and exceed 1, got inf"),
+        ((2.0, 0.0, 4), "epsilon must be finite and positive, got 0.0"),
+        ((2.0, math.nan, 4), "epsilon must be finite and positive, got nan"),
+        ((2.0, 0.1, 4, 1.0), "delta must lie in [0, 1), got 1.0"),
+        ((2.0, 0.1, 4, -0.1), "delta must lie in [0, 1), got -0.1"),
+        ((2.0, 0.1, 4, math.nan), "delta must lie in [0, 1), got nan"),
+        ((2.0, 0.1, 0), "num_vertices must be positive"),
+        ((2.0, 0.1, -3), "num_vertices must be positive")])
+    def test_each_refusal_word_for_word(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BucketState(*args)
+
+    def test_stream_bucket_run_reads_n_from_its_stream(self):
+        stream = StreamSource(7, [E(0, 1, 1.0), E(5, 6, 3.0)])
+        state = stream_bucket_run(stream, 2.0, 0.1, 0.25)
+        assert (state.gamma, state.epsilon, state.num_vertices, state.delta) == (2.0, 0.1, 7, 0.25)
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\), got 1\.5$"):
+            stream_bucket_run(stream, 2.0, 0.1, 1.5)
 
 
 class TestRunShifted:
@@ -533,8 +552,7 @@ def _replay_maximality(stream, gamma, epsilon, delta=0.0):
     """Unrestricted-memory replay: per streamed edge, note the window at its
     arrival (after its own w_max update), then check final per-class
     maximality for classes that survived."""
-    state = stream_bucket_run(stream, BucketConfig(
-        gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta))
+    state = stream_bucket_run(stream, gamma, epsilon, delta)
     final_lo = state.window[0]
     w_max = 0.0
     offered = []  # (edge, class) for edges whose class was live at arrival
@@ -567,7 +585,7 @@ class TestInvariants:
         bound = (n / 2) * (math.ceil(math.log(n / (2 * epsilon), gamma)) + 2)
         stream = random_instance(RandomInstanceConfig(
             n=n, m=400, weight_law=UniformWeights(0.01, 1e7), seed=77))
-        state = BucketState(BucketConfig(gamma=gamma, epsilon=epsilon, num_vertices=n))
+        state = BucketState(gamma, epsilon, n)
         for e in stream:
             state.process(e)
             assert state.stored_edge_count <= bound
@@ -576,8 +594,7 @@ class TestInvariants:
     def test_stored_count_tracks_matchings(self):
         stream = random_instance(RandomInstanceConfig(
             n=20, m=80, weight_law=UniformWeights(0.1, 1e5), seed=4))
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=2.0, epsilon=0.5, num_vertices=20))
+        state = stream_bucket_run(stream, 2.0, 0.5)
         assert state.stored_edge_count == sum(
             len(s.edges) for s in state.matchings.values())
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from semimatch.bucket import BucketConfig, BucketState, stream_bucket_run
+from semimatch.bucket import BucketState, stream_bucket_run
 from semimatch.certificate import (
     AnalysisCertificate,
     build_certificate,
@@ -31,8 +31,7 @@ def chain_assert(cert):
 
 
 def build_for(stream, gamma, epsilon, delta=0.0):
-    state = stream_bucket_run(stream, BucketConfig(
-        gamma=gamma, epsilon=epsilon, num_vertices=stream.num_vertices, delta=delta))
+    state = stream_bucket_run(stream, gamma, epsilon, delta)
     survivors = filter_to_final_window(state, stream.edges)
     opt = max_weight_matching_exact(survivors)
     return state, build_certificate(state, opt)
@@ -66,7 +65,7 @@ class TestVertexAssociation:
     def test_highest_class_claims_vertex(self):
         # vertex 0 appears in the class-3 and class-1 matchings: associated with 3
         edges = [Edge(0, 1, 2.0), Edge(0, 2, 9.0)]
-        state = BucketState(BucketConfig(gamma=2.0, epsilon=0.01, num_vertices=8))
+        state = BucketState(2.0, 0.01, 8)
         for e in edges:
             state.process(e)
         assert sorted(state.matchings) == [1, 3]
@@ -82,7 +81,7 @@ class TestVertexAssociation:
         state, cert = build_for(stream, 2.0, 0.1)
         # dict keys are unique by construction; check weights match class floors
         for vertex, (i, w) in cert.per_vertex_association.items():
-            assert w == pytest.approx(2.0 ** (i + state.config.delta), rel=1e-12)
+            assert w == pytest.approx(2.0 ** (i + state.delta), rel=1e-12)
 
 
 class TestShiftedFloors:
@@ -97,7 +96,7 @@ class TestShiftedFloors:
 
 class TestErrors:
     def test_oracle_edge_below_final_threshold_rejected(self):
-        state = BucketState(BucketConfig(gamma=2.0, epsilon=1.0, num_vertices=4))
+        state = BucketState(2.0, 1.0, 4)
         state.process(Edge(0, 1, 1.0))
         state.process(Edge(2, 3, 4096.0))  # threshold 2048, window clamps high
         dead = Matching([Edge(0, 1, 1.0)])

@@ -16,7 +16,14 @@ import semimatch
 from semimatch import cli
 from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from semimatch.generators import TightExampleConfig, tight_instance_opt_weight
+from semimatch.core import format_stream
+from semimatch.generators import (
+    ExponentialClassWeights,
+    RandomInstanceConfig,
+    TightExampleConfig,
+    random_instance,
+    tight_instance_opt_weight,
+)
 
 from test_adversary import opt_after_form, optima
 
@@ -58,6 +65,15 @@ class TestGen:
         _, out1, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10")
         _, out2, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10", "--seed", "0")
         assert out1 == out2
+
+    def test_expclasses_law(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "random", "--n", "8", "--m", "10",
+                               "--law", "expclasses:2,5", "--seed", "3")
+        assert code == EXIT_OK
+        assert out == format_stream(random_instance(RandomInstanceConfig(
+            n=8, m=10, weight_law=ExponentialClassWeights(gamma=2.0, depth=5), seed=3)))
+        weights = [float(line.split()[2]) for line in out.splitlines()[1:]]
+        assert len(weights) == 10 and all(1.0 <= w < 2.0 ** 5 for w in weights)
 
     def test_bad_law(self, capsys):
         code, _, err = run_cli(capsys, "gen", "random", "--n", "8", "--m", "5",
@@ -150,6 +166,17 @@ class TestRun:
                                "--gamma", "0.5", "--epsilon", "0.1")
         assert code == EXIT_CONFIG
         assert "gamma" in err
+
+    @pytest.mark.parametrize("delta", ["1", "-0.1"])
+    @pytest.mark.parametrize("command", [("run", "{path}", "shifted"),
+                                         ("certificate", "{path}", "--variant", "shifted")])
+    def test_delta_outside_the_unit_interval_is_config_error(
+            self, capsys, tmp_path, command, delta):
+        path = gen_tight(capsys, tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in command),
+                                 "--gamma", "2", "--epsilon", "0.1", "--delta", delta)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"semimatch: delta must lie in [0, 1), got {float(delta)}\n"
 
 
 class TestNonFiniteParameters:
@@ -357,6 +384,56 @@ class TestStreamHandling:
         assert report["vertex_labels"] == {"left": 0, "right": 1, "mid": 2}
         assert report["result"]["weight"] == 4.0
 
+    def test_every_report_on_a_label_file_carries_the_mapping(self, capsys, tmp_path):
+        for text, labels in (("n=3\nalice bob 2.0\nbob carol 1.0\n",
+                              {"alice": 0, "bob": 1, "carol": 2}),
+                             ("n=3\n0 1 2.0\n1 2 1.0\n", None)):
+            path = tmp_path / "stream.txt"
+            path.write_text(text)
+            for command in (("run", str(path), "deterministic"), ("certificate", str(path)),
+                            ("oracle", str(path))):
+                if command[0] != "oracle":
+                    command += ("--gamma", "2", "--epsilon", "0.1")
+                code, out, _ = run_cli(capsys, *command)
+                assert code == EXIT_OK
+                assert json.loads(out).get("vertex_labels", None) == labels, command
+
+    @pytest.mark.parametrize("text", ["n=3\n0 1 1.0\n1 2 2.0\n", "0 1 1.0\n1 2 2.0\n",
+                                      "n=3\nalice bob 1.0\nbob carol 2.0\n"],
+                             ids=["header", "no-header", "labels"])
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, text):
+        # The report equals the one without the mark, apart from the file's
+        # name and hash; the hash is of the bytes read, mark included.
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for command in (("run", "{}", "deterministic", "--gamma", "2", "--epsilon", "0.1"),
+                        ("certificate", "{}", "--gamma", "2", "--epsilon", "0.1"),
+                        ("oracle", "{}")):
+            reports = []
+            for path in (plain, marked):
+                code, out, err = run_cli(capsys, *(a.format(path) for a in command))
+                assert (code, err) == (EXIT_OK, "")
+                report = json.loads(out)
+                names = report.get("config", report)
+                assert names.pop("stream") == str(path)
+                reports.append((report, names.pop("stream_sha256")))
+                report.get("result", {}).pop("wall_time_s", None)
+            (plain_report, _), (marked_report, digest) = reports
+            assert marked_report == plain_report
+            assert digest == hashlib.sha256(marked.read_bytes()).hexdigest()
+
+    def test_byte_order_mark_elsewhere_is_part_of_a_label(self, capsys, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_bytes("\ufeffn=3\nalice \ufeffbob 1.0\n".encode("utf-8"))
+        code, out, _ = run_cli(capsys, "oracle", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["vertex_labels"] == {"alice": 0, "\ufeffbob": 1}
+        path.write_bytes("\ufeff\ufeffn=3\n0 1 1.0\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "line 1: expected '<u> <v> <weight>', got 1 fields" in err
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_stream_runs_as_the_file(self, tmp_path):
         # A pipe is read in the same one forward pass as "< file": the same exit
@@ -386,6 +463,26 @@ class TestStreamHandling:
         assert reports[0] == reports[1]
         assert (reports[0]["config"]["stream_sha256"]
                 == hashlib.sha256(b"n=3\n0 1 1.0\n1 2 2.0\n").hexdigest())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_stream_with_a_byte_order_mark_runs(self, capsys, tmp_path):
+        data = b"\xef\xbb\xbfn=3\n0 1 1.0\n1 2 2.0\n"
+        path = tmp_path / "stream.txt"
+        path.write_bytes(data)
+        src = str(Path(semimatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        piped = subprocess.run([sys.executable, "-m", "semimatch.cli", "run", "/dev/stdin",
+                                "deterministic", "--gamma", "2", "--epsilon", "0.1"],
+                               input=data, capture_output=True, env=env, timeout=60)
+        assert (piped.returncode, piped.stderr) == (EXIT_OK, b"")
+        code, out, _ = run_cli(capsys, "run", str(path), "deterministic",
+                               "--gamma", "2", "--epsilon", "0.1")
+        reports = [json.loads(piped.stdout), json.loads(out)]
+        for report in reports:
+            del report["config"]["stream"], report["result"]["wall_time_s"]
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["stream_sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_stream_sha256_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
         # The file changes after each parse; each report hashes what was parsed.
@@ -525,6 +622,19 @@ class TestSweep:
         assert len(rows) == 2
         for row in rows:
             assert row["n"] == "30" and row["opt_weight"] != ""
+            assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("flags, k", [((), 2), (("--k", "3"), 3)])
+    def test_tight_family(self, capsys, flags, k):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "tight", "--gammas", "2,3",
+                               "--seeds", "0,1", *flags)
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 * 2 * 2  # seeds x gammas x variants
+        opt = tight_instance_opt_weight(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+        for row in rows:
+            assert (row["n"], row["m"]) == (str(4 * k + 4), str(4 * k + 3))
+            assert float(row["opt_weight"]) == opt
             assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
 
     @pytest.mark.parametrize("seeds", ["", "0"])

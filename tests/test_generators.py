@@ -124,11 +124,10 @@ class TestStoredUnionOptimum:
     def test_exact_matching_over_stored_edges_gains_nothing(self, gamma):
         # on the ladder, solving the stored classes exactly instead of
         # greedily still yields just the center edge once gamma >= 2
-        from semimatch.bucket import BucketConfig, stream_bucket_run
+        from semimatch.bucket import stream_bucket_run
 
         stream = tight_instance(TightExampleConfig(gamma=gamma, k=3, eps=1e-6))
-        state = stream_bucket_run(stream, BucketConfig(
-            gamma=gamma, epsilon=0.01, num_vertices=stream.num_vertices))
+        state = stream_bucket_run(stream, gamma, 0.01)
         stored = [e for slot in state.matchings.values() for e in slot.edges]
         stored_opt = max_weight_matching_exact(stored).weight
         assert stored_opt == state.finalize().weight == gamma ** 3

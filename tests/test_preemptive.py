@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimatch.bucket import BucketConfig, stream_bucket_run
+from semimatch.bucket import stream_bucket_run
 from semimatch.core import Edge, Matching
 from semimatch.generators import (
     RandomInstanceConfig,
@@ -132,8 +132,7 @@ def test_bucketed_run_stores_edges_that_are_not_a_matching(k):
     # Why the bucketed run is not preemptive: the class matchings it stores
     # overlap, and only finalize turns them into one matching.
     stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
-    state = stream_bucket_run(stream, BucketConfig(
-        gamma=2.0, epsilon=0.01, num_vertices=stream.num_vertices))
+    state = stream_bucket_run(stream, 2.0, 0.01)
     with pytest.raises(ValueError, match="not a matching"):
         Matching(e for slot in state.matchings.values() for e in slot.edges)
     assert state.finalize().keys() == {(0, 1)}
