@@ -1,18 +1,32 @@
 """One-pass bucketed weighted matching.
 
 Edges are partitioned into geometric weight classes
-``[phi*gamma^i, phi*gamma^(i+1))`` with ``phi = gamma^delta``; a maximal
-matching is kept per class under consideration, classes far below the
-running maximum weight are pruned, and a greedy scan over the surviving
-classes (highest first) produces the final matching.  Three variants
-share the pipeline: deterministic (delta = 0), shifted (fixed delta),
-and an ensemble of q shifted copies on a delta grid, best one wins.
+``[gamma^(i+delta), gamma^(i+1+delta))``; a maximal matching is kept per
+class under consideration, classes far below the running maximum weight
+are pruned, and a greedy scan over the surviving classes (highest first)
+produces the final matching.  Three variants share the pipeline:
+deterministic (delta = 0), shifted (fixed delta), and an ensemble of q
+shifted copies on a delta grid, best one wins.
+
+The copies of one pass share one fine grid.  Position ``p = i*q + j`` is
+class i of copy j, and its floor is copy j's own ``gamma**(i + delta_j)``,
+the power :func:`class_index` compares against.  The pass assumes that
+these fine floors never decrease along p; the table that holds them
+checks each floor it fills in, and raises ValueError naming gamma and q
+if one decreases.  Under that assumption an edge in fine cell K (the
+last position whose floor is at most its weight) lies in class
+``(K - j) // q`` of copy j: it occupies positions ``K-q+1 .. K``, one per
+copy.  Every copy's window then starts at one alive position, q-1 below
+the threshold's cell, and one int per vertex, a bit per position whose
+class matching covers the vertex, tests an edge against all q class
+matchings at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+import sys
+from typing import Iterable, NamedTuple, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
@@ -28,6 +42,8 @@ __all__ = [
     "ensemble_states",
     "delta_grid",
     "MAX_COPIES",
+    "MAX_WINDOW_POSITIONS",
+    "ClassMatching",
     "deterministic_ratio_bound",
     "randomized_ratio_bound",
     "ensemble_ratio_bound",
@@ -36,8 +52,8 @@ __all__ = [
 
 _TINY = math.ulp(0.0)  # the smallest positive float
 
-# The most grid copies an ensemble runs.  Each copy is a full BucketState,
-# and all of them are built before the pass.
+# The most grid copies an ensemble runs.  The grid's window holds q
+# positions per class, all of them built as the window moves.
 MAX_COPIES = 10_000
 
 
@@ -75,29 +91,189 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
+class ClassMatching(NamedTuple):
+    """The matching one copy keeps in one weight class, in arrival order."""
+
+    edges: list[Edge]
+
+
 class BucketState:
-    """Streaming state: running w_max, class window, per-class matchings."""
+    """One copy of a pass: its shift, window, class matchings and counts.
+
+    The copies of one pass share one :class:`_Grid`, and each reads its
+    own part of it.  Built directly, a state is the only copy of its grid.
+    """
 
     def __init__(self, gamma: float, epsilon: float, num_vertices: int, delta: float = 0.0):
+        self._bind(_Grid(gamma, epsilon, num_vertices, (delta,)), 0)
+
+    def _bind(self, grid: _Grid, copy: int) -> None:
+        self._grid, self._copy = grid, copy
+        self.gamma, self.epsilon, self.num_vertices = grid.gamma, grid.epsilon, grid.num_vertices
+        self.delta = grid.deltas[copy]
+
+    @property
+    def w_max(self) -> float:
+        return self._grid.w_max
+
+    @property
+    def threshold(self) -> float:
+        """Discard threshold 2*epsilon*w_max/n below which classes die."""
+        return self._grid.threshold
+
+    @property
+    def edges_processed(self) -> int:
+        return self._grid.edges_processed
+
+    @property
+    def window(self) -> Optional[tuple[int, int]]:
+        """Classes of the threshold and of w_max; None before the first edge."""
+        grid, j = self._grid, self._copy
+        if grid.top is None:
+            return None
+        return (grid.bottom - j) // grid.q, (grid.top - j) // grid.q
+
+    @property
+    def matchings(self) -> dict[int, ClassMatching]:
+        """Each live class's matching by class index, lowest class first."""
+        grid, j = self._grid, self._copy
+        slots, base = grid.slots, grid.base
+        return {(p - j) // grid.q: ClassMatching(list(slots[p - base]))
+                for p in grid.positions(j) if slots[p - base]}
+
+    @property
+    def stored_edge_count(self) -> int:
+        return self._grid.count(self._copy)
+
+    @property
+    def stored_edge_peak(self) -> int:
+        return max(self._grid.peaks[self._copy], self.stored_edge_count)
+
+    def floor(self, i: int) -> float:
+        """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
+        return _power(self.gamma, i + self.delta)
+
+    def process(self, edge: Edge) -> None:
+        """Classify one arriving edge for every copy of the pass; store it or discard it."""
+        self._grid.feed((edge,))
+
+    def finalize(self) -> Matching:
+        """Greedy matching over the stored edges, highest class first.
+
+        Within one class edges keep insertion order.  An edge is taken
+        unless it touches a vertex already taken.
+        """
+        grid, greedy = self._grid, GreedyMatching()
+        for p in reversed(grid.positions(self._copy)):
+            for e in grid.slots[p - grid.base]:
+                greedy.add(e)
+        return Matching(greedy.edges)
+
+
+# The most grid positions a window may span: q per class, over
+# log_gamma(n/(2*epsilon)) + 2 classes.  A vertex's bitset spans at most
+# twice the window, 256 KiB.  The ratio counts as at least 3, the run of
+# floors that round to the smallest float, which a cell derivation walks.
+MAX_WINDOW_POSITIONS = 1 << 20
+_LOG_RANGE = math.log(sys.float_info.max) - math.log(_TINY)  # log of the widest float ratio
+
+
+class _Floors:
+    """The class floors of shifted copies on one fine grid, filled in on demand.
+
+    Position ``p = i*q + j`` has copy j's floor ``gamma**(i + deltas[j])``.
+    The table holds one run of consecutive positions.  Each floor filled
+    in is checked against its neighbours: floors that decrease raise
+    ValueError, since a cell then no longer gives every copy its class.
+    """
+
+    def __init__(self, gamma: float, deltas: tuple[float, ...]):
+        self.gamma, self.deltas, self.q = gamma, deltas, len(deltas)
+        self._scale = self.q / math.log(gamma)  # positions per unit of log(w)
+        self._table: dict[int, float] = {}
+        self._run = (0, 0)  # the table holds exactly the positions lo <= p < hi
+
+    def __getitem__(self, p: int) -> float:
+        table, gamma, q, deltas = self._table, self.gamma, self.q, self.deltas
+        if p in table:
+            return table[p]
+        lo, hi = self._run
+        if lo == hi or p >= hi + q:  # far above the run: start a new one at p
+            table.clear()
+            lo = hi = p
+        for r in range(hi, p + 1) if p >= hi else range(lo - 1, p - 1, -1):
+            floor = table[r] = _power(gamma, r // q + deltas[r % q])
+            if table.get(r - 1, -math.inf) > floor or floor > table.get(r + 1, math.inf):
+                raise ValueError(
+                    f"gamma={gamma}, q={q}: the class floors decrease at grid position "
+                    f"{r}, and the grid needs floors that never decrease")
+        self._run = (min(lo, p), max(hi, p + 1))
+        return table[p]
+
+    def cell(self, w: float) -> int:
+        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then corrected.
+
+        Copy j's class of w is then ``(K - j) // q``.
+        """
+        table = self._table
+        k = math.floor(math.log(w) * self._scale)
+        while (table[k] if k in table else self[k]) > w:
+            k -= 1
+        while (table[k + 1] if k + 1 in table else self[k + 1]) <= w:
+            k += 1
+        return k
+
+    def drop_below(self, p: int) -> None:
+        """Forget the floors of the positions below p."""
+        lo, hi = self._run
+        for r in range(lo, min(p, hi)):
+            del self._table[r]
+        self._run = (max(lo, p), hi) if p < hi else (0, 0)
+
+
+class _Grid:
+    """The state of one pass, shared by copies that differ only in their shift.
+
+    Position ``p = i*q + j`` is class i of copy j.  ``top`` is the fine
+    cell of w_max and ``bottom`` that of the threshold; positions below
+    ``alive = bottom - q + 1`` are pruned.  ``slots[p - base]`` lists the
+    edges stored at position p, and bit ``p - base`` of ``cover[x]`` is
+    set when one of them ends at vertex x.  ``peaks[j]`` is the most
+    edges copy j stored just before a prune that removed some of them.
+    """
+
+    def __init__(self, gamma: float, epsilon: float, num_vertices: int,
+                 deltas: tuple[float, ...]):
         if not 1 < gamma < math.inf:
             raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
         if not 0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-        if not 0 <= delta < 1:
-            raise ValueError(f"delta must lie in [0, 1), got {delta}")
+        for delta in deltas:
+            if not 0 <= delta < 1:
+                raise ValueError(f"delta must lie in [0, 1), got {delta}")
         if num_vertices < 1:
             raise ValueError("num_vertices must be positive")
-        self.gamma, self.epsilon, self.delta = gamma, epsilon, delta
-        self.num_vertices = num_vertices
+        q = len(deltas)
+        ratio = num_vertices / (2.0 * epsilon)  # w_max over the threshold
+        span = q * (min(math.log(max(ratio, 3.0)), _LOG_RANGE) / math.log(gamma) + 2)
+        if span > MAX_WINDOW_POSITIONS:
+            raise ValueError(
+                f"gamma={gamma}, epsilon={epsilon}, num_vertices={num_vertices} and q={q} "
+                f"give a window of up to {math.ceil(span)} grid positions, more than the "
+                f"limit of {MAX_WINDOW_POSITIONS}")
+        self.gamma, self.epsilon, self.num_vertices = gamma, epsilon, num_vertices
+        self.deltas, self.q = deltas, q
+        self.floors = _Floors(gamma, deltas)
         self.w_max = 0.0
-        self.window: Optional[tuple[int, int]] = None
-        # Class floors gamma^(i+delta) for i = lo, lo+1, hi, hi+1 of the
-        # window; +inf until the first edge, whose window move fills them.
-        self._floors = (math.inf,) * 4
-        self.matchings: dict[int, GreedyMatching] = {}
-        self.stored_edge_count = 0
-        self.stored_edge_peak = 0
         self.edges_processed = 0
+        self.top: Optional[int] = None
+        self.bottom = self.alive = self.base = 0
+        self.slots: list[list[Edge]] = []
+        self.cover: dict[int, int] = {}
+        self.peaks = [0] * q
+        # floor(alive), floor(top), floor(top + 1) and floor(bottom + 1):
+        # the pass's tests.  The first edge always moves the window.
+        self._bounds = (math.inf, math.inf, 0.0, 0.0)
 
     @property
     def threshold(self) -> float:
@@ -113,37 +289,107 @@ class BucketState:
             threshold = self.w_max / self.num_vertices * (2.0 * self.epsilon)
         return min(threshold, self.w_max) or _TINY
 
-    def floor(self, i: int) -> float:
-        """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
-        return _power(self.gamma, i + self.delta)
+    def positions(self, j: int) -> range:
+        """Copy j's live positions, lowest first."""
+        if self.top is None:
+            return range(0)
+        return range(self.alive + (j - self.alive) % self.q, self.top + 1, self.q)
 
-    def _move_window(self, threshold: float) -> None:
-        gamma, delta = self.gamma, self.delta
-        # The class containing the threshold is the lowest whose interval
-        # still intersects [threshold, w_max].
-        lo = class_index(threshold, gamma, delta)
-        hi = class_index(self.w_max, gamma, delta)
-        self.window = (lo, hi)
-        self._floors = (self.floor(lo), self.floor(lo + 1), self.floor(hi), self.floor(hi + 1))
-        for i in [i for i in self.matchings if i < lo]:
-            self.stored_edge_count -= len(self.matchings[i].edges)
-            del self.matchings[i]
+    def count(self, j: int) -> int:
+        """The number of edges copy j stores."""
+        slots, base = self.slots, self.base
+        return sum(len(slots[p - base]) for p in self.positions(j))
 
-    def process(self, edge: Edge) -> None:
-        """Classify one arriving edge; store it or discard it forever."""
-        _feed([self], (edge,))
+    def copies(self) -> list[BucketState]:
+        """A view of each copy, in shift order."""
+        states = [BucketState.__new__(BucketState) for _ in self.deltas]
+        for j, state in enumerate(states):
+            state._bind(self, j)
+        return states
 
-    def finalize(self) -> Matching:
-        """Greedy matching over the stored edges, highest class first.
+    def _move(self, threshold: float) -> None:
+        """Move the window to the cells of w_max and the threshold; prune below it.
 
-        Within one class edges keep insertion order.  An edge is taken
-        unless it touches a vertex already taken.
+        The cell of w_max is derived first: a jump far above the floor
+        table restarts it there, and the threshold's cell lies below.
         """
-        greedy = GreedyMatching()
-        for i in sorted(self.matchings, reverse=True):
-            for e in self.matchings[i].edges:
-                greedy.add(e)
-        return Matching(greedy.edges)
+        q, floors, first = self.q, self.floors, self.top is None
+        _, _, top_ceil, bottom_ceil = self._bounds
+        top = floors.cell(self.w_max) if self.w_max >= top_ceil else self.top
+        bottom = floors.cell(threshold) if threshold >= bottom_ceil else self.bottom
+        alive, slots, base = bottom - q + 1, self.slots, self.base
+        if first:
+            base = alive
+        else:
+            for p in range(self.alive, min(alive, self.top + 1)):
+                if slots[p - base]:
+                    j = p % q
+                    self.peaks[j] = max(self.peaks[j], self.count(j))
+                    slots[p - base] = []
+            if alive - base > top - alive:  # more stale positions than live ones
+                shift = alive - base
+                del slots[:shift]
+                self.cover = {x: bits >> shift for x, bits in self.cover.items() if bits >> shift}
+                floors.drop_below(alive)
+                base = alive
+        self.base, self.alive, self.bottom, self.top = base, alive, bottom, top
+        slots.extend([] for _ in range(top - base + 1 - len(slots)))
+        # Fill the table over [alive, top + q], every position an edge's
+        # classes depend on, so that each of their floors is checked.
+        floors[top + q]
+        self._bounds = (floors[alive], floors[top], floors[top + 1], floors[bottom + 1])
+
+    def feed(self, edges: Iterable[Edge]) -> None:
+        """The one pass loop: classify each edge once, for every copy.
+
+        An edge in fine cell K lies at positions K-q+1 .. K, one per copy;
+        those at or above ``alive`` are the copies whose window holds its
+        class.  One bit test against both ends' bitsets finds the copies
+        whose class matching takes it.
+        """
+        q, full, count = self.q, (1 << self.q) - 1, 0
+        w_max, alive, top, base = self.w_max, self.alive, self.top, self.base
+        cover, slots, cell = self.cover, self.slots, self.floors.cell
+        alive_floor, top_floor, top_ceil, bottom_ceil = self._bounds
+        for edge in edges:
+            count += 1
+            w = edge.weight
+            if w > w_max:
+                self.w_max = w_max = w
+                threshold = self.threshold
+                if w >= top_ceil or threshold >= bottom_ceil:
+                    self._move(threshold)
+                    alive, top, base, cover = self.alive, self.top, self.base, self.cover
+                    alive_floor, top_floor, top_ceil, bottom_ceil = self._bounds
+                k = top
+            elif w < alive_floor:
+                continue
+            elif w >= top_floor:
+                k = top
+            else:
+                k = cell(w)
+            lo = k - q + 1
+            if lo >= alive:
+                mask = full
+            else:
+                lo, mask = alive, (1 << (k - alive + 1)) - 1
+            shift = lo - base
+            u, v = edge.u, edge.v
+            cu, cv = cover.get(u, 0), cover.get(v, 0)
+            free = mask & ~((cu | cv) >> shift)
+            if not free:
+                continue
+            cover[u] = cu | free << shift
+            cover[v] = cv | free << shift
+            if free == mask:
+                for slot in slots[shift:shift + mask.bit_length()]:
+                    slot.append(edge)
+            else:
+                while free:
+                    low = free & -free
+                    slots[shift + low.bit_length() - 1].append(edge)
+                    free ^= low
+        self.edges_processed += count
 
 
 def best_copy(per_copy: list[Matching]) -> Matching:
@@ -156,51 +402,11 @@ def best_copy(per_copy: list[Matching]) -> Matching:
     return max(per_copy, key=lambda m: m.weight)
 
 
-def _feed(states: list[BucketState], edges: Iterable[Edge]) -> None:
-    """The one pass loop: feed each edge to every copy, in copy order.
-
-    The copies differ only in delta, so they share w_max and the discard
-    threshold, and both are derived once per edge.  A copy recomputes its
-    window only when the threshold or w_max left the classes at its ends.
-    """
-    first, count = states[0], 0
-    for edge in edges:
-        count += 1
-        w = edge.weight
-        if w > first.w_max:
-            first.w_max = w
-            threshold = first.threshold
-            for state in states:
-                state.w_max = w
-                # The floors are the powers class_index compares against,
-                # so these tests agree with it exactly.
-                lo_floor, lo_ceil, hi_floor, hi_ceil = state._floors
-                if not (lo_floor <= threshold < lo_ceil and hi_floor <= w < hi_ceil):
-                    state._move_window(threshold)
-        for state in states:
-            lo_floor, _, hi_floor, _ = state._floors
-            if w < lo_floor:
-                continue
-            if w >= hi_floor:
-                i = state.window[1]  # type: ignore[index]  # w <= w_max < hi_ceil
-            else:
-                i = class_index(w, state.gamma, state.delta)
-            slot = state.matchings.get(i)
-            if slot is None:
-                slot = state.matchings[i] = GreedyMatching()
-            if slot.add(edge):
-                state.stored_edge_count += 1
-                if state.stored_edge_count > state.stored_edge_peak:
-                    state.stored_edge_peak = state.stored_edge_count
-    for state in states:
-        state.edges_processed += count
-
-
 def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
                       delta: float = 0.0) -> BucketState:
     """Fold a whole stream through a fresh state (one pass)."""
     state = BucketState(gamma, epsilon, stream.num_vertices, delta)
-    _feed([state], stream)
+    state._grid.feed(stream)
     return state
 
 
@@ -252,9 +458,9 @@ def ensemble_states(
     stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> list[BucketState]:
     """One pass over the stream feeding q shifted copies, one per grid delta."""
-    states = [BucketState(gamma, epsilon, stream.num_vertices, d) for d in delta_grid(q)]
-    _feed(states, stream)
-    return states
+    grid = _Grid(gamma, epsilon, stream.num_vertices, tuple(delta_grid(q)))
+    grid.feed(stream)
+    return grid.copies()
 
 
 def run_ensemble(

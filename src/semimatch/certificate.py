@@ -94,8 +94,9 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
     # Vertex association: walk classes top-down; a vertex covered by
     # several class matchings belongs to the highest one.
     per_vertex: dict[int, tuple[int, float]] = {}
-    for i in sorted(state.matchings, reverse=True):
-        for e in state.matchings[i].edges:
+    matchings = state.matchings
+    for i in sorted(matchings, reverse=True):
+        for e in matchings[i].edges:
             for vertex in (e.u, e.v):
                 if vertex not in per_vertex:
                     per_vertex[vertex] = (i, state.floor(i))

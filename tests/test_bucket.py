@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 
@@ -197,7 +198,7 @@ def window_cases(draw):
 
 
 class TestWindowCache:
-    """The cached class floors give the same window and slots as class_index."""
+    """The grid's fine cells give the same window and slots as class_index."""
 
     @settings(max_examples=300)
     @given(window_cases(), st.randoms(use_true_random=False))
@@ -230,17 +231,18 @@ class TestWindowCache:
         assert {i: [e.weight for e in slot.edges] for i, slot in state.matchings.items()} \
             == {10: [1024.0, 1024.0], 7: [128.0], 9: [under_top]}
 
-    def test_class_index_calls_on_ascending_stream(self, monkeypatch):
+    def test_cell_derivations_on_ascending_stream(self, monkeypatch):
         edges = ascending_class_edges()
         gamma, epsilon = 3.513, 0.5
         calls = 0
+        cell = bucket._Floors.cell
 
-        def counting(*args):
+        def counting(floors, w):
             nonlocal calls
             calls += 1
-            return class_index(*args)
+            return cell(floors, w)
 
-        monkeypatch.setattr(bucket, "class_index", counting)
+        monkeypatch.setattr(bucket._Floors, "cell", counting)
         for delta in delta_grid(14)[:3]:
             state = make_state(gamma=gamma, epsilon=epsilon, n=1000, delta=delta)
             calls, moves, interior = 0, 0, 0
@@ -285,14 +287,14 @@ class TestEnsembleDriver:
     def test_threshold_derived_once_per_raise(self, monkeypatch):
         edges = ascending_class_edges()
         derived = 0
-        threshold = BucketState.threshold
+        threshold = bucket._Grid.threshold
 
-        def counting(state):
+        def counting(grid):
             nonlocal derived
             derived += 1
-            return threshold.fget(state)
+            return threshold.fget(grid)
 
-        monkeypatch.setattr(BucketState, "threshold", property(counting))
+        monkeypatch.setattr(bucket._Grid, "threshold", property(counting))
         states = ensemble_states(StreamSource(1000, edges), 3.513, 0.5, 14)
         raises, w_max = 0, 0.0
         for e in edges:
@@ -303,6 +305,77 @@ class TestEnsembleDriver:
         # raise, not once per copy (28,000).
         assert derived <= raises
         assert sum(state.edges_processed for state in states) == 14 * len(edges)
+
+
+@st.composite
+def grid_cases(draw):
+    """A weight, a gamma in (1, 20] and a number of copies q in 1..50.
+
+    Below gamma = 1.01 the weight is a normal float: just above 5e-324 a
+    floor keeps one value over about ln(3)/ln(gamma) classes, and both
+    class_index and the cell derivation walk them one by one.
+    """
+    gamma = draw(st.floats(min_value=1.0, max_value=20.0, exclude_min=True))
+    low = 5e-324 if gamma >= 1.01 else sys.float_info.min
+    return draw(st.floats(min_value=low, max_value=1.79e308)), gamma, draw(st.integers(1, 50))
+
+
+class TestFineGrid:
+    """One fine cell per edge gives each copy the class class_index gives it."""
+
+    @settings(max_examples=200)
+    @given(grid_cases())
+    def test_cell_gives_every_copy_its_class(self, case):
+        w, gamma, q = case
+        k = bucket._Floors(gamma, tuple(delta_grid(q))).cell(w)
+        assert [(k - j) // q for j in range(q)] == \
+            [class_index(w, gamma, j / q) for j in range(q)]
+
+    def test_decreasing_floors_are_refused(self, monkeypatch):
+        power = bucket._power
+
+        def dented(base, exponent):
+            # Class 3 of copy 0 at gamma=2, q=4: 8/3, below 2**2.75.
+            return power(base, exponent) / (3.0 if exponent == 3 else 1.0)
+
+        monkeypatch.setattr(bucket, "_power", dented)
+        with pytest.raises(ValueError, match=r"^gamma=2\.0, q=4: the class floors decrease"):
+            ensemble_states(StreamSource(2, [E(0, 1, 8.0)]), 2.0, 0.5, 4)
+
+    def test_full_range_ascending_stream(self):
+        gamma, epsilon, q, n, m = 3.513, 0.5, 14, 1000, 600
+        low, high = math.log(5e-324), math.log(1.79e308)
+        weights = [5e-324] + [math.exp(low + (high - low) * t / m) for t in range(1, m - 1)] \
+            + [1.79e308]
+        rng = random.Random(5)
+        pairs = rng.sample([(u, v) for v in range(50) for u in range(v)], m)
+        edges = [E(u, v, w) for (u, v), w in zip(pairs, sorted(weights))]
+        states = ensemble_states(StreamSource(n, ()), gamma, epsilon, q)
+        grid, peaks, bases = states[0]._grid, [0] * q, []
+        for e in edges:
+            states[0].process(e)
+            peaks = [max(peak, state.stored_edge_count) for peak, state in zip(peaks, states)]
+            # Bits and slots below the alive position are dropped as it rises.
+            bound = 2 * (grid.top - grid.alive) + 1
+            assert len(grid.slots) <= bound
+            assert all(bits.bit_length() <= bound for bits in grid.cover.values())
+            bases.append(grid.base)
+        assert bases[-1] - bases[0] > 1100 * q  # the window climbed about 1,150 classes
+        # Each copy's peak, read only before a prune and at the end, is its
+        # count's largest value after any edge.
+        assert [state.stored_edge_peak for state in states] == peaks
+        stream = StreamSource(n, edges)
+        for j, state in enumerate(states):
+            delta = j / q
+            alone = stream_bucket_run(stream, gamma, epsilon, delta)
+            for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
+                          "edges_processed"):
+                assert getattr(state, field) == getattr(alone, field), field
+            assert state.matchings == alone.matchings
+            assert state.window == (class_index(state.threshold, gamma, delta),
+                                    class_index(state.w_max, gamma, delta))
+            for i, slot in state.matchings.items():
+                assert all(class_index(e.weight, gamma, delta) == i for e in slot.edges)
 
 
 class TestFinalize:
@@ -373,6 +446,18 @@ class TestBucketStateRefusals:
     def test_each_refusal_word_for_word(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BucketState(*args)
+
+    def test_refuses_a_window_wider_than_the_limit(self):
+        # log(1000/0.02)/log(1.00001) + 2 classes: about 1.08M positions.
+        with pytest.raises(ValueError, match=r"up to 1081986 grid positions, more than the "
+                                             r"limit of 1048576$"):
+            BucketState(1.00001, 0.01, 1000)
+        assert BucketState(1.0001, 0.01, 1000).window is None  # about 108,000
+        # A one-class window still counts the ratio as 3: ln(3)/1e-9 positions.
+        with pytest.raises(ValueError, match=r"num_vertices=2 and q=1 give a window"):
+            BucketState(1 + 1e-9, 1.0, 2)
+        with pytest.raises(ValueError, match=r"and q=10 give a window"):
+            ensemble_states(StreamSource(1000, ()), 1.0001, 0.01, 10)
 
     def test_stream_bucket_run_reads_n_from_its_stream(self):
         stream = StreamSource(7, [E(0, 1, 1.0), E(5, 6, 3.0)])
@@ -568,7 +653,8 @@ def _replay_maximality(stream, gamma, epsilon, delta=0.0):
         slot = state.matchings.get(i)
         assert slot is not None
         in_matching = any(f.key == e.key for f in slot.edges)
-        conflicts = e.u in slot.cover or e.v in slot.cover
+        ends = {x for f in slot.edges for x in (f.u, f.v)}
+        conflicts = e.u in ends or e.v in ends
         assert in_matching or conflicts
 
 
