@@ -11,22 +11,22 @@ shifted copies on a delta grid, best one wins.
 The copies of one pass share one fine grid.  Position ``p = i*q + j`` is
 class i of copy j, and its floor is copy j's own ``gamma**(i + delta_j)``,
 the power :func:`class_index` compares against.  The pass assumes that
-these fine floors never decrease along p; the table that holds them
-checks each floor it fills in, and raises ValueError naming gamma and q
-if one decreases.  Under that assumption an edge in fine cell K (the
-last position whose floor is at most its weight) lies in class
-``(K - j) // q`` of copy j: it occupies positions ``K-q+1 .. K``, one per
-copy.  Every copy's window then starts at one alive position, q-1 below
-the threshold's cell, and one int per vertex, a bit per position whose
-class matching covers the vertex, tests an edge against all q class
-matchings at once.
+these fine floors never decrease along p; the grid's floor table, a list
+indexed like its edge lists, checks each floor it appends against the
+one below it and raises ValueError naming gamma and q if one decreases.
+Under that assumption an edge in fine cell K (the last position whose
+floor is at most its weight) lies in class ``(K - j) // q`` of copy j:
+it occupies positions ``K-q+1 .. K``, one per copy.  Every copy's window
+then starts at one alive position, q-1 below the threshold's cell, and
+one int per vertex, a bit per position whose class matching covers the
+vertex, tests an edge against all q class matchings at once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
@@ -43,7 +43,6 @@ __all__ = [
     "delta_grid",
     "MAX_COPIES",
     "MAX_WINDOW_POSITIONS",
-    "ClassMatching",
     "deterministic_ratio_bound",
     "randomized_ratio_bound",
     "ensemble_ratio_bound",
@@ -62,25 +61,31 @@ def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
 
     The floor of the logarithm is corrected against the actual floating
     powers so the half-open containment holds exactly; a weight equal to
-    a class floor belongs to that class.
+    a class floor belongs to that class.  The correction brackets the
+    answer in steps that double and then bisects, so a run of floors that
+    round to one float (just above 5e-324) costs O(log) powers.
     """
     if not w > 0:
         raise ValueError(f"weight must be positive, got {w}")
     if not gamma > 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    i = math.floor(math.log(w) / math.log(gamma) - delta)
-    try:
-        while gamma ** (i + delta) > w:
-            i -= 1
-        while gamma ** (i + 1 + delta) <= w:
-            i += 1
-    except OverflowError:
-        # Near the top of the float range: a power that overflows exceeds w.
-        while _power(gamma, i + delta) > w:
-            i -= 1
-        while _power(gamma, i + 1 + delta) <= w:
-            i += 1
-    return i
+    lo = hi = math.floor(math.log(w) / math.log(gamma) - delta)
+    step = 1
+    if _power(gamma, lo + delta) <= w:  # step up to a floor above w
+        hi += 1
+        while _power(gamma, hi + delta) <= w:
+            lo, hi, step = hi, hi + step, 2 * step
+    else:  # step down to a floor at most w
+        lo -= 1
+        while _power(gamma, lo + delta) > w:
+            lo, hi, step = lo - step, lo, 2 * step
+    while hi - lo > 1:  # floor(lo) <= w < floor(hi)
+        mid = (lo + hi) // 2
+        if _power(gamma, mid + delta) <= w:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _power(base: float, exponent: float) -> float:
@@ -89,12 +94,6 @@ def _power(base: float, exponent: float) -> float:
         return base ** exponent
     except OverflowError:
         return math.inf
-
-
-class ClassMatching(NamedTuple):
-    """The matching one copy keeps in one weight class, in arrival order."""
-
-    edges: list[Edge]
 
 
 class BucketState:
@@ -134,11 +133,11 @@ class BucketState:
         return (grid.bottom - j) // grid.q, (grid.top - j) // grid.q
 
     @property
-    def matchings(self) -> dict[int, ClassMatching]:
-        """Each live class's matching by class index, lowest class first."""
+    def matchings(self) -> dict[int, list[Edge]]:
+        """Each live class's matching, in arrival order, by class index, lowest first."""
         grid, j = self._grid, self._copy
         slots, base = grid.slots, grid.base
-        return {(p - j) // grid.q: ClassMatching(list(slots[p - base]))
+        return {(p - j) // grid.q: list(slots[p - base])
                 for p in grid.positions(j) if slots[p - base]}
 
     @property
@@ -178,68 +177,18 @@ MAX_WINDOW_POSITIONS = 1 << 20
 _LOG_RANGE = math.log(sys.float_info.max) - math.log(_TINY)  # log of the widest float ratio
 
 
-class _Floors:
-    """The class floors of shifted copies on one fine grid, filled in on demand.
-
-    Position ``p = i*q + j`` has copy j's floor ``gamma**(i + deltas[j])``.
-    The table holds one run of consecutive positions.  Each floor filled
-    in is checked against its neighbours: floors that decrease raise
-    ValueError, since a cell then no longer gives every copy its class.
-    """
-
-    def __init__(self, gamma: float, deltas: tuple[float, ...]):
-        self.gamma, self.deltas, self.q = gamma, deltas, len(deltas)
-        self._scale = self.q / math.log(gamma)  # positions per unit of log(w)
-        self._table: dict[int, float] = {}
-        self._run = (0, 0)  # the table holds exactly the positions lo <= p < hi
-
-    def __getitem__(self, p: int) -> float:
-        table, gamma, q, deltas = self._table, self.gamma, self.q, self.deltas
-        if p in table:
-            return table[p]
-        lo, hi = self._run
-        if lo == hi or p >= hi + q:  # far above the run: start a new one at p
-            table.clear()
-            lo = hi = p
-        for r in range(hi, p + 1) if p >= hi else range(lo - 1, p - 1, -1):
-            floor = table[r] = _power(gamma, r // q + deltas[r % q])
-            if table.get(r - 1, -math.inf) > floor or floor > table.get(r + 1, math.inf):
-                raise ValueError(
-                    f"gamma={gamma}, q={q}: the class floors decrease at grid position "
-                    f"{r}, and the grid needs floors that never decrease")
-        self._run = (min(lo, p), max(hi, p + 1))
-        return table[p]
-
-    def cell(self, w: float) -> int:
-        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then corrected.
-
-        Copy j's class of w is then ``(K - j) // q``.
-        """
-        table = self._table
-        k = math.floor(math.log(w) * self._scale)
-        while (table[k] if k in table else self[k]) > w:
-            k -= 1
-        while (table[k + 1] if k + 1 in table else self[k + 1]) <= w:
-            k += 1
-        return k
-
-    def drop_below(self, p: int) -> None:
-        """Forget the floors of the positions below p."""
-        lo, hi = self._run
-        for r in range(lo, min(p, hi)):
-            del self._table[r]
-        self._run = (max(lo, p), hi) if p < hi else (0, 0)
-
-
 class _Grid:
     """The state of one pass, shared by copies that differ only in their shift.
 
-    Position ``p = i*q + j`` is class i of copy j.  ``top`` is the fine
-    cell of w_max and ``bottom`` that of the threshold; positions below
-    ``alive = bottom - q + 1`` are pruned.  ``slots[p - base]`` lists the
-    edges stored at position p, and bit ``p - base`` of ``cover[x]`` is
-    set when one of them ends at vertex x.  ``peaks[j]`` is the most
-    edges copy j stored just before a prune that removed some of them.
+    Position ``p = i*q + j`` is class i of copy j, with copy j's floor
+    ``gamma**(i + deltas[j])``.  ``top`` is the fine cell of w_max and
+    ``bottom`` that of the threshold; positions below ``alive = bottom -
+    q + 1`` are pruned.  Three tables share the index ``p - base``:
+    ``slots`` lists the edges stored at p, bit ``p - base`` of
+    ``cover[x]`` is set when one of them ends at vertex x, and ``floors``
+    holds p's floor up to ``top + q``, each checked against the one below
+    it.  ``peaks[j]`` is the most edges copy j stored just before a prune
+    that removed some of them.
     """
 
     def __init__(self, gamma: float, epsilon: float, num_vertices: int,
@@ -263,13 +212,14 @@ class _Grid:
                 f"limit of {MAX_WINDOW_POSITIONS}")
         self.gamma, self.epsilon, self.num_vertices = gamma, epsilon, num_vertices
         self.deltas, self.q = deltas, q
-        self.floors = _Floors(gamma, deltas)
+        self._scale = q / math.log(gamma)  # positions per unit of log(w)
         self.w_max = 0.0
         self.edges_processed = 0
         self.top: Optional[int] = None
         self.bottom = self.alive = self.base = 0
         self.slots: list[list[Edge]] = []
         self.cover: dict[int, int] = {}
+        self.floors: list[float] = []
         self.peaks = [0] * q
         # floor(alive), floor(top), floor(top + 1) and floor(bottom + 1):
         # the pass's tests.  The first edge always moves the window.
@@ -307,17 +257,35 @@ class _Grid:
             state._bind(self, j)
         return states
 
+    def _floor(self, p: int) -> float:
+        """Position p's floor: from the table where it holds p, else computed."""
+        if 0 <= p - self.base < len(self.floors):
+            return self.floors[p - self.base]
+        return _power(self.gamma, p // self.q + self.deltas[p % self.q])
+
+    def _cell(self, w: float) -> int:
+        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then corrected.
+
+        Copy j's class of w is then ``(K - j) // q``.
+        """
+        k = math.floor(math.log(w) * self._scale)
+        while self._floor(k) > w:
+            k -= 1
+        while self._floor(k + 1) <= w:
+            k += 1
+        return k
+
     def _move(self, threshold: float) -> None:
         """Move the window to the cells of w_max and the threshold; prune below it.
 
-        The cell of w_max is derived first: a jump far above the floor
-        table restarts it there, and the threshold's cell lies below.
+        The floor table is then extended to ``top + q``, the highest
+        position an edge's classes depend on.
         """
-        q, floors, first = self.q, self.floors, self.top is None
+        q, first = self.q, self.top is None
         _, _, top_ceil, bottom_ceil = self._bounds
-        top = floors.cell(self.w_max) if self.w_max >= top_ceil else self.top
-        bottom = floors.cell(threshold) if threshold >= bottom_ceil else self.bottom
-        alive, slots, base = bottom - q + 1, self.slots, self.base
+        top = self._cell(self.w_max) if self.w_max >= top_ceil else self.top
+        bottom = self._cell(threshold) if threshold >= bottom_ceil else self.bottom
+        alive, slots, floors, base = bottom - q + 1, self.slots, self.floors, self.base
         if first:
             base = alive
         else:
@@ -328,16 +296,21 @@ class _Grid:
                     slots[p - base] = []
             if alive - base > top - alive:  # more stale positions than live ones
                 shift = alive - base
-                del slots[:shift]
+                del slots[:shift], floors[:shift]
                 self.cover = {x: bits >> shift for x, bits in self.cover.items() if bits >> shift}
-                floors.drop_below(alive)
                 base = alive
         self.base, self.alive, self.bottom, self.top = base, alive, bottom, top
         slots.extend([] for _ in range(top - base + 1 - len(slots)))
-        # Fill the table over [alive, top + q], every position an edge's
-        # classes depend on, so that each of their floors is checked.
-        floors[top + q]
-        self._bounds = (floors[alive], floors[top], floors[top + 1], floors[bottom + 1])
+        gamma, deltas = self.gamma, self.deltas
+        for p in range(base + len(floors), top + q + 1):
+            floor = _power(gamma, p // q + deltas[p % q])
+            if floors and floors[-1] > floor:
+                raise ValueError(
+                    f"gamma={gamma}, q={q}: the class floors decrease at grid position "
+                    f"{p}, and the grid needs floors that never decrease")
+            floors.append(floor)
+        self._bounds = (floors[alive - base], floors[top - base],
+                        floors[top + 1 - base], floors[bottom + 1 - base])
 
     def feed(self, edges: Iterable[Edge]) -> None:
         """The one pass loop: classify each edge once, for every copy.
@@ -347,9 +320,9 @@ class _Grid:
         class.  One bit test against both ends' bitsets finds the copies
         whose class matching takes it.
         """
-        q, full, count = self.q, (1 << self.q) - 1, 0
+        q, full, count, scale, log = self.q, (1 << self.q) - 1, 0, self._scale, math.log
         w_max, alive, top, base = self.w_max, self.alive, self.top, self.base
-        cover, slots, cell = self.cover, self.slots, self.floors.cell
+        cover, slots, floors = self.cover, self.slots, self.floors
         alive_floor, top_floor, top_ceil, bottom_ceil = self._bounds
         for edge in edges:
             count += 1
@@ -366,8 +339,16 @@ class _Grid:
                 continue
             elif w >= top_floor:
                 k = top
-            else:
-                k = cell(w)
+            else:  # an interior cell: correct the log's estimate in the table
+                k = math.floor(log(w) * scale)
+                if k < alive:
+                    k = alive
+                elif k >= top:
+                    k = top - 1
+                while floors[k - base] > w:
+                    k -= 1
+                while floors[k + 1 - base] <= w:
+                    k += 1
             lo = k - q + 1
             if lo >= alive:
                 mask = full
@@ -395,9 +376,7 @@ class _Grid:
 def best_copy(per_copy: list[Matching]) -> Matching:
     """The heaviest of the copies' matchings; ties go to the earliest copy.
 
-    Copies come in grid order, so a tie goes to the smallest delta.  The
-    copies are independent and the reduction is deterministic, so
-    concurrent execution of the copies would return the same answer.
+    Copies come in grid order, so a tie goes to the smallest delta.
     """
     return max(per_copy, key=lambda m: m.weight)
 

@@ -96,7 +96,7 @@ def build_certificate(state: BucketState, oracle_matching: Matching) -> Analysis
     per_vertex: dict[int, tuple[int, float]] = {}
     matchings = state.matchings
     for i in sorted(matchings, reverse=True):
-        for e in matchings[i].edges:
+        for e in matchings[i]:
             for vertex in (e.u, e.v):
                 if vertex not in per_vertex:
                     per_vertex[vertex] = (i, state.floor(i))

@@ -38,6 +38,7 @@ from .generators import (
     permute_stream,
     random_instance,
     tight_instance,
+    tight_instance_opt_weight,
 )
 from .oracle import max_weight_matching_exact
 from .preemptive import make_victim
@@ -282,13 +283,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for seed in seeds:
         if args.family == "tight":
-            k = 2 if args.k is None else args.k
-            stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+            ladder = TightExampleConfig(gamma=2.0, k=2 if args.k is None else args.k, eps=1e-6)
+            stream, opt_weight = tight_instance(ladder), tight_instance_opt_weight(ladder)
         else:
             stream = random_instance(RandomInstanceConfig(
                 n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
                 weight_law=law, seed=seed))
-        opt_weight = max_weight_matching_exact(stream.edges).weight
+            opt_weight = max_weight_matching_exact(stream.edges).weight
         permuted = permute_stream(stream, seed)
         for gamma in gammas:
             for variant in ("deterministic", "ensemble"):

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semimatch import bucket
 from semimatch.bucket import (
@@ -88,6 +88,30 @@ class TestClassIndex:
         assert power(gamma, i + delta) <= w < power(gamma, i + 1 + delta)
 
 
+    @given(st.floats(min_value=5e-324, max_value=1.79e308),
+           st.floats(min_value=1.0, max_value=20.0, exclude_min=True),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_containment_for_every_gamma(self, w, gamma, delta):
+        i = class_index(w, gamma, delta)
+        assert bucket._power(gamma, i + delta) <= w < bucket._power(gamma, i + 1 + delta)
+
+    def test_run_of_equal_floors_is_bisected(self, monkeypatch):
+        calls, power = 0, bucket._power
+
+        def counting(base, exponent):
+            nonlocal calls
+            calls += 1
+            return power(base, exponent)
+
+        monkeypatch.setattr(bucket, "_power", counting)
+        # About ln(3)/1e-9 classes just above 5e-324 have floors that round
+        # to one float; a walk one class at a time would not finish.
+        gamma = 1 + 1e-9
+        i = class_index(5e-324, gamma)
+        assert calls <= 200
+        assert power(gamma, i) <= 5e-324 < power(gamma, i + 1)
+
+
 def shifted_run(stream, gamma, epsilon, delta):
     """One pass with classes shifted by gamma^delta, then finalize."""
     return stream_bucket_run(stream, gamma, epsilon, delta).finalize()
@@ -102,19 +126,19 @@ class TestProcessEdge:
         state = make_state()
         state.process(E(0, 1, 1.0))
         assert state.w_max == 1.0
-        assert [e.key for e in state.matchings[0].edges] == [(0, 1)]
+        assert [e.key for e in state.matchings[0]] == [(0, 1)]
 
     def test_same_class_conflict_discarded(self):
         state = make_state(n=6)
         state.process(E(0, 1, 5.0))
         state.process(E(1, 2, 6.0))
-        assert [e.key for e in state.matchings[2].edges] == [(0, 1)]
+        assert [e.key for e in state.matchings[2]] == [(0, 1)]
 
     def test_same_class_disjoint_appended(self):
         state = make_state(n=6)
         state.process(E(0, 1, 5.0))
         state.process(E(2, 3, 7.0))
-        assert [e.key for e in state.matchings[2].edges] == [(0, 1), (2, 3)]
+        assert [e.key for e in state.matchings[2]] == [(0, 1), (2, 3)]
         assert state.stored_edge_count == 2
 
     def test_below_window_discarded_forever(self):
@@ -156,7 +180,7 @@ class TestPruneClasses:
         state2 = make_state(gamma=2.0, epsilon=0.5, n=8)
         state2.process(E(0, 1, 150.0))  # class 7, straddles threshold 128
         state2.process(E(2, 3, 1024.0))
-        assert [e.key for e in state2.matchings[7].edges] == [(0, 1)]
+        assert [e.key for e in state2.matchings[7]] == [(0, 1)]
 
 
 FULL_RANGE = st.floats(min_value=5e-324, max_value=1.79e308)
@@ -215,7 +239,7 @@ class TestWindowCache:
                                 class_index(state.w_max, gamma, delta))
             assert all(i >= lo for i in state.matchings)
             for i, slot in state.matchings.items():
-                assert all(class_index(e.weight, gamma, delta) == i for e in slot.edges)
+                assert all(class_index(e.weight, gamma, delta) == i for e in slot)
         # The certificate's filter compares against the floor of class lo.
         assert filter_to_final_window(state, edges) == [
             e for e in edges if class_index(e.weight, gamma, delta) >= lo]
@@ -228,31 +252,30 @@ class TestWindowCache:
         for u, w in enumerate([1024.0, 128.0, below, under_top, 1024.0]):
             state.process(E(2 * u, 2 * u + 1, w))
         assert state.window == (7, 10)
-        assert {i: [e.weight for e in slot.edges] for i, slot in state.matchings.items()} \
+        assert {i: [e.weight for e in slot] for i, slot in state.matchings.items()} \
             == {10: [1024.0, 1024.0], 7: [128.0], 9: [under_top]}
 
     def test_cell_derivations_on_ascending_stream(self, monkeypatch):
         edges = ascending_class_edges()
         gamma, epsilon = 3.513, 0.5
         calls = 0
-        cell = bucket._Floors.cell
+        cell = bucket._Grid._cell
 
-        def counting(floors, w):
+        def counting(grid, w):
             nonlocal calls
             calls += 1
-            return cell(floors, w)
+            return cell(grid, w)
 
-        monkeypatch.setattr(bucket._Floors, "cell", counting)
+        monkeypatch.setattr(bucket._Grid, "_cell", counting)
         for delta in delta_grid(14)[:3]:
             state = make_state(gamma=gamma, epsilon=epsilon, n=1000, delta=delta)
-            calls, moves, interior = 0, 0, 0
+            calls, moves = 0, 0
             for e in edges:
                 before = state.window
                 state.process(e)
-                lo, hi = state.window
                 moves += state.window != before
-                interior += lo <= class_index(e.weight, gamma, delta) < hi
-            assert calls <= 2 * moves + interior
+            # Only a move derives a cell: an interior edge reads the table.
+            assert calls <= 2 * moves
             # Every arrival raises w_max, yet the window moves rarely.
             assert calls < len(edges) // 10
 
@@ -281,8 +304,7 @@ class TestEnsembleDriver:
             for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
                           "edges_processed"):
                 assert getattr(state, field) == getattr(alone, field), field
-            assert {i: slot.edges for i, slot in state.matchings.items()} == \
-                {i: slot.edges for i, slot in alone.matchings.items()}
+            assert state.matchings == alone.matchings
 
     def test_threshold_derived_once_per_raise(self, monkeypatch):
         edges = ascending_class_edges()
@@ -312,8 +334,8 @@ def grid_cases(draw):
     """A weight, a gamma in (1, 20] and a number of copies q in 1..50.
 
     Below gamma = 1.01 the weight is a normal float: just above 5e-324 a
-    floor keeps one value over about ln(3)/ln(gamma) classes, and both
-    class_index and the cell derivation walk them one by one.
+    floor keeps one value over about ln(3)/ln(gamma) classes, and the
+    cell derivation walks them one by one.
     """
     gamma = draw(st.floats(min_value=1.0, max_value=20.0, exclude_min=True))
     low = 5e-324 if gamma >= 1.01 else sys.float_info.min
@@ -327,9 +349,16 @@ class TestFineGrid:
     @given(grid_cases())
     def test_cell_gives_every_copy_its_class(self, case):
         w, gamma, q = case
-        k = bucket._Floors(gamma, tuple(delta_grid(q))).cell(w)
+        try:
+            grid = bucket._Grid(gamma, 1.0, 2, tuple(delta_grid(q)))
+        except ValueError:  # a window of more grid positions than the limit
+            assume(False)
+        # A fresh grid computes each floor; after an edge, its table holds them.
+        k = grid._cell(w)
         assert [(k - j) // q for j in range(q)] == \
             [class_index(w, gamma, j / q) for j in range(q)]
+        grid.feed((E(0, 1, w),))
+        assert grid.top == grid._cell(w) == k
 
     def test_decreasing_floors_are_refused(self, monkeypatch):
         power = bucket._power
@@ -341,6 +370,27 @@ class TestFineGrid:
         monkeypatch.setattr(bucket, "_power", dented)
         with pytest.raises(ValueError, match=r"^gamma=2\.0, q=4: the class floors decrease"):
             ensemble_states(StreamSource(2, [E(0, 1, 8.0)]), 2.0, 0.5, 4)
+
+    def test_each_floor_computed_once_as_w_max_climbs(self, monkeypatch):
+        calls, power = 0, bucket._power
+
+        def counting(base, exponent):
+            nonlocal calls
+            calls += 1
+            return power(base, exponent)
+
+        monkeypatch.setattr(bucket, "_power", counting)
+        q = 14
+        # Each edge raises w_max by three classes, 42 positions, so every
+        # edge moves the window past the end of the floor table.
+        edges = [E(t, t + 500, 1.5 * 8.0 ** t) for t in range(300)]
+        grid = ensemble_states(StreamSource(1000, ()), 2.0, 0.01, q)[0]._grid
+        grid.feed(edges[:1])
+        first = grid.alive
+        grid.feed(edges[1:])
+        # Every floor from the first window's alive position up to top + q
+        # is computed once; a move's two cell derivations add a few.
+        assert calls <= (grid.top + q - first + 1) + 4 * len(edges)
 
     def test_full_range_ascending_stream(self):
         gamma, epsilon, q, n, m = 3.513, 0.5, 14, 1000, 600
@@ -355,10 +405,11 @@ class TestFineGrid:
         for e in edges:
             states[0].process(e)
             peaks = [max(peak, state.stored_edge_count) for peak, state in zip(peaks, states)]
-            # Bits and slots below the alive position are dropped as it rises.
+            # Bits, slots and floors below the alive position are dropped as it rises.
             bound = 2 * (grid.top - grid.alive) + 1
             assert len(grid.slots) <= bound
             assert all(bits.bit_length() <= bound for bits in grid.cover.values())
+            assert len(grid.floors) <= bound + q
             bases.append(grid.base)
         assert bases[-1] - bases[0] > 1100 * q  # the window climbed about 1,150 classes
         # Each copy's peak, read only before a prune and at the end, is its
@@ -375,7 +426,7 @@ class TestFineGrid:
             assert state.window == (class_index(state.threshold, gamma, delta),
                                     class_index(state.w_max, gamma, delta))
             for i, slot in state.matchings.items():
-                assert all(class_index(e.weight, gamma, delta) == i for e in slot.edges)
+                assert all(class_index(e.weight, gamma, delta) == i for e in slot)
 
 
 class TestFinalize:
@@ -652,8 +703,8 @@ def _replay_maximality(stream, gamma, epsilon, delta=0.0):
             continue  # class pruned later; nothing to check
         slot = state.matchings.get(i)
         assert slot is not None
-        in_matching = any(f.key == e.key for f in slot.edges)
-        ends = {x for f in slot.edges for x in (f.u, f.v)}
+        in_matching = any(f.key == e.key for f in slot)
+        ends = {x for f in slot for x in (f.u, f.v)}
         conflicts = e.u in ends or e.v in ends
         assert in_matching or conflicts
 
@@ -682,7 +733,7 @@ class TestInvariants:
             n=20, m=80, weight_law=UniformWeights(0.1, 1e5), seed=4))
         state = stream_bucket_run(stream, 2.0, 0.5)
         assert state.stored_edge_count == sum(
-            len(s.edges) for s in state.matchings.values())
+            len(slot) for slot in state.matchings.values())
 
     def test_grid_expectation_bound(self):
         # mean rounded-opt over the grid is controlled by mean alg weight

@@ -637,6 +637,23 @@ class TestSweep:
             assert float(row["opt_weight"]) == opt
             assert float(row["ratio"]) <= float(row["bound"]) * (1 + 1e-9)
 
+    # Digests of the rows, taken when the OPT came from the exact oracle.
+    @pytest.mark.parametrize("k, digest", [
+        (1, "91c414446217a0d64b1de8794087938e7e8d5d8d124f1382d860a924c419796f"),
+        (4, "3d1401a2cb277c9326c73ceb345f58083dc7cfad910c983e7f2297791c4b06e0"),
+        (9, "acf997ce96a50f5d7621cff721c2670c655f3f82ab47a9f9d068aacdf1895883"),
+        (13, "8c5375f03a330e62e04fabbc6ba3cc3864bbdc974528adb8d3c1c73acdf503ea")])
+    def test_tight_family_takes_opt_in_closed_form(self, capsys, monkeypatch, k, digest):
+        def no_oracle(edges):
+            raise AssertionError("the oracle ran for the tight family")
+
+        monkeypatch.setattr(cli, "max_weight_matching_exact", no_oracle)
+        code, out, _ = run_cli(capsys, "sweep", "--family", "tight",
+                               "--gammas", "2,2.5,3,3.513,4,7", "--seeds", "0,1,2",
+                               "--k", str(k))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("seeds", ["", "0"])
     def test_bad_law_is_config_error_with_or_without_seeds(self, capsys, seeds):
         code, out, err = run_cli(capsys, "sweep", "--family", "random", "--seeds", seeds,

@@ -128,7 +128,7 @@ class TestStoredUnionOptimum:
 
         stream = tight_instance(TightExampleConfig(gamma=gamma, k=3, eps=1e-6))
         state = stream_bucket_run(stream, gamma, 0.01)
-        stored = [e for slot in state.matchings.values() for e in slot.edges]
+        stored = [e for slot in state.matchings.values() for e in slot]
         stored_opt = max_weight_matching_exact(stored).weight
         assert stored_opt == state.finalize().weight == gamma ** 3
 

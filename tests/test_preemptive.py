@@ -134,5 +134,5 @@ def test_bucketed_run_stores_edges_that_are_not_a_matching(k):
     stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
     state = stream_bucket_run(stream, 2.0, 0.01)
     with pytest.raises(ValueError, match="not a matching"):
-        Matching(e for slot in state.matchings.values() for e in slot.edges)
+        Matching(e for slot in state.matchings.values() for e in slot)
     assert state.finalize().keys() == {(0, 1)}
