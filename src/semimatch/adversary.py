@@ -50,7 +50,7 @@ __all__ = [
 
 
 REL_TOL = 1e-9  # relative slack of each identity that verify_identities checks
-# The game's two state kinds, which also name the identity that prices each.
+# The labels of the two identities verify_identities checks, as its first_failure names them.
 CHAIN = "chain"
 ESCAPE = "escape"
 

@@ -46,7 +46,6 @@ __all__ = [
     "deterministic_ratio_bound",
     "randomized_ratio_bound",
     "ensemble_ratio_bound",
-    "minimize_randomized_bound",
 ]
 
 _TINY = math.ulp(0.0)  # the smallest positive float
@@ -65,10 +64,10 @@ def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     answer in steps that double and then bisects, so a run of floors that
     round to one float (just above 5e-324) costs O(log) powers.
     """
-    if not w > 0:
-        raise ValueError(f"weight must be positive, got {w}")
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"weight must be finite and positive, got {w}")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
     lo = hi = math.floor(math.log(w) / math.log(gamma) - delta)
     step = 1
     if _power(gamma, lo + delta) <= w:  # step up to a floor above w
@@ -130,7 +129,7 @@ class BucketState:
         grid, j = self._grid, self._copy
         if grid.top is None:
             return None
-        return (grid.bottom - j) // grid.q, (grid.top - j) // grid.q
+        return (grid.alive + grid.q - 1 - j) // grid.q, (grid.top - j) // grid.q
 
     @property
     def matchings(self) -> dict[int, list[Edge]]:
@@ -150,7 +149,7 @@ class BucketState:
 
     def floor(self, i: int) -> float:
         """Lower end gamma^(i+delta) of class i, the power class_index compares against."""
-        return _power(self.gamma, i + self.delta)
+        return self._grid._floor(i * self._grid.q + self._copy)
 
     def process(self, edge: Edge) -> None:
         """Classify one arriving edge for every copy of the pass; store it or discard it."""
@@ -181,9 +180,10 @@ class _Grid:
     """The state of one pass, shared by copies that differ only in their shift.
 
     Position ``p = i*q + j`` is class i of copy j, with copy j's floor
-    ``gamma**(i + deltas[j])``.  ``top`` is the fine cell of w_max and
-    ``bottom`` that of the threshold; positions below ``alive = bottom -
-    q + 1`` are pruned.  Three tables share the index ``p - base``:
+    ``gamma**(i + deltas[j])``, which :meth:`_floor` alone computes.
+    ``top`` is the fine cell of w_max, ``alive + q - 1`` that of the
+    threshold, and positions below ``alive`` are pruned.  Three tables
+    share the index ``p - base``:
     ``slots`` lists the edges stored at p, bit ``p - base`` of
     ``cover[x]`` is set when one of them ends at vertex x, and ``floors``
     holds p's floor up to ``top + q``, each checked against the one below
@@ -216,12 +216,12 @@ class _Grid:
         self.w_max = 0.0
         self.edges_processed = 0
         self.top: Optional[int] = None
-        self.bottom = self.alive = self.base = 0
+        self.alive = self.base = 0
         self.slots: list[list[Edge]] = []
         self.cover: dict[int, int] = {}
         self.floors: list[float] = []
         self.peaks = [0] * q
-        # floor(alive), floor(top), floor(top + 1) and floor(bottom + 1):
+        # floor(alive), floor(top), floor(top + 1) and floor(alive + q):
         # the pass's tests.  The first edge always moves the window.
         self._bounds = (math.inf, math.inf, 0.0, 0.0)
 
@@ -284,7 +284,7 @@ class _Grid:
         q, first = self.q, self.top is None
         _, _, top_ceil, bottom_ceil = self._bounds
         top = self._cell(self.w_max) if self.w_max >= top_ceil else self.top
-        bottom = self._cell(threshold) if threshold >= bottom_ceil else self.bottom
+        bottom = self._cell(threshold) if threshold >= bottom_ceil else self.alive + q - 1
         alive, slots, floors, base = bottom - q + 1, self.slots, self.floors, self.base
         if first:
             base = alive
@@ -299,14 +299,13 @@ class _Grid:
                 del slots[:shift], floors[:shift]
                 self.cover = {x: bits >> shift for x, bits in self.cover.items() if bits >> shift}
                 base = alive
-        self.base, self.alive, self.bottom, self.top = base, alive, bottom, top
+        self.base, self.alive, self.top = base, alive, top
         slots.extend([] for _ in range(top - base + 1 - len(slots)))
-        gamma, deltas = self.gamma, self.deltas
         for p in range(base + len(floors), top + q + 1):
-            floor = _power(gamma, p // q + deltas[p % q])
+            floor = self._floor(p)
             if floors and floors[-1] > floor:
                 raise ValueError(
-                    f"gamma={gamma}, q={q}: the class floors decrease at grid position "
+                    f"gamma={self.gamma}, q={q}: the class floors decrease at grid position "
                     f"{p}, and the grid needs floors that never decrease")
             floors.append(floor)
         self._bounds = (floors[alive - base], floors[top - base],
@@ -472,23 +471,3 @@ def randomized_ratio_bound(gamma: float) -> float:
 def ensemble_ratio_bound(gamma: float, q: int) -> float:
     """Grid-of-q bound: 2*gamma^(2+1/q)*ln(gamma)/(gamma-1)^2."""
     return 2.0 * gamma ** (2.0 + 1.0 / q) * math.log(gamma) / (gamma - 1.0) ** 2
-
-
-def minimize_randomized_bound() -> tuple[float, float]:
-    """Golden-section minimizer of the randomized ratio bound over (1.5, 10), to 1e-10."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1.5, 10.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = randomized_ratio_bound(c), randomized_ratio_bound(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = randomized_ratio_bound(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = randomized_ratio_bound(d)
-    best = 0.5 * (a + b)
-    return best, randomized_ratio_bound(best)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -135,8 +136,8 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
         record["q"] = q = q if q is not None else choose_q(gamma, epsilon)
         states = ensemble_states(stream, gamma, epsilon, q)
     else:
-        record["delta"] = d = 0.0 if variant == "deterministic" else delta
-        states = [stream_bucket_run(stream, gamma, epsilon, d)]
+        record["delta"] = delta
+        states = [stream_bucket_run(stream, gamma, epsilon, delta)]
     per_copy = [s.finalize() for s in states]
     best = best_copy(per_copy)
     record["matching"] = _matching_payload(best)
@@ -279,21 +280,24 @@ def cmd_verify_sequences(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     gammas = [float(g) for g in args.gammas.split(",") if g]
     seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else []
-    law = _parse_law("uniform:1,100" if args.law is None else args.law)
+    # Everything no seed changes is built, and so checked, before the first row.
+    if args.family == "tight":
+        ladder = TightExampleConfig(gamma=2.0, k=2 if args.k is None else args.k, eps=1e-6)
+        stream, opt_weight = tight_instance(ladder), tight_instance_opt_weight(ladder)
+    else:
+        config = RandomInstanceConfig(
+            n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
+            weight_law=_parse_law("uniform:1,100" if args.law is None else args.law), seed=0)
+    qs = {gamma: choose_q(gamma, args.epsilon) for gamma in gammas}
     rows: list[dict] = []
     for seed in seeds:
-        if args.family == "tight":
-            ladder = TightExampleConfig(gamma=2.0, k=2 if args.k is None else args.k, eps=1e-6)
-            stream, opt_weight = tight_instance(ladder), tight_instance_opt_weight(ladder)
-        else:
-            stream = random_instance(RandomInstanceConfig(
-                n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
-                weight_law=law, seed=seed))
+        if args.family == "random":
+            stream = random_instance(dataclasses.replace(config, seed=seed))
             opt_weight = max_weight_matching_exact(stream.edges).weight
         permuted = permute_stream(stream, seed)
         for gamma in gammas:
             for variant in ("deterministic", "ensemble"):
-                record = _run_variant(permuted, variant, gamma, args.epsilon, 0.0, None)
+                record = _run_variant(permuted, variant, gamma, args.epsilon, 0.0, qs[gamma])
                 ratio = opt_weight / record["weight"] if record["weight"] > 0 else None
                 # OPT counts the edges below the final threshold too, hence (1 + epsilon).
                 bound = (deterministic_ratio_bound(gamma) if variant == "deterministic"

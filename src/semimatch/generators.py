@@ -37,8 +37,8 @@ class TightExampleConfig:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 2:
-            raise ValueError(f"gamma must be at least 2, got {self.gamma}")
+        if not 2 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and at least 2, got {self.gamma}")
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not 0 < self.eps < self.gamma - 1:
@@ -56,24 +56,24 @@ def tight_instance(config: TightExampleConfig) -> StreamSource:
     total order is fixed canonically per level for reproducibility.
     """
     gamma, k, eps = config.gamma, config.k, config.eps
-    x, y = 0, 1
-    edges: list[Edge] = []
-    for i in range(k):
-        alpha, beta, a, b = 2 + 4 * i, 3 + 4 * i, 4 + 4 * i, 5 + 4 * i
-        center_w = gamma ** i
-        outer_w = gamma ** (i + 1) - eps
-        if class_index(center_w, gamma) != i or class_index(outer_w, gamma) != i:
+    # Level i's two weights, gamma^i and gamma^(i+1) - eps; level k is the
+    # center edge and the two top edges.
+    levels = [(gamma ** i, gamma ** (i + 1) - eps) for i in range(k + 1)]
+    for i, (low, high) in enumerate(levels):
+        if class_index(low, gamma) != i or class_index(high, gamma) != i:
             raise ValueError(
                 f"eps={eps} does not keep level-{i} weights inside class {i} "
                 f"(gamma={gamma}); reduce k or increase eps")
+    x, y = 0, 1
+    edges: list[Edge] = []
+    for i, (center_w, outer_w) in enumerate(levels[:k]):
+        alpha, beta, a, b = 2 + 4 * i, 3 + 4 * i, 4 + 4 * i, 5 + 4 * i
         edges.append(Edge(alpha, x, center_w))
         edges.append(Edge(y, beta, center_w))
         edges.append(Edge(alpha, a, outer_w))
         edges.append(Edge(beta, b, outer_w))
-    top_w = gamma ** (k + 1) - eps
-    if class_index(gamma ** k, gamma) != k or class_index(top_w, gamma) != k:
-        raise ValueError(f"top-level weights fall outside class {k}; adjust eps or k")
-    edges.append(Edge(x, y, gamma ** k))
+    center_w, top_w = levels[k]
+    edges.append(Edge(x, y, center_w))
     edges.append(Edge(2 + 4 * k, x, top_w))
     edges.append(Edge(3 + 4 * k, y, top_w))
     return StreamSource(4 * k + 4, edges)
@@ -93,8 +93,8 @@ class UniformWeights:
     hi: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.lo <= self.hi:
-            raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        if not 0 < self.lo <= self.hi < math.inf:
+            raise ValueError(f"need 0 < lo <= hi and a finite hi, got [{self.lo}, {self.hi}]")
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.lo, self.hi)
@@ -112,6 +112,13 @@ class ExponentialClassWeights:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.depth < 1:
             raise ValueError(f"depth must be positive, got {self.depth}")
+        try:
+            finite = self.gamma ** self.depth < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"gamma**depth must be a finite float, got gamma={self.gamma}, depth={self.depth}")
 
     def sample(self, rng: random.Random) -> float:
         return self.gamma ** (rng.random() * self.depth)

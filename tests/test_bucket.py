@@ -17,7 +17,6 @@ from semimatch.bucket import (
     ensemble_ratio_bound,
     ensemble_states,
     expected_rounded_weight,
-    minimize_randomized_bound,
     randomized_ratio_bound,
     run_deterministic,
     run_ensemble,
@@ -67,6 +66,13 @@ class TestClassIndex:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             class_index(0.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("w, gamma, name", [
+        (math.inf, 2.0, "weight"), (math.nan, 2.0, "weight"),
+        (1.0, math.inf, "gamma"), (1.0, math.nan, "gamma")])
+    def test_rejects_non_finite(self, w, gamma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            class_index(w, gamma)
 
     @given(st.floats(min_value=1e-9, max_value=1e12),
            st.floats(min_value=1.01, max_value=20.0),
@@ -661,6 +667,13 @@ class TestExpectedRoundedWeight:
         assert total / grid == pytest.approx(
             expected_rounded_weight(w, gamma), rel=1e-3)
 
+    @pytest.mark.parametrize("w, gamma, message", [
+        (0.0, 2.0, "weight must be positive, got 0.0"),
+        (1.0, 1.0, "gamma must exceed 1, got 1.0")])
+    def test_refusals(self, w, gamma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            expected_rounded_weight(w, gamma)
+
     @given(st.floats(min_value=1e-3, max_value=1e6),
            st.floats(min_value=1.1, max_value=10.0))
     def test_linearity(self, w, gamma):
@@ -679,9 +692,10 @@ class TestBounds:
         assert randomized_ratio_bound(3.513) == pytest.approx(4.9108, abs=1e-3)
 
     def test_minimizer(self):
-        gamma_star, value = minimize_randomized_bound()
+        # The least bound on a grid of step 1e-4 over (1.5, 10).
+        gamma_star = min((1.5 + 1e-4 * i for i in range(1, 85_000)), key=randomized_ratio_bound)
         assert gamma_star == pytest.approx(3.513, abs=0.01)
-        assert value == pytest.approx(4.9108, abs=0.001)
+        assert randomized_ratio_bound(gamma_star) == pytest.approx(4.9108, abs=0.001)
 
 
 def _replay_maximality(stream, gamma, epsilon, delta=0.0):

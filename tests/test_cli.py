@@ -75,6 +75,12 @@ class TestGen:
         weights = [float(line.split()[2]) for line in out.splitlines()[1:]]
         assert len(weights) == 10 and all(1.0 <= w < 2.0 ** 5 for w in weights)
 
+    def test_law_beyond_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "random", "--n", "8", "--m", "5",
+                                 "--law", "expclasses:2,2000")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "gamma**depth must be a finite float" in err
+
     def test_bad_law(self, capsys):
         code, _, err = run_cli(capsys, "gen", "random", "--n", "8", "--m", "5",
                                "--law", "zipf:2")
@@ -185,7 +191,8 @@ class TestNonFiniteParameters:
         (("run", "{path}", "deterministic", "--gamma", "2", "--epsilon", "inf"), "epsilon"),
         (("run", "{path}", "ensemble", "--gamma", "inf", "--epsilon", "0.5"), "gamma"),
         (("certificate", "{path}", "--gamma", "inf", "--epsilon", "0.1"), "gamma"),
-        (("sweep", "--seeds", "1", "--gammas", "inf"), "gamma")])
+        (("sweep", "--seeds", "1", "--gammas", "inf"), "gamma"),
+        (("gen", "tight", "--gamma", "inf", "--k", "1", "--eps", "1"), "gamma")])
     def test_non_finite_parameter_is_config_error(self, capsys, tmp_path, command, name):
         path = gen_tight(capsys, tmp_path)
         code, out, err = run_cli(capsys, *(a.format(path=path) for a in command))
@@ -573,6 +580,16 @@ class TestVerifySequences:
         assert "float range" in err
 
 
+    def test_failed_identity_exits_2_with_first_failure(self, capsys, monkeypatch):
+        # No slack at all: the first identity with any rounding error fails.
+        monkeypatch.setattr(semimatch.adversary, "REL_TOL", 0.0)
+        code, out, _ = run_cli(capsys, "verify-sequences", "--C", "4.9")
+        assert code == EXIT_CONFIG
+        report = json.loads(out)
+        assert report["identities_ok"] is False
+        name, i, lhs, rhs = report["first_failure"]
+        assert name in ("chain", "escape") and lhs != rhs
+
     def test_sign_change_where_the_closed_form_product_overflows(self, capsys):
         # -2A r^j overflows at S_1367 here, but S_1367 itself is finite.
         code, out, _ = run_cli(capsys, "verify-sequences", "--C", "4.967318027393586")
@@ -660,6 +677,19 @@ class TestSweep:
                                  "--law", "zipf:2")
         assert (code, out) == (EXIT_CONFIG, "")
         assert "bad weight law" in err
+
+    # Each is refused before the first row, so also when there is no row.
+    @pytest.mark.parametrize("seeds", ["", "0"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--family", "tight", "--k", "0"), "k must be a positive integer"),
+        (("--family", "random", "--n", "1"), "need at least 2 vertices"),
+        (("--gammas", "0.5"), "gamma must be finite and exceed 1"),
+        (("--epsilon", "-1"), "epsilon must lie in (0, 1)")])
+    def test_bad_parameter_is_config_error_with_or_without_seeds(
+            self, capsys, seeds, flags, message):
+        code, out, err = run_cli(capsys, "sweep", "--seeds", seeds, *flags)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert message in err
 
     @pytest.mark.parametrize("family, flag, value, reader", [
         ("tight", "--law", "zipf:2", "random"), ("tight", "--n", "5", "random"),

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from semimatch.bucket import class_index, deterministic_ratio_bound, run_deterministic
@@ -61,6 +64,17 @@ class TestTightInstance:
         with pytest.raises(ValueError):
             TightExampleConfig(gamma=2.0, k=2, eps=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            TightExampleConfig(gamma=gamma, k=1, eps=1.0)
+
+    def test_rejects_top_level_outside_its_class(self):
+        # Level 0's 2 - eps rounds to the float below 2, but the top
+        # edges' 4 - eps rounds to 4, which is class 2.
+        with pytest.raises(ValueError, match="level-1 weights inside class 1"):
+            tight_instance(TightExampleConfig(gamma=2.0, k=1, eps=1.5 * 2 ** -53))
+
     def test_rejects_eps_below_float_resolution(self):
         # 2^41 - 1e-6 rounds back to 2^41, which would shift the class role
         with pytest.raises(ValueError, match="class"):
@@ -94,6 +108,16 @@ class TestRandomInstance:
         classes = {class_index(e.weight, 2.0) for e in stream.edges}
         assert classes <= set(range(6))
         assert len(classes) >= 3
+
+    def test_uniform_law_refuses_non_finite_hi(self):
+        with pytest.raises(ValueError, match="finite hi"):
+            UniformWeights(1.0, math.inf)
+
+    def test_exponential_class_law_refuses_overflow(self):
+        assert ExponentialClassWeights(gamma=2.0, depth=1023).sample(random.Random(0)) < math.inf
+        for gamma, depth in ((2.0, 1024), (2.0, 2000), (math.inf, 1)):
+            with pytest.raises(ValueError, match="gamma\\*\\*depth must be a finite float"):
+                ExponentialClassWeights(gamma=gamma, depth=depth)
 
     def test_m_too_large(self):
         with pytest.raises(ValueError, match="impossible"):
