@@ -55,6 +55,16 @@ _TINY = math.ulp(0.0)  # the smallest positive float
 MAX_COPIES = 10_000
 
 
+def _check_weight(w: float) -> None:
+    if not 0 < w < math.inf:
+        raise ValueError(f"weight must be finite and positive, got {w}")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
+
+
 def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     """Index i of the weight class [gamma^(i+delta), gamma^(i+1+delta)) holding w.
 
@@ -64,10 +74,8 @@ def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     answer in steps that double and then bisects, so a run of floors that
     round to one float (just above 5e-324) costs O(log) powers.
     """
-    if not 0 < w < math.inf:
-        raise ValueError(f"weight must be finite and positive, got {w}")
-    if not 1 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
+    _check_weight(w)
+    _check_gamma(gamma)
     lo = hi = math.floor(math.log(w) / math.log(gamma) - delta)
     step = 1
     if _power(gamma, lo + delta) <= w:  # step up to a floor above w
@@ -98,17 +106,15 @@ def _power(base: float, exponent: float) -> float:
 class BucketState:
     """One copy of a pass: its shift, window, class matchings and counts.
 
-    The copies of one pass share one :class:`_Grid`, and each reads its
-    own part of it.  Built directly, a state is the only copy of its grid.
+    The copies of one pass share one :class:`_Grid`, and copy j is its
+    column j (:meth:`_Grid.column`): every read of a copy's classes goes
+    through that slice.  :func:`stream_bucket_run` and
+    :func:`ensemble_states` build the grid and its copies.
     """
 
-    def __init__(self, gamma: float, epsilon: float, num_vertices: int, delta: float = 0.0):
-        self._bind(_Grid(gamma, epsilon, num_vertices, (delta,)), 0)
-
-    def _bind(self, grid: _Grid, copy: int) -> None:
-        self._grid, self._copy = grid, copy
+    def __init__(self, grid: _Grid, copy: int):
+        self._grid, self._copy, self.delta = grid, copy, grid.deltas[copy]
         self.gamma, self.epsilon, self.num_vertices = grid.gamma, grid.epsilon, grid.num_vertices
-        self.delta = grid.deltas[copy]
 
     @property
     def w_max(self) -> float:
@@ -134,10 +140,8 @@ class BucketState:
     @property
     def matchings(self) -> dict[int, list[Edge]]:
         """Each live class's matching, in arrival order, by class index, lowest first."""
-        grid, j = self._grid, self._copy
-        slots, base = grid.slots, grid.base
-        return {(p - j) // grid.q: list(slots[p - base])
-                for p in grid.positions(j) if slots[p - base]}
+        window, column = self.window, self._grid.column(self._copy)
+        return {window[0] + t: list(slot) for t, slot in enumerate(column) if slot}
 
     @property
     def stored_edge_count(self) -> int:
@@ -161,9 +165,9 @@ class BucketState:
         Within one class edges keep insertion order.  An edge is taken
         unless it touches a vertex already taken.
         """
-        grid, greedy = self._grid, GreedyMatching()
-        for p in reversed(grid.positions(self._copy)):
-            for e in grid.slots[p - grid.base]:
+        greedy = GreedyMatching()
+        for slot in reversed(self._grid.column(self._copy)):
+            for e in slot:
                 greedy.add(e)
         return Matching(greedy.edges)
 
@@ -187,21 +191,20 @@ class _Grid:
     ``slots`` lists the edges stored at p, bit ``p - base`` of
     ``cover[x]`` is set when one of them ends at vertex x, and ``floors``
     holds p's floor up to ``top + q``, each checked against the one below
-    it.  ``peaks[j]`` is the most edges copy j stored just before a prune
-    that removed some of them.
+    it.  Copy j reads only its column, every q-th slot from its lowest
+    live position (:meth:`column`).  ``peaks[j]`` is the most edges copy j
+    stored just before a move that pruned some of them, its count read
+    once per such move, before any of its slots is cleared.
     """
 
     def __init__(self, gamma: float, epsilon: float, num_vertices: int,
                  deltas: tuple[float, ...]):
-        if not 1 < gamma < math.inf:
-            raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
+        _check_gamma(gamma)
         if not 0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         for delta in deltas:
             if not 0 <= delta < 1:
                 raise ValueError(f"delta must lie in [0, 1), got {delta}")
-        if num_vertices < 1:
-            raise ValueError("num_vertices must be positive")
         q = len(deltas)
         ratio = num_vertices / (2.0 * epsilon)  # w_max over the threshold
         span = q * (min(math.log(max(ratio, 3.0)), _LOG_RANGE) / math.log(gamma) + 2)
@@ -239,23 +242,20 @@ class _Grid:
             threshold = self.w_max / self.num_vertices * (2.0 * self.epsilon)
         return min(threshold, self.w_max) or _TINY
 
-    def positions(self, j: int) -> range:
-        """Copy j's live positions, lowest first."""
+    def column(self, j: int) -> list[list[Edge]]:
+        """Copy j's live slots, its class matchings, lowest class first."""
         if self.top is None:
-            return range(0)
-        return range(self.alive + (j - self.alive) % self.q, self.top + 1, self.q)
+            return []
+        start = self.alive + (j - self.alive) % self.q
+        return self.slots[start - self.base:self.top + 1 - self.base:self.q]
 
     def count(self, j: int) -> int:
         """The number of edges copy j stores."""
-        slots, base = self.slots, self.base
-        return sum(len(slots[p - base]) for p in self.positions(j))
+        return sum(map(len, self.column(j)))
 
     def copies(self) -> list[BucketState]:
-        """A view of each copy, in shift order."""
-        states = [BucketState.__new__(BucketState) for _ in self.deltas]
-        for j, state in enumerate(states):
-            state._bind(self, j)
-        return states
+        """Each copy, in shift order."""
+        return [BucketState(self, j) for j in range(self.q)]
 
     def _floor(self, p: int) -> float:
         """Position p's floor: from the table where it holds p, else computed."""
@@ -289,10 +289,12 @@ class _Grid:
         if first:
             base = alive
         else:
+            counted = set()  # copies whose count this move has read
             for p in range(self.alive, min(alive, self.top + 1)):
                 if slots[p - base]:
-                    j = p % q
-                    self.peaks[j] = max(self.peaks[j], self.count(j))
+                    if (j := p % q) not in counted:  # before any of its slots is cleared
+                        counted.add(j)
+                        self.peaks[j] = max(self.peaks[j], self.count(j))
                     slots[p - base] = []
             if alive - base > top - alive:  # more stale positions than live ones
                 shift = alive - base
@@ -372,20 +374,22 @@ class _Grid:
         self.edges_processed += count
 
 
-def best_copy(per_copy: list[Matching]) -> Matching:
-    """The heaviest of the copies' matchings; ties go to the earliest copy.
+def best_copy(states: list[BucketState]) -> tuple[Matching, list[Matching]]:
+    """Finalize each copy: the heaviest matching, then every copy's in copy order.
 
-    Copies come in grid order, so a tie goes to the smallest delta.
+    Ties go to the earliest copy; copies come in grid order, so that is
+    the smallest delta.
     """
-    return max(per_copy, key=lambda m: m.weight)
+    per_copy = [state.finalize() for state in states]
+    return max(per_copy, key=lambda m: m.weight), per_copy
 
 
 def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
                       delta: float = 0.0) -> BucketState:
-    """Fold a whole stream through a fresh state (one pass)."""
-    state = BucketState(gamma, epsilon, stream.num_vertices, delta)
-    state._grid.feed(stream)
-    return state
+    """One pass over the stream feeding a grid of one copy, shifted by delta."""
+    grid = _Grid(gamma, epsilon, stream.num_vertices, (delta,))
+    grid.feed(stream)
+    return grid.copies()[0]
 
 
 def run_deterministic(stream: StreamSource, gamma: float, epsilon: float) -> Matching:
@@ -401,8 +405,7 @@ def choose_q(gamma: float, epsilon: float) -> int:
     doubling until the test passes and then bisecting, in O(log q) powers.
     A q above MAX_COPIES raises ValueError.
     """
-    if not 1 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
+    _check_gamma(gamma)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     target = 1.0 + epsilon / 5.0
@@ -445,16 +448,13 @@ def run_ensemble(
     stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> tuple[Matching, list[Matching]]:
     """Best of q grid-shifted copies (see :func:`best_copy`), plus every copy's result."""
-    per_copy = [state.finalize() for state in ensemble_states(stream, gamma, epsilon, q)]
-    return best_copy(per_copy), per_copy
+    return best_copy(ensemble_states(stream, gamma, epsilon, q))
 
 
 def expected_rounded_weight(w: float, gamma: float) -> float:
     """Mean class-floor rounding of w under a uniform shift: w*(1 - 1/gamma)/ln(gamma)."""
-    if not w > 0:
-        raise ValueError(f"weight must be positive, got {w}")
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    _check_weight(w)
+    _check_gamma(gamma)
     return w * (1.0 - 1.0 / gamma) / math.log(gamma)
 
 

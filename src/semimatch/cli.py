@@ -138,8 +138,7 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
     else:
         record["delta"] = delta
         states = [stream_bucket_run(stream, gamma, epsilon, delta)]
-    per_copy = [s.finalize() for s in states]
-    best = best_copy(per_copy)
+    best, per_copy = best_copy(states)
     record["matching"] = _matching_payload(best)
     record["weight"] = best.weight
     if variant == "ensemble":

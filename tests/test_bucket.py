@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from semimatch import bucket
 from semimatch.bucket import (
     MAX_COPIES,
-    BucketState,
     choose_q,
     class_index,
     delta_grid,
@@ -124,7 +123,7 @@ def shifted_run(stream, gamma, epsilon, delta):
 
 
 def make_state(gamma=2.0, epsilon=0.1, n=4, delta=0.0):
-    return BucketState(gamma, epsilon, n, delta)
+    return stream_bucket_run(StreamSource(n, ()), gamma, epsilon, delta)
 
 
 class TestProcessEdge:
@@ -176,6 +175,27 @@ class TestPruneClasses:
         assert state.window == (7, 10)
         assert state.stored_edge_count == 4
         assert state.stored_edge_peak == 4
+
+    def test_one_count_per_pruning_move(self, monkeypatch):
+        # gamma=2, eps=0.5, n=16: classes 0..4 each hold an edge; w_max
+        # 2**20 moves the threshold to 2**16 and prunes all five at once.
+        state = make_state(gamma=2.0, epsilon=0.5, n=16)
+        for i in range(5):
+            state.process(E(2 * i, 2 * i + 1, float(2 ** i)))
+        assert sorted(state.matchings) == [0, 1, 2, 3, 4]
+        calls, count = 0, bucket._Grid.count
+
+        def counting(grid, j):
+            nonlocal calls
+            calls += 1
+            return count(grid, j)
+
+        monkeypatch.setattr(bucket._Grid, "count", counting)
+        state.process(E(10, 11, float(2 ** 20)))
+        # The copy's count is read once for the move, not once per pruned slot.
+        assert calls == 1
+        assert sorted(state.matchings) == [20]
+        assert state.stored_edge_peak == 5
 
     def test_straddling_class_retained(self):
         # threshold falls inside class lo: the class intersects and stays
@@ -502,17 +522,17 @@ class TestBucketStateRefusals:
         ((2.0, 0.1, -3), "num_vertices must be positive")])
     def test_each_refusal_word_for_word(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            BucketState(*args)
+            make_state(*args)
 
     def test_refuses_a_window_wider_than_the_limit(self):
         # log(1000/0.02)/log(1.00001) + 2 classes: about 1.08M positions.
         with pytest.raises(ValueError, match=r"up to 1081986 grid positions, more than the "
                                              r"limit of 1048576$"):
-            BucketState(1.00001, 0.01, 1000)
-        assert BucketState(1.0001, 0.01, 1000).window is None  # about 108,000
+            make_state(1.00001, 0.01, 1000)
+        assert make_state(1.0001, 0.01, 1000).window is None  # about 108,000
         # A one-class window still counts the ratio as 3: ln(3)/1e-9 positions.
         with pytest.raises(ValueError, match=r"num_vertices=2 and q=1 give a window"):
-            BucketState(1 + 1e-9, 1.0, 2)
+            make_state(1 + 1e-9, 1.0, 2)
         with pytest.raises(ValueError, match=r"and q=10 give a window"):
             ensemble_states(StreamSource(1000, ()), 1.0001, 0.01, 10)
 
@@ -668,8 +688,10 @@ class TestExpectedRoundedWeight:
             expected_rounded_weight(w, gamma), rel=1e-3)
 
     @pytest.mark.parametrize("w, gamma, message", [
-        (0.0, 2.0, "weight must be positive, got 0.0"),
-        (1.0, 1.0, "gamma must exceed 1, got 1.0")])
+        (0.0, 2.0, "weight must be finite and positive, got 0.0"),
+        (math.inf, 2.0, "weight must be finite and positive, got inf"),
+        (1.0, 1.0, "gamma must be finite and exceed 1, got 1.0"),
+        (1.0, math.inf, "gamma must be finite and exceed 1, got inf")])
     def test_refusals(self, w, gamma, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             expected_rounded_weight(w, gamma)
@@ -736,7 +758,7 @@ class TestInvariants:
         bound = (n / 2) * (math.ceil(math.log(n / (2 * epsilon), gamma)) + 2)
         stream = random_instance(RandomInstanceConfig(
             n=n, m=400, weight_law=UniformWeights(0.01, 1e7), seed=77))
-        state = BucketState(gamma, epsilon, n)
+        state = make_state(gamma, epsilon, n)
         for e in stream:
             state.process(e)
             assert state.stored_edge_count <= bound

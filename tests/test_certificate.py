@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from semimatch.bucket import BucketState, stream_bucket_run
+from semimatch.bucket import stream_bucket_run
 from semimatch.certificate import (
     AnalysisCertificate,
     build_certificate,
@@ -65,7 +65,7 @@ class TestVertexAssociation:
     def test_highest_class_claims_vertex(self):
         # vertex 0 appears in the class-3 and class-1 matchings: associated with 3
         edges = [Edge(0, 1, 2.0), Edge(0, 2, 9.0)]
-        state = BucketState(2.0, 0.01, 8)
+        state = stream_bucket_run(StreamSource(8, ()), 2.0, 0.01)
         for e in edges:
             state.process(e)
         assert sorted(state.matchings) == [1, 3]
@@ -96,7 +96,7 @@ class TestShiftedFloors:
 
 class TestErrors:
     def test_oracle_edge_below_final_threshold_rejected(self):
-        state = BucketState(2.0, 1.0, 4)
+        state = stream_bucket_run(StreamSource(4, ()), 2.0, 1.0)
         state.process(Edge(0, 1, 1.0))
         state.process(Edge(2, 3, 4096.0))  # threshold 2048, window clamps high
         dead = Matching([Edge(0, 1, 1.0)])
