@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
 
@@ -69,26 +69,36 @@ def class_index(w: float, gamma: float, delta: float = 0.0) -> int:
     """Index i of the weight class [gamma^(i+delta), gamma^(i+1+delta)) holding w.
 
     The floor of the logarithm is corrected against the actual floating
-    powers so the half-open containment holds exactly; a weight equal to
-    a class floor belongs to that class.  The correction brackets the
-    answer in steps that double and then bisects, so a run of floors that
-    round to one float (just above 5e-324) costs O(log) powers.
+    powers by :func:`_last`, so the half-open containment holds exactly; a
+    weight equal to a class floor belongs to that class, and a run of
+    floors that round to one float (just above 5e-324) costs O(log) powers.
     """
     _check_weight(w)
     _check_gamma(gamma)
-    lo = hi = math.floor(math.log(w) / math.log(gamma) - delta)
+    return _last(math.floor(math.log(w) / math.log(gamma) - delta),
+                 lambda i: _power(gamma, i + delta) <= w)
+
+
+def _last(k: int, holds: Callable[[int], bool]) -> int:
+    """The largest integer at which ``holds`` is true, searched from the guess k.
+
+    ``holds`` must be true up to some integer and false above it.  The
+    answer is bracketed in steps that double from k and then bisected, so
+    it costs O(log |answer - k|) calls.
+    """
+    lo = hi = k
     step = 1
-    if _power(gamma, lo + delta) <= w:  # step up to a floor above w
+    if holds(lo):  # step up to an integer where it fails
         hi += 1
-        while _power(gamma, hi + delta) <= w:
+        while holds(hi):
             lo, hi, step = hi, hi + step, 2 * step
-    else:  # step down to a floor at most w
+    else:  # step down to an integer where it holds
         lo -= 1
-        while _power(gamma, lo + delta) > w:
+        while not holds(lo):
             lo, hi, step = lo - step, lo, 2 * step
-    while hi - lo > 1:  # floor(lo) <= w < floor(hi)
+    while hi - lo > 1:  # holds(lo) and not holds(hi)
         mid = (lo + hi) // 2
-        if _power(gamma, mid + delta) <= w:
+        if holds(mid):
             lo = mid
         else:
             hi = mid
@@ -174,8 +184,9 @@ class BucketState:
 
 # The most grid positions a window may span: q per class, over
 # log_gamma(n/(2*epsilon)) + 2 classes.  A vertex's bitset spans at most
-# twice the window, 256 KiB.  The ratio counts as at least 3, the run of
-# floors that round to the smallest float, which a cell derivation walks.
+# twice the window, 256 KiB.  The ratio counts as at least 3: the floors
+# that round to the smallest float span that ratio, and a window and its
+# floor table span such a run.
 MAX_WINDOW_POSITIONS = 1 << 20
 _LOG_RANGE = math.log(sys.float_info.max) - math.log(_TINY)  # log of the widest float ratio
 
@@ -264,16 +275,11 @@ class _Grid:
         return _power(self.gamma, p // self.q + self.deltas[p % self.q])
 
     def _cell(self, w: float) -> int:
-        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then corrected.
+        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then :func:`_last`.
 
         Copy j's class of w is then ``(K - j) // q``.
         """
-        k = math.floor(math.log(w) * self._scale)
-        while self._floor(k) > w:
-            k -= 1
-        while self._floor(k + 1) <= w:
-            k += 1
-        return k
+        return _last(math.floor(math.log(w) * self._scale), lambda k: self._floor(k) <= w)
 
     def _move(self, threshold: float) -> None:
         """Move the window to the cells of w_max and the threshold; prune below it.
@@ -340,7 +346,10 @@ class _Grid:
                 continue
             elif w >= top_floor:
                 k = top
-            else:  # an interior cell: correct the log's estimate in the table
+            else:  # an interior cell: correct the log's estimate in the table,
+                # inline: a call to _last per edge took the deterministic pass
+                # (n=1000, m=15,000, gamma=2) from 6.2-6.8 ms to 9.4-9.6 ms
+                # on a 2-vCPU Xeon under Python 3.11.7.
                 k = math.floor(log(w) * scale)
                 if k < alive:
                     k = alive
@@ -401,9 +410,9 @@ def choose_q(gamma: float, epsilon: float) -> int:
     """Smallest number of grid copies q with gamma^(1/q) <= 1 + epsilon/5.
 
     That keeps the grid-rounding degradation factor gamma^(1/q) inside
-    the epsilon budget.  gamma^(1/q) falls as q grows, so q is found by
-    doubling until the test passes and then bisecting, in O(log q) powers.
-    A q above MAX_COPIES raises ValueError.
+    the epsilon budget.  gamma^(1/q) falls as q grows, so q is one above
+    the last q that fails the test, which :func:`_last` finds from 0 in
+    O(log q) powers.  A q above MAX_COPIES raises ValueError.
     """
     _check_gamma(gamma)
     if not 0 < epsilon < 1:
@@ -411,21 +420,12 @@ def choose_q(gamma: float, epsilon: float) -> int:
     target = 1.0 + epsilon / 5.0
     if target == 1.0:
         raise ValueError(f"epsilon={epsilon} is too small: 1 + epsilon/5 rounds to 1")
-    good = 1
-    while gamma ** (1.0 / good) > target:
-        good *= 2
-    bad = good // 2  # fails the test, or is 0
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if gamma ** (1.0 / mid) <= target:
-            good = mid
-        else:
-            bad = mid
-    if good > MAX_COPIES:
+    q = 1 + _last(0, lambda q: q < 1 or gamma ** (1.0 / q) > target)
+    if q > MAX_COPIES:
         raise ValueError(
-            f"gamma={gamma}, epsilon={epsilon} needs q={good} grid copies, "
+            f"gamma={gamma}, epsilon={epsilon} needs q={q} grid copies, "
             f"more than the limit of {MAX_COPIES}")
-    return good
+    return q
 
 
 def delta_grid(q: int) -> list[float]:

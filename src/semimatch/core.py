@@ -38,7 +38,7 @@ class Edge:
             raise ValueError(f"vertex ids must be non-negative, got ({self.u}, {self.v})")
         if self.u == self.v:
             raise ValueError(f"self-loop at vertex {self.u}")
-        if not (self.weight > 0 and math.isfinite(self.weight)):
+        if type(self.weight) is bool or not (self.weight > 0 and math.isfinite(self.weight)):
             raise ValueError(f"edge weight must be a positive finite real, got {self.weight}")
 
     @property
@@ -122,6 +122,8 @@ class StreamSource:
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
+        if type(num_vertices) is not int:
+            raise ValueError(f"num_vertices must be an int, got {num_vertices!r}")
         if num_vertices < 1:
             raise ValueError("num_vertices must be positive")
         edges = tuple(edges)

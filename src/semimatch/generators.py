@@ -39,8 +39,8 @@ class TightExampleConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and at least 2, got {self.gamma}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not 0 < self.eps < self.gamma - 1:
             raise ValueError(
                 f"eps must lie in (0, gamma-1) to keep weights positive and ordered, "
@@ -137,6 +137,8 @@ class RandomInstanceConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValueError(f"n and m must be ints, got n={self.n!r}, m={self.m!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 vertices, got {self.n}")
         if self.m < 0 or self.m > self.n * (self.n - 1) // 2:

@@ -100,7 +100,12 @@ class TestClassIndex:
         i = class_index(w, gamma, delta)
         assert bucket._power(gamma, i + delta) <= w < bucket._power(gamma, i + 1 + delta)
 
-    def test_run_of_equal_floors_is_bisected(self, monkeypatch):
+    @pytest.mark.parametrize("gamma, cell", [
+        (1 + 1e-9, class_index),
+        # One copy's grid, whose cells are the classes at delta 0.
+        (1.000002, lambda w, gamma: bucket._Grid(gamma, 1.0, 3, (0.0,))._cell(w))],
+        ids=["class_index", "grid_cell"])
+    def test_run_of_equal_floors_is_bisected(self, monkeypatch, gamma, cell):
         calls, power = 0, bucket._power
 
         def counting(base, exponent):
@@ -109,12 +114,27 @@ class TestClassIndex:
             return power(base, exponent)
 
         monkeypatch.setattr(bucket, "_power", counting)
-        # About ln(3)/1e-9 classes just above 5e-324 have floors that round
-        # to one float; a walk one class at a time would not finish.
-        gamma = 1 + 1e-9
-        i = class_index(5e-324, gamma)
+        # About ln(3)/ln(gamma) classes just above 5e-324 have floors that
+        # round to one float; a walk one class at a time takes a step for
+        # each of them, or does not finish.
+        i = cell(5e-324, gamma)
         assert calls <= 200
         assert power(gamma, i) <= 5e-324 < power(gamma, i + 1)
+
+
+class TestLast:
+    @given(st.integers(min_value=-10 ** 18, max_value=10 ** 18),
+           st.integers(min_value=-10 ** 18, max_value=10 ** 18))
+    def test_finds_the_last_integer_that_holds(self, k, t):
+        calls = 0
+
+        def holds(i):
+            nonlocal calls
+            calls += 1
+            return i <= t
+
+        assert bucket._last(k, holds) == t
+        assert calls <= 2 * math.log2(abs(k - t) + 1) + 4
 
 
 def shifted_run(stream, gamma, epsilon, delta):

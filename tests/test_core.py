@@ -27,6 +27,9 @@ def E(u, v, w=1.0):
 
 # Canonical ids (some at or above a small n) and labels, among them "007".
 _VERTEX = st.sampled_from(("0", "1", "2", "3", "7", "x", "y", "007"))
+# A valid Edge weight: a positive finite float, or an int that a float holds exactly.
+_EDGE_WEIGHT = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                         st.integers(min_value=1, max_value=2 ** 53))
 _WEIGHT = st.sampled_from(("1.0", "2.5", "0.5", "4.0", "1.5", "3.0", "2.0", "oops"))
 
 
@@ -103,6 +106,11 @@ class TestEdge:
     def test_rejects_non_int_vertex(self, u, v):
         with pytest.raises(ValueError, match="must be ints"):
             Edge(u, v, 1.0)
+
+    def test_rejects_bool_weight(self):
+        with pytest.raises(ValueError) as info:
+            Edge(0, 1, True)
+        assert str(info.value) == "edge weight must be a positive finite real, got True"
 
     def test_key_is_orientation_independent(self):
         assert Edge(5, 2, 1.0).key == Edge(2, 5, 1.0).key == (2, 5)
@@ -183,6 +191,15 @@ class TestStreamSource:
             StreamSource(2, [E(0, 5)])
         with pytest.raises(ValueError, match="vertex id 3 exceeds the largest id 2"):
             StreamSource(3, [E(0, 1), E(1, 2), E(2, 3)])
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "num_vertices must be an int, got 2.5"),
+        (3.0, "num_vertices must be an int, got 3.0"),
+        (True, "num_vertices must be an int, got True")])
+    def test_rejects_non_int_count(self, n, message):
+        with pytest.raises(ValueError) as info:
+            StreamSource(n, [E(0, 1, 1.0)])
+        assert str(info.value) == message
 
     def test_rejects_duplicate_either_orientation(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -422,6 +439,17 @@ class TestParsing:
                               [Edge(e.u, e.v, e.weight) for e in parsed.edges])
         assert (public.num_vertices, public.edges) == (parsed.num_vertices, parsed.edges)
         assert (parsed.num_vertices, parsed.edges, mapping) == (num_vertices, edges, labels)
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), _EDGE_WEIGHT)
+                    .filter(lambda row: row[0] != row[1]),
+                    max_size=20, unique_by=lambda row: frozenset(row[:2])),
+           st.integers(min_value=0, max_value=3))
+    def test_format_then_parse_gives_the_stream_back(self, rows, extra):
+        edges = [Edge(u, v, w) for u, v, w in rows]
+        stream = StreamSource(1 + extra + max((max(e.u, e.v) for e in edges), default=0), edges)
+        parsed, mapping = parse_stream_text(format_stream(stream))
+        assert mapping is None
+        assert (parsed.num_vertices, parsed.edges) == (stream.num_vertices, stream.edges)
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=2, max_value=9),
            st.integers(min_value=0, max_value=12))

@@ -69,6 +69,15 @@ class TestTightInstance:
         with pytest.raises(ValueError, match="^gamma must be finite"):
             TightExampleConfig(gamma=gamma, k=1, eps=1.0)
 
+    @pytest.mark.parametrize("k, message", [
+        (1.5, "k must be a positive integer, got 1.5"),
+        (True, "k must be a positive integer, got True"),
+        (2.0, "k must be a positive integer, got 2.0")])
+    def test_rejects_non_int_k(self, k, message):
+        with pytest.raises(ValueError) as info:
+            TightExampleConfig(gamma=2.0, k=k, eps=1e-6)
+        assert str(info.value) == message
+
     def test_rejects_top_level_outside_its_class(self):
         # Level 0's 2 - eps rounds to the float below 2, but the top
         # edges' 4 - eps rounds to 4, which is class 2.
@@ -118,6 +127,16 @@ class TestRandomInstance:
         for gamma, depth in ((2.0, 1024), (2.0, 2000), (math.inf, 1)):
             with pytest.raises(ValueError, match="gamma\\*\\*depth must be a finite float"):
                 ExponentialClassWeights(gamma=gamma, depth=depth)
+
+    @pytest.mark.parametrize("n, m, message", [
+        (12.5, 30, "n and m must be ints, got n=12.5, m=30"),
+        (12, 2.5, "n and m must be ints, got n=12, m=2.5"),
+        (True, 0, "n and m must be ints, got n=True, m=0"),
+        (12, False, "n and m must be ints, got n=12, m=False")])
+    def test_rejects_non_int_counts(self, n, m, message):
+        with pytest.raises(ValueError) as info:
+            RandomInstanceConfig(n=n, m=m, weight_law=UniformWeights(1, 2), seed=0)
+        assert str(info.value) == message
 
     def test_m_too_large(self):
         with pytest.raises(ValueError, match="impossible"):
