@@ -14,18 +14,21 @@ the power :func:`class_index` compares against.  The pass assumes that
 these fine floors never decrease along p; the grid's floor table, a list
 indexed like its edge lists, checks each floor it appends against the
 one below it and raises ValueError naming gamma and q if one decreases.
-Under that assumption an edge in fine cell K (the last position whose
-floor is at most its weight) lies in class ``(K - j) // q`` of copy j:
-it occupies positions ``K-q+1 .. K``, one per copy.  Every copy's window
-then starts at one alive position, q-1 below the threshold's cell, and
-one int per vertex, a bit per position whose class matching covers the
-vertex, tests an edge against all q class matchings at once.
+The table is then sorted, and a binary search of it places a weight in
+its fine cell K, the last position whose floor is at most the weight;
+only a weight past the table's ends takes computed powers.  The edge lies
+in class ``(K - j) // q`` of copy j, at positions ``K-q+1 .. K``, one
+per copy.  Every copy's window then starts at one alive position, q-1
+below the threshold's cell, and one int per vertex, a bit per position
+whose class matching covers the vertex, tests an edge against all q
+class matchings at once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from typing import Callable, Iterable, Optional
 
 from .core import Edge, GreedyMatching, Matching, StreamSource
@@ -198,10 +201,10 @@ class _Grid:
     ``gamma**(i + deltas[j])``, which :meth:`_floor` alone computes.
     ``top`` is the fine cell of w_max, ``alive + q - 1`` that of the
     threshold, and positions below ``alive`` are pruned.  Three tables
-    share the index ``p - base``:
-    ``slots`` lists the edges stored at p, bit ``p - base`` of
-    ``cover[x]`` is set when one of them ends at vertex x, and ``floors``
-    holds p's floor up to ``top + q``, each checked against the one below
+    share the index ``p - base``: ``slots`` lists the edges stored at p,
+    bit ``p - base`` of ``cover[x]`` is set when one of them ends at vertex
+    x, and ``floors`` holds p's floor up to ``top + q``, each checked
+    against the one below it, so a weight is placed by binary search of
     it.  Copy j reads only its column, every q-th slot from its lowest
     live position (:meth:`column`).  ``peaks[j]`` is the most edges copy j
     stored just before a move that pruned some of them, its count read
@@ -235,9 +238,9 @@ class _Grid:
         self.cover: dict[int, int] = {}
         self.floors: list[float] = []
         self.peaks = [0] * q
-        # floor(alive), floor(top), floor(top + 1) and floor(alive + q):
-        # the pass's tests.  The first edge always moves the window.
-        self._bounds = (math.inf, math.inf, 0.0, 0.0)
+        # floor(top + 1) and floor(alive + q): a w_max or threshold that
+        # reaches either moves the window.  The first edge always does.
+        self._bounds = (0.0, 0.0)
 
     @property
     def threshold(self) -> float:
@@ -275,10 +278,15 @@ class _Grid:
         return _power(self.gamma, p // self.q + self.deltas[p % self.q])
 
     def _cell(self, w: float) -> int:
-        """The fine cell K of w, floor(K) <= w < floor(K + 1): one log, then :func:`_last`.
+        """The fine cell K of w, floor(K) <= w < floor(K + 1).
 
-        Copy j's class of w is then ``(K - j) // q``.
+        Inside the floor table a binary search of it; past its ends (a fresh
+        grid, or a jump out of it) one log, then :func:`_last` over
+        :meth:`_floor`.  Copy j's class of w is then ``(K - j) // q``.
         """
+        floors = self.floors
+        if floors and floors[0] <= w < floors[-1]:
+            return bisect_right(floors, w) + self.base - 1
         return _last(math.floor(math.log(w) * self._scale), lambda k: self._floor(k) <= w)
 
     def _move(self, threshold: float) -> None:
@@ -288,7 +296,7 @@ class _Grid:
         position an edge's classes depend on.
         """
         q, first = self.q, self.top is None
-        _, _, top_ceil, bottom_ceil = self._bounds
+        top_ceil, bottom_ceil = self._bounds
         top = self._cell(self.w_max) if self.w_max >= top_ceil else self.top
         bottom = self._cell(threshold) if threshold >= bottom_ceil else self.alive + q - 1
         alive, slots, floors, base = bottom - q + 1, self.slots, self.floors, self.base
@@ -316,21 +324,21 @@ class _Grid:
                     f"gamma={self.gamma}, q={q}: the class floors decrease at grid position "
                     f"{p}, and the grid needs floors that never decrease")
             floors.append(floor)
-        self._bounds = (floors[alive - base], floors[top - base],
-                        floors[top + 1 - base], floors[bottom + 1 - base])
+        self._bounds = floors[top + 1 - base], floors[alive + q - base]
 
     def feed(self, edges: Iterable[Edge]) -> None:
         """The one pass loop: classify each edge once, for every copy.
 
         An edge in fine cell K lies at positions K-q+1 .. K, one per copy;
         those at or above ``alive`` are the copies whose window holds its
-        class.  One bit test against both ends' bitsets finds the copies
-        whose class matching takes it.
+        class; one that does not raise w_max finds K by binary search of the
+        floors from ``alive`` to ``top``.  One bit test against both ends'
+        bitsets finds the copies whose class matching takes it.
         """
-        q, full, count, scale, log = self.q, (1 << self.q) - 1, 0, self._scale, math.log
+        q, full, count = self.q, (1 << self.q) - 1, 0
         w_max, alive, top, base = self.w_max, self.alive, self.top, self.base
         cover, slots, floors = self.cover, self.slots, self.floors
-        alive_floor, top_floor, top_ceil, bottom_ceil = self._bounds
+        top_ceil, bottom_ceil = self._bounds
         for edge in edges:
             count += 1
             w = edge.weight
@@ -340,25 +348,12 @@ class _Grid:
                 if w >= top_ceil or threshold >= bottom_ceil:
                     self._move(threshold)
                     alive, top, base, cover = self.alive, self.top, self.base, self.cover
-                    alive_floor, top_floor, top_ceil, bottom_ceil = self._bounds
+                    top_ceil, bottom_ceil = self._bounds
                 k = top
-            elif w < alive_floor:
-                continue
-            elif w >= top_floor:
-                k = top
-            else:  # an interior cell: correct the log's estimate in the table,
-                # inline: a call to _last per edge took the deterministic pass
-                # (n=1000, m=15,000, gamma=2) from 6.2-6.8 ms to 9.4-9.6 ms
-                # on a 2-vCPU Xeon under Python 3.11.7.
-                k = math.floor(log(w) * scale)
+            else:
+                k = bisect_right(floors, w, alive - base, top + 1 - base) + base - 1
                 if k < alive:
-                    k = alive
-                elif k >= top:
-                    k = top - 1
-                while floors[k - base] > w:
-                    k -= 1
-                while floors[k + 1 - base] <= w:
-                    k += 1
+                    continue
             lo = k - q + 1
             if lo >= alive:
                 mask = full

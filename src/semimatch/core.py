@@ -38,7 +38,11 @@ class Edge:
             raise ValueError(f"vertex ids must be non-negative, got ({self.u}, {self.v})")
         if self.u == self.v:
             raise ValueError(f"self-loop at vertex {self.u}")
-        if type(self.weight) is bool or not (self.weight > 0 and math.isfinite(self.weight)):
+        try:  # an int weight must survive float() exactly, as the text format reads it back
+            exact = type(self.weight) is not int or float(self.weight) == self.weight
+        except OverflowError:
+            exact = False
+        if type(self.weight) is bool or not (exact and self.weight > 0 and math.isfinite(self.weight)):
             raise ValueError(f"edge weight must be a positive finite real, got {self.weight}")
 
     @property

@@ -110,8 +110,8 @@ class ExponentialClassWeights:
     def __post_init__(self) -> None:
         if not self.gamma > 1:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be positive, got {self.depth}")
+        if type(self.depth) is not int or self.depth < 1:
+            raise ValueError(f"depth must be a positive integer, got {self.depth!r}")
         try:
             finite = self.gamma ** self.depth < math.inf
         except OverflowError:

@@ -22,7 +22,7 @@ from semimatch.bucket import (
     stream_bucket_run,
 )
 from semimatch.certificate import filter_to_final_window
-from semimatch.core import Edge, StreamSource
+from semimatch.core import Edge, Matching, StreamSource
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
@@ -32,6 +32,8 @@ from semimatch.generators import (
     tight_instance,
 )
 from semimatch.oracle import max_weight_matching_exact
+
+from model import ModelCopy
 
 
 def E(u, v, w):
@@ -473,6 +475,68 @@ class TestFineGrid:
                                     class_index(state.w_max, gamma, delta))
             for i, slot in state.matchings.items():
                 assert all(class_index(e.weight, gamma, delta) == i for e in slot)
+
+
+@st.composite
+def model_cases(draw):
+    """A pass of q in {1, 2, 3, 14} copies and up to 40 edges on 10 vertices.
+
+    Weights are uniform, log-uniform over e^±700, subnormal, near the
+    largest float, tied, or on the grid's floors and their neighbours, in
+    arrival order or sorted.
+    """
+    q = draw(st.sampled_from([1, 2, 3, 14]))
+    gamma = draw(st.floats(min_value=1.01, max_value=20.0))
+    epsilon = draw(st.floats(min_value=1e-3, max_value=1e3))
+    n = draw(st.integers(min_value=10, max_value=1000))
+    kind = draw(st.sampled_from(["uniform", "log", "subnormal", "huge", "tied", "floors"]))
+    if kind == "uniform":
+        weight = st.floats(min_value=1.0, max_value=100.0)
+    elif kind == "log":
+        weight = st.floats(min_value=-700.0, max_value=700.0).map(math.exp)
+    elif kind == "subnormal":
+        weight = st.integers(min_value=1, max_value=1000).map(lambda k: k * 5e-324)
+    elif kind == "huge":
+        weight = st.floats(min_value=1.7e308, max_value=1.79e308)
+    elif kind == "tied":
+        weight = st.sampled_from(draw(st.lists(
+            st.floats(min_value=-700.0, max_value=700.0).map(math.exp), min_size=1, max_size=3)))
+    else:
+        k = class_index(math.exp(draw(st.floats(min_value=-700.0, max_value=700.0))), gamma)
+        floor = st.builds(lambda i, j: power(gamma, i + j / q),
+                          st.integers(k - 3, k + 3), st.integers(0, q - 1))
+        weight = floor | floor.map(lambda w: math.nextafter(w, 0.0)) \
+            | floor.map(lambda w: math.nextafter(w, math.inf))
+    weights = [w for w in draw(st.lists(weight, min_size=1, max_size=40)) if 0 < w < 1.79e308]
+    if draw(st.booleans()):
+        weights.sort()
+    pairs = draw(st.permutations([(u, v) for v in range(10) for u in range(v)]))
+    return gamma, epsilon, q, StreamSource(n, [E(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+class TestModel:
+    """Every copy of the grid's pass reads as the paper's pass of one copy (tests/model.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model_cases())
+    def test_every_copy_equals_the_model(self, case):
+        gamma, epsilon, q, stream = case
+        states = ensemble_states(stream, gamma, epsilon, q)
+        for delta, state in zip(delta_grid(q), states):
+            model = ModelCopy(gamma, epsilon, stream.num_vertices, delta)
+            for e in stream.edges:
+                model.process(e)
+            assert state.window == model.window
+            assert state.matchings == model.matchings
+            assert state.stored_edge_peak == model.stored_edge_peak
+            expected = model.finalize()
+            try:
+                final = state.finalize().edges
+            except OverflowError:  # the exact sum of the weights exceeds the largest float
+                with pytest.raises(OverflowError):
+                    Matching(expected)
+            else:
+                assert final == tuple(expected)
 
 
 class TestFinalize:

@@ -112,6 +112,17 @@ class TestEdge:
             Edge(0, 1, True)
         assert str(info.value) == "edge weight must be a positive finite real, got True"
 
+    @pytest.mark.parametrize("weight", [2 ** 53 + 1, 10 ** 400], ids=["odd_past_2_53", "past_max_float"])
+    def test_rejects_int_weight_float_cannot_hold(self, weight):
+        # The text format would read 2**53 + 1 back as 2**53, a different edge.
+        with pytest.raises(ValueError, match="^edge weight must be a positive finite real"):
+            Edge(0, 1, weight)
+
+    def test_int_weight_float_holds_round_trips(self):
+        s = StreamSource(2, [E(0, 1, 2 ** 60)])
+        parsed, _ = parse_stream_text(format_stream(s))
+        assert parsed.edges == s.edges
+
     def test_key_is_orientation_independent(self):
         assert Edge(5, 2, 1.0).key == Edge(2, 5, 1.0).key == (2, 5)
 

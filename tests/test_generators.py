@@ -128,6 +128,19 @@ class TestRandomInstance:
             with pytest.raises(ValueError, match="gamma\\*\\*depth must be a finite float"):
                 ExponentialClassWeights(gamma=gamma, depth=depth)
 
+    @pytest.mark.parametrize("gamma, depth, message", [
+        (1.0, 3, "gamma must exceed 1, got 1.0"),
+        (0.5, 3, "gamma must exceed 1, got 0.5"),
+        (math.nan, 3, "gamma must exceed 1, got nan"),
+        (2.0, 0, "depth must be a positive integer, got 0"),
+        (2.0, -1, "depth must be a positive integer, got -1"),
+        (2.0, 2.5, "depth must be a positive integer, got 2.5"),
+        (2.0, True, "depth must be a positive integer, got True")])
+    def test_exponential_class_law_refusals(self, gamma, depth, message):
+        with pytest.raises(ValueError) as info:
+            ExponentialClassWeights(gamma=gamma, depth=depth)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("n, m, message", [
         (12.5, 30, "n and m must be ints, got n=12.5, m=30"),
         (12, 2.5, "n and m must be ints, got n=12, m=2.5"),
