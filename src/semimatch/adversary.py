@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, count
 from typing import Optional
@@ -260,23 +260,17 @@ class GameResult:
     unbounded: bool
     steps_played: int
     violation_step: Optional[int]
-    transcript: tuple[dict, ...]
     tracked_opt_weight: float
     algorithm_weight: float
     num_vertices: int
+    transcript: tuple[dict, ...]
     presented_edges: tuple[Edge, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "achieved_ratio": self.achieved_ratio,
-            "unbounded": self.unbounded,
-            "steps_played": self.steps_played,
-            "violation_step": self.violation_step,
-            "tracked_opt_weight": self.tracked_opt_weight,
-            "algorithm_weight": self.algorithm_weight,
-            "num_vertices": self.num_vertices,
-            "transcript": list(self.transcript),
-        }
+        """Every field but the last, ``presented_edges``, in field order; the
+        transcript as a list."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)[:-1]}
 
 
 def _row(edge: Edge) -> tuple[int, int, float]:

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -34,7 +35,6 @@ from .core import StreamSource, format_stream, load_stream
 from .generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     permute_stream,
     random_instance,
@@ -63,13 +63,29 @@ def _matching_payload(matching) -> list[list[float]]:
 def _parse_law(text: str):
     """Parse a weight law: 'uniform:<lo>,<hi>' or 'expclasses:<gamma>,<depth>'."""
     name, _, rest = text.partition(":")
-    parts = rest.split(",") if rest else []
-    if name == "uniform" and len(parts) == 2:
-        return UniformWeights(lo=float(parts[0]), hi=float(parts[1]))
-    if name == "expclasses" and len(parts) == 2:
-        return ExponentialClassWeights(gamma=float(parts[0]), depth=int(parts[1]))
-    raise ValueError(
-        f"bad weight law {text!r}; use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>")
+    parts = rest.split(",")
+    law = None
+    with contextlib.suppress(ValueError):  # a number that does not parse: the message below
+        if name == "uniform" and len(parts) == 2:
+            law = functools.partial(UniformWeights, float(parts[0]), float(parts[1]))
+        elif name == "expclasses" and len(parts) == 2:
+            law = functools.partial(ExponentialClassWeights, float(parts[0]), int(parts[1]))
+    if law is None:
+        raise ValueError(
+            f"bad weight law {text!r}; use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>")
+    return law()
+
+
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    """The comma-separated values of ``flag``, each read by ``kind``; empty items are skipped."""
+    values = []
+    for token in filter(None, text.split(",")):
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise ValueError(
+                f"{flag} takes comma-separated {kind.__name__}s, got {token!r}") from None
+    return values
 
 
 def _check_paths(args: argparse.Namespace) -> None:
@@ -150,26 +166,21 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
     return record
 
 
+def _load_run(args: argparse.Namespace) -> tuple[StreamSource, Optional[dict], dict]:
+    """The stream, its label map and the config block that run and certificate share."""
+    stream, mapping, sha256 = load_stream(args.stream)  # the module global, which a tracer patches
+    config = {"stream": args.stream, "stream_sha256": sha256, "variant": args.variant,
+              "gamma": args.gamma, "epsilon": args.epsilon,
+              "delta": 0.0 if args.delta is None else args.delta}
+    return stream, mapping, config
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    stream, mapping, sha256 = load_stream(args.stream)
-    delta = 0.0 if args.delta is None else args.delta
-    record = _run_variant(stream, args.variant, args.gamma, args.epsilon, delta, args.q)
-    report = {
-        "command": "run",
-        "config": {
-            "stream": args.stream,
-            "stream_sha256": sha256,
-            "variant": args.variant,
-            "gamma": args.gamma,
-            "epsilon": args.epsilon,
-            "delta": delta if args.variant == "shifted" else None,
-            "q": record.get("q"),
-            "num_vertices": stream.num_vertices,
-            "num_edges": len(stream),
-        },
-        "seed": args.seed,
-        "result": record,
-    }
+    stream, mapping, config = _load_run(args)
+    record = _run_variant(stream, args.variant, args.gamma, args.epsilon, config["delta"], args.q)
+    config |= {"delta": config["delta"] if args.variant == "shifted" else None,
+               "q": record.get("q"), "num_vertices": stream.num_vertices, "num_edges": len(stream)}
+    report = {"command": "run", "config": config, "seed": args.seed, "result": record}
     if args.with_oracle:
         opt_weight = max_weight_matching_exact(stream.edges).weight
         report["result"]["oracle_weight"] = opt_weight
@@ -180,21 +191,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    stream, mapping, sha256 = load_stream(args.stream)
-    delta = 0.0 if args.delta is None else args.delta
-    state = stream_bucket_run(stream, args.gamma, args.epsilon, delta)
+    stream, mapping, config = _load_run(args)
+    state = stream_bucket_run(stream, args.gamma, args.epsilon, config["delta"])
     survivors = filter_to_final_window(state, stream.edges)
     cert = build_certificate(state, max_weight_matching_exact(survivors))
     report = {
         "command": "certificate",
-        "config": {
-            "stream": args.stream,
-            "stream_sha256": sha256,
-            "variant": args.variant,
-            "gamma": args.gamma,
-            "epsilon": args.epsilon,
-            "delta": delta,
-        },
+        "config": config,
         "alg_weight": cert.alg_weight,
         "opt_weight": cert.opt_weight,
         "opt_rounded": cert.opt_rounded,
@@ -223,7 +226,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "tight":
-        stream = tight_instance(TightExampleConfig(gamma=args.gamma, k=args.k, eps=args.eps))
+        stream = tight_instance(args.gamma, args.k, args.eps)
     else:
         config = RandomInstanceConfig(
             n=args.n, m=args.m, weight_law=_parse_law(args.law), seed=args.seed)
@@ -277,17 +280,27 @@ def cmd_verify_sequences(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    gammas = [float(g) for g in args.gammas.split(",") if g]
-    seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else []
+    gammas = _parse_list(args.gammas, float, "--gammas")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     # Everything no seed changes is built, and so checked, before the first row.
     if args.family == "tight":
-        ladder = TightExampleConfig(gamma=2.0, k=2 if args.k is None else args.k, eps=1e-6)
-        stream, opt_weight = tight_instance(ladder), tight_instance_opt_weight(ladder)
+        ladder = (2.0, 2 if args.k is None else args.k, 1e-6)
+        stream, opt_weight = tight_instance(*ladder), tight_instance_opt_weight(*ladder)
     else:
         config = RandomInstanceConfig(
             n=12 if args.n is None else args.n, m=30 if args.m is None else args.m,
             weight_law=_parse_law("uniform:1,100" if args.law is None else args.law), seed=0)
-    qs = {gamma: choose_q(gamma, args.epsilon) for gamma in gammas}
+    # Each gamma's q, and its bound per variant: OPT counts the edges below the
+    # final threshold too, hence (1 + epsilon).
+    qs, bounds = {}, {}
+    for gamma in gammas:
+        qs[gamma] = q = choose_q(gamma, args.epsilon)
+        with contextlib.suppress(OverflowError):  # beyond the float range: refused below
+            bounds[gamma] = {
+                "deterministic": (1.0 + args.epsilon) * deterministic_ratio_bound(gamma),
+                "ensemble": (1.0 + args.epsilon) * ensemble_ratio_bound(gamma, q)}
+        if gamma not in bounds or not all(map(math.isfinite, bounds[gamma].values())):
+            raise ValueError(f"the ratio bounds at gamma={gamma} are not finite floats")
     rows: list[dict] = []
     for seed in seeds:
         if args.family == "random":
@@ -298,9 +311,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for variant in ("deterministic", "ensemble"):
                 record = _run_variant(permuted, variant, gamma, args.epsilon, 0.0, qs[gamma])
                 ratio = opt_weight / record["weight"] if record["weight"] > 0 else None
-                # OPT counts the edges below the final threshold too, hence (1 + epsilon).
-                bound = (deterministic_ratio_bound(gamma) if variant == "deterministic"
-                         else ensemble_ratio_bound(gamma, record["q"]))
                 rows.append({
                     "variant": variant,
                     "gamma": gamma,
@@ -310,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "alg_weight": record["weight"],
                     "opt_weight": opt_weight,
                     "ratio": ratio,
-                    "bound": (1.0 + args.epsilon) * bound,
+                    "bound": bounds[gamma][variant],
                 })
     fieldnames = ["variant", "gamma", "seed", "n", "m",
                   "alg_weight", "opt_weight", "ratio", "bound"]
@@ -333,29 +343,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semi-streaming weighted matching toolkit and preemptive-matching adversary.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one variant over a stream file")
-    p_run.add_argument("stream")
+    # The stream and the bucket parameters that run and certificate both read.
+    bucket_args = argparse.ArgumentParser(add_help=False)
+    bucket_args.add_argument("stream")
+    bucket_args.add_argument("--gamma", type=float, required=True)
+    bucket_args.add_argument("--epsilon", type=float, required=True)
+    bucket_args.add_argument("--delta", type=float, help="shifted only; omitted = 0")
+    bucket_args.add_argument("--out", default=None)
+
+    p_run = sub.add_parser("run", parents=[bucket_args], help="run one variant over a stream file")
     p_run.add_argument("variant", choices=VARIANTS)
-    p_run.add_argument("--gamma", type=float, required=True)
-    p_run.add_argument("--epsilon", type=float, required=True)
-    p_run.add_argument("--delta", type=float, help="shifted only; omitted = 0")
     p_run.add_argument("--q", type=int, default=None,
                        help="ensemble only; omitted = smallest q within the epsilon budget")
     p_run.add_argument("--with-oracle", action="store_true",
                        help="also solve exactly and report the ratio")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
-    p_cert = sub.add_parser("certificate",
+    p_cert = sub.add_parser("certificate", parents=[bucket_args],
                             help="run, oracle the surviving edges, and emit the inequality chain")
-    p_cert.add_argument("stream")
     p_cert.add_argument("--variant", choices=("deterministic", "shifted"),
                         default="deterministic")
-    p_cert.add_argument("--gamma", type=float, required=True)
-    p_cert.add_argument("--epsilon", type=float, required=True)
-    p_cert.add_argument("--delta", type=float, help="shifted only; omitted = 0")
-    p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certificate)
 
     p_oracle = sub.add_parser("oracle", help="print the exact optimal matching and weight")

@@ -11,7 +11,6 @@ from .bucket import class_index
 from .core import Edge, StreamSource
 
 __all__ = [
-    "TightExampleConfig",
     "UniformWeights",
     "ExponentialClassWeights",
     "RandomInstanceConfig",
@@ -22,48 +21,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TightExampleConfig:
-    """Ladder family on which the deterministic variant's ratio is tight.
-
-    The instance has a center edge (x, y) of weight gamma^k, per level
-    i < k a pair of center-touching edges of weight gamma^i and a pair
-    of outer edges of weight gamma^(i+1) - eps, and two top edges of
-    weight gamma^(k+1) - eps; 4k + 3 edges on 4k + 4 vertices.
-    """
-
-    gamma: float
-    k: int
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and at least 2, got {self.gamma}")
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not 0 < self.eps < self.gamma - 1:
-            raise ValueError(
-                f"eps must lie in (0, gamma-1) to keep weights positive and ordered, "
-                f"got {self.eps}")
-
-
-def tight_instance(config: TightExampleConfig) -> StreamSource:
-    """Emit the ladder instance as a stream.
-
-    The order only has to put every class-i center edge before the
-    outer edge that conflicts with it at the shared vertex (so each
-    class matching ends maximal exactly as intended); the rest of the
-    total order is fixed canonically per level for reproducibility.
-    """
-    gamma, k, eps = config.gamma, config.k, config.eps
-    # Level i's two weights, gamma^i and gamma^(i+1) - eps; level k is the
-    # center edge and the two top edges.
+def _ladder_levels(gamma: float, k: int, eps: float) -> list[tuple[float, float]]:
+    """Check the ladder's parameters and return level i's two weights, gamma^i
+    and gamma^(i+1) - eps, for i = 0..k; level k is the center edge and the
+    two top edges."""
+    if not 2 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and at least 2, got {gamma}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not 0 < eps < gamma - 1:
+        raise ValueError(
+            f"eps must lie in (0, gamma-1) to keep weights positive and ordered, got {eps}")
+    try:
+        gamma ** (k + 1)
+    except OverflowError:
+        raise ValueError(f"gamma**(k+1) must be a finite float, got gamma={gamma}, k={k}") from None
     levels = [(gamma ** i, gamma ** (i + 1) - eps) for i in range(k + 1)]
     for i, (low, high) in enumerate(levels):
         if class_index(low, gamma) != i or class_index(high, gamma) != i:
             raise ValueError(
                 f"eps={eps} does not keep level-{i} weights inside class {i} "
                 f"(gamma={gamma}); reduce k or increase eps")
+    return levels
+
+
+def tight_instance(gamma: float, k: int, eps: float) -> StreamSource:
+    """Emit the ladder on which the deterministic variant's ratio is tight.
+
+    The instance has a center edge (x, y) of weight gamma^k, per level
+    i < k a pair of center-touching edges of weight gamma^i and a pair
+    of outer edges of weight gamma^(i+1) - eps, and two top edges of
+    weight gamma^(k+1) - eps; 4k + 3 edges on 4k + 4 vertices.
+
+    The order only has to put every class-i center edge before the
+    outer edge that conflicts with it at the shared vertex (so each
+    class matching ends maximal exactly as intended); the rest of the
+    total order is fixed canonically per level for reproducibility.
+    """
+    levels = _ladder_levels(gamma, k, eps)
     x, y = 0, 1
     edges: list[Edge] = []
     for i, (center_w, outer_w) in enumerate(levels[:k]):
@@ -79,10 +74,9 @@ def tight_instance(config: TightExampleConfig) -> StreamSource:
     return StreamSource(4 * k + 4, edges)
 
 
-def tight_instance_opt_weight(config: TightExampleConfig) -> float:
+def tight_instance_opt_weight(gamma: float, k: int, eps: float) -> float:
     """Closed-form optimum of the ladder: all outer and top edges."""
-    gamma, k, eps = config.gamma, config.k, config.eps
-    return 2.0 * math.fsum(gamma ** i - eps for i in range(1, k + 2))
+    return 2.0 * math.fsum(high for _, high in _ladder_levels(gamma, k, eps))
 
 
 @dataclass(frozen=True, slots=True)

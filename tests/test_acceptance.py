@@ -36,7 +36,6 @@ from semimatch.core import Edge, Matching
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     permute_stream,
     random_instance,
@@ -70,11 +69,10 @@ def test_criterion_1_tight_example_convergence():
         gamma, eps = 2.0, 1e-6
         ratios = []
         for k in range(1, 9):
-            config = TightExampleConfig(gamma=gamma, k=k, eps=eps)
-            stream = tight_instance(config)
+            stream = tight_instance(gamma, k, eps)
             alg = run_deterministic(stream, gamma, 0.01)
             assert alg.weight == gamma ** k
-            analytic = tight_instance_opt_weight(config)
+            analytic = tight_instance_opt_weight(gamma, k, eps)
             if k <= 3:
                 oracle_opt = max_weight_matching_exact(stream.edges).weight
                 assert abs(oracle_opt - analytic) <= 1e-6 * analytic
@@ -139,7 +137,7 @@ def test_criterion_5_certificate_chain():
             cases.append(random_instance(RandomInstanceConfig(
                 n=12, m=30, weight_law=law, seed=seed)))
         for k in (1, 2, 3):
-            cases.append(tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6)))
+            cases.append(tight_instance(2.0, k, 1e-6))
         for stream in cases:
             for gamma, delta in ((2.0, 0.0), (3.513, 0.0), (2.0, 0.37), (3.513, 0.7)):
                 state = stream_bucket_run(stream, gamma, 0.01, delta)

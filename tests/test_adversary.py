@@ -532,6 +532,18 @@ class TestRunAdversary:
         result = run_adversary(make_victim("hold-first"), AdversaryConfig(C=4.5))
         assert result.unbounded or result.achieved_ratio >= 4.5 * (1 - 1e-9)
 
+    def test_json_dict_is_every_field_but_the_presented_edges(self):
+        # The golden game digests hash this dict without sorting its keys.
+        result = run_adversary(make_victim("threshold:1"), AdversaryConfig(C=4.9))
+        payload = result.to_json_dict()
+        assert list(payload) == ["achieved_ratio", "unbounded", "steps_played", "violation_step",
+                                 "tracked_opt_weight", "algorithm_weight", "num_vertices",
+                                 "transcript"]
+        assert [f.name for f in dataclasses.fields(result)] == [*payload, "presented_edges"]
+        assert type(payload["transcript"]) is list
+        assert payload == {name: getattr(result, name) for name in payload} | {
+            "transcript": list(result.transcript)}
+
     def test_result_is_json_serializable(self):
         result = run_adversary(make_victim("threshold:2"), AdversaryConfig(C=4.9))
         payload = json.dumps(result.to_json_dict())

@@ -26,7 +26,6 @@ from semimatch.core import Edge, Matching, StreamSource
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     random_instance,
     tight_instance,
@@ -550,7 +549,7 @@ class TestFinalize:
         assert result.weight == 3.0
 
     def test_tight_instance_single_edge(self):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
+        stream = tight_instance(2.0, 2, 1e-6)
         state = stream_bucket_run(stream, 2.0, 0.1)
         result = state.finalize()
         assert result.keys() == {(0, 1)}
@@ -562,7 +561,7 @@ class TestFinalize:
 
 class TestRunDeterministic:
     def test_tight_k3(self):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=3, eps=1e-6))
+        stream = tight_instance(2.0, 3, 1e-6)
         alg = run_deterministic(stream, 2.0, 0.01)
         assert alg.weight == 8.0
         opt = max_weight_matching_exact(stream.edges).weight
@@ -645,7 +644,7 @@ class TestRunShifted:
 
     def test_tight_shifted_ratio(self):
         gamma = 3.513
-        stream = tight_instance(TightExampleConfig(gamma=gamma, k=3, eps=1e-6))
+        stream = tight_instance(gamma, 3, 1e-6)
         alg = shifted_run(stream, gamma, 0.01, 0.5)
         opt = max_weight_matching_exact(stream.edges).weight
         assert opt / alg.weight <= 4.92

@@ -10,7 +10,6 @@ from semimatch.certificate import (
 from semimatch.core import Edge, Matching, StreamSource
 from semimatch.generators import (
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     random_instance,
     tight_instance,
@@ -50,8 +49,7 @@ class TestSingleClass:
 
 class TestTightInstance:
     def test_chain_and_tightness(self):
-        config = TightExampleConfig(gamma=2.0, k=2, eps=1e-6)
-        stream = tight_instance(config)
+        stream = tight_instance(2.0, 2, 1e-6)
         state, cert = build_for(stream, 2.0, 0.01)
         chain_assert(cert)
         # rounded optimum equals the associated weight exactly on this family

@@ -20,7 +20,6 @@ from semimatch.core import format_stream
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
-    TightExampleConfig,
     random_instance,
     tight_instance_opt_weight,
 )
@@ -86,6 +85,21 @@ class TestGen:
                                "--law", "zipf:2")
         assert code == EXIT_CONFIG
         assert "law" in err
+
+    @pytest.mark.parametrize("law", ["expclasses:2,40.5", "uniform:1,x", "expclasses:x,2"])
+    def test_law_with_a_number_that_does_not_parse(self, capsys, law):
+        code, out, err = run_cli(capsys, "gen", "random", "--n", "8", "--m", "5", "--law", law)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"semimatch: bad weight law {law!r}; "
+                       "use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>\n")
+
+    @pytest.mark.parametrize("gamma, k, shown", [
+        ("2", "2000", "gamma=2.0, k=2000"), ("1e200", "2", "gamma=1e+200, k=2")])
+    def test_ladder_beyond_the_float_range(self, capsys, gamma, k, shown):
+        code, out, err = run_cli(capsys, "gen", "tight", "--gamma", gamma, "--k", k,
+                                 "--eps", "0.5")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"semimatch: gamma**(k+1) must be a finite float, got {shown}\n"
 
 
 class TestRun:
@@ -213,8 +227,7 @@ class TestOracle:
         path = gen_tight(capsys, tmp_path, k=5)  # 24 vertices
         code, out, _ = run_cli(capsys, "oracle", str(path))
         assert code == EXIT_OK
-        config = TightExampleConfig(gamma=2.0, k=5, eps=1e-6)
-        assert json.loads(out)["weight"] == tight_instance_opt_weight(config)
+        assert json.loads(out)["weight"] == tight_instance_opt_weight(2.0, 5, 1e-6)
 
 
 class TestParser:
@@ -648,7 +661,7 @@ class TestSweep:
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2 * 2 * 2  # seeds x gammas x variants
-        opt = tight_instance_opt_weight(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+        opt = tight_instance_opt_weight(2.0, k, 1e-6)
         for row in rows:
             assert (row["n"], row["m"]) == (str(4 * k + 4), str(4 * k + 3))
             assert float(row["opt_weight"]) == opt
@@ -682,6 +695,8 @@ class TestSweep:
     @pytest.mark.parametrize("seeds", ["", "0"])
     @pytest.mark.parametrize("flags, message", [
         (("--family", "tight", "--k", "0"), "k must be a positive integer"),
+        (("--family", "tight", "--k", "2000"),
+         "gamma**(k+1) must be a finite float, got gamma=2.0, k=2000"),
         (("--family", "random", "--n", "1"), "need at least 2 vertices"),
         (("--gammas", "0.5"), "gamma must be finite and exceed 1"),
         (("--epsilon", "-1"), "epsilon must lie in (0, 1)")])
@@ -690,6 +705,27 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--seeds", seeds, *flags)
         assert (code, out) == (EXIT_CONFIG, "")
         assert message in err
+
+    @pytest.mark.parametrize("seeds", ["", "0"])
+    @pytest.mark.parametrize("gamma", ["1e154", "1e200"])
+    def test_gamma_without_a_finite_bound_is_refused_before_any_row(
+            self, capsys, tmp_path, seeds, gamma):
+        table, lines = tmp_path / "o.csv", tmp_path / "o.jsonl"
+        code, out, err = run_cli(capsys, "sweep", "--gammas", f"2,{gamma}", "--seeds", seeds,
+                                 "--csv", str(table), "--jsonl", str(lines))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"semimatch: the ratio bounds at gamma={float(gamma)} are not finite floats\n"
+        assert not table.exists() and not lines.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--seeds", "1.5"), "--seeds takes comma-separated ints, got '1.5'"),
+        (("--seeds", "0,,x"), "--seeds takes comma-separated ints, got 'x'"),
+        (("--gammas", "x"), "--gammas takes comma-separated floats, got 'x'"),
+        (("--gammas", "2,3.5.1"), "--gammas takes comma-separated floats, got '3.5.1'")])
+    def test_token_that_does_not_parse_names_its_flag(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "sweep", *flags)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"semimatch: {message}\n"
 
     @pytest.mark.parametrize("family, flag, value, reader", [
         ("tight", "--law", "zipf:2", "random"), ("tight", "--n", "5", "random"),

@@ -212,6 +212,9 @@ class TestStreamSource:
             StreamSource(n, [E(0, 1, 1.0)])
         assert str(info.value) == message
 
+    def test_repr_gives_the_counts(self):
+        assert repr(StreamSource(4, [E(0, 1), E(2, 3)])) == "StreamSource(n=4, m=2)"
+
     def test_rejects_duplicate_either_orientation(self):
         with pytest.raises(ValueError, match="duplicate"):
             StreamSource(3, [E(0, 1, 1.0), E(1, 0, 2.0)])

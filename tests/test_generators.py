@@ -7,7 +7,6 @@ from semimatch.bucket import class_index, deterministic_ratio_bound, run_determi
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     permute_stream,
     random_instance,
@@ -20,34 +19,33 @@ from semimatch.oracle import max_weight_matching_exact
 class TestTightInstance:
     def test_edge_count_formula(self):
         for k in (1, 2, 3, 5):
-            stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+            stream = tight_instance(2.0, k, 1e-6)
             assert len(stream) == 4 * k + 3
             assert stream.num_vertices == 4 * k + 4
 
     def test_deterministic_output_is_center_edge(self):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
+        stream = tight_instance(2.0, 2, 1e-6)
         result = run_deterministic(stream, 2.0, 0.01)
         assert result.keys() == {(0, 1)}
         assert result.weight == 4.0
 
     def test_oracle_value_and_ratio(self):
-        config = TightExampleConfig(gamma=2.0, k=2, eps=1e-6)
-        stream = tight_instance(config)
+        stream = tight_instance(2.0, 2, 1e-6)
         opt = max_weight_matching_exact(stream.edges).weight
         assert opt == pytest.approx(27.999994, abs=1e-12)
-        assert opt == pytest.approx(tight_instance_opt_weight(config), abs=1e-12)
+        assert opt == pytest.approx(tight_instance_opt_weight(2.0, 2, 1e-6), abs=1e-12)
         ratio = opt / run_deterministic(stream, 2.0, 0.01).weight
         assert ratio == pytest.approx(6.9999985, abs=1e-9)
         assert ratio < deterministic_ratio_bound(2.0)
 
     def test_class_roles(self):
         gamma, k = 3.513, 3
-        stream = tight_instance(TightExampleConfig(gamma=gamma, k=k, eps=1e-6))
+        stream = tight_instance(gamma, k, 1e-6)
         for e in stream.edges:
             assert class_index(e.weight, gamma) in range(k + 1)
 
     def test_partial_order_center_before_outer(self):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=3, eps=1e-6))
+        stream = tight_instance(2.0, 3, 1e-6)
         position = {e.key: i for i, e in enumerate(stream.edges)}
         x, y = 0, 1
         for i in range(3):
@@ -60,14 +58,14 @@ class TestTightInstance:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            TightExampleConfig(gamma=2.0, k=2, eps=1.5)
+            tight_instance(2.0, 2, 1.5)
         with pytest.raises(ValueError):
-            TightExampleConfig(gamma=2.0, k=2, eps=0.0)
+            tight_instance(2.0, 2, 0.0)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="^gamma must be finite"):
-            TightExampleConfig(gamma=gamma, k=1, eps=1.0)
+            tight_instance(gamma, 1, 1.0)
 
     @pytest.mark.parametrize("k, message", [
         (1.5, "k must be a positive integer, got 1.5"),
@@ -75,19 +73,34 @@ class TestTightInstance:
         (2.0, "k must be a positive integer, got 2.0")])
     def test_rejects_non_int_k(self, k, message):
         with pytest.raises(ValueError) as info:
-            TightExampleConfig(gamma=2.0, k=k, eps=1e-6)
+            tight_instance(2.0, k, 1e-6)
         assert str(info.value) == message
 
     def test_rejects_top_level_outside_its_class(self):
         # Level 0's 2 - eps rounds to the float below 2, but the top
         # edges' 4 - eps rounds to 4, which is class 2.
         with pytest.raises(ValueError, match="level-1 weights inside class 1"):
-            tight_instance(TightExampleConfig(gamma=2.0, k=1, eps=1.5 * 2 ** -53))
+            tight_instance(2.0, 1, 1.5 * 2 ** -53)
 
     def test_rejects_eps_below_float_resolution(self):
         # 2^41 - 1e-6 rounds back to 2^41, which would shift the class role
         with pytest.raises(ValueError, match="class"):
-            tight_instance(TightExampleConfig(gamma=2.0, k=45, eps=1e-6))
+            tight_instance(2.0, 45, 1e-6)
+
+    @pytest.mark.parametrize("build", [tight_instance, tight_instance_opt_weight])
+    @pytest.mark.parametrize("gamma, k", [(2.0, 2000), (1e200, 2)])
+    def test_rejects_a_weight_beyond_the_float_range(self, build, gamma, k):
+        with pytest.raises(ValueError) as info:
+            build(gamma, k, 0.5)
+        assert str(info.value) == f"gamma**(k+1) must be a finite float, got gamma={gamma}, k={k}"
+
+    def test_opt_weight_checks_the_ladder_as_the_instance_does(self):
+        for args in ((2.0, 2, 1.5), (2.0, 0, 1e-6), (2.0, 45, 1e-6)):
+            with pytest.raises(ValueError) as built:
+                tight_instance(*args)
+            with pytest.raises(ValueError) as summed:
+                tight_instance_opt_weight(*args)
+            assert str(summed.value) == str(built.value)
 
 
 class TestRandomInstance:
@@ -182,7 +195,7 @@ class TestStoredUnionOptimum:
         # greedily still yields just the center edge once gamma >= 2
         from semimatch.bucket import stream_bucket_run
 
-        stream = tight_instance(TightExampleConfig(gamma=gamma, k=3, eps=1e-6))
+        stream = tight_instance(gamma, 3, 1e-6)
         state = stream_bucket_run(stream, gamma, 0.01)
         stored = [e for slot in state.matchings.values() for e in slot]
         stored_opt = max_weight_matching_exact(stored).weight

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from semimatch import oracle
 from semimatch.core import Edge, Matching
-from semimatch.generators import TightExampleConfig, tight_instance
+from semimatch.generators import tight_instance
 from semimatch.oracle import (
     max_weight_matching_dual,
     max_weight_matching_exact,
@@ -47,7 +47,7 @@ class TestExact:
         assert matching.keys() == {(0, 1), (2, 3)}
 
     def test_tight_ladder_value(self):
-        stream = tight_instance(TightExampleConfig(gamma=2.0, k=2, eps=1e-6))
+        stream = tight_instance(2.0, 2, 1e-6)
         weight = max_weight_matching_exact(stream.edges).weight
         assert weight == pytest.approx(27.999994, abs=1e-12)
         assert weight == max_weight_matching_bruteforce(stream.edges)
@@ -132,7 +132,7 @@ def test_agrees_with_networkx_on_random_instances():
 @pytest.mark.parametrize("gamma", [2.0, 3.513])
 def test_agrees_with_networkx_on_tight_ladders(gamma):
     for k in range(1, 9):
-        edges = tight_instance(TightExampleConfig(gamma=gamma, k=k, eps=1e-6)).edges
+        edges = tight_instance(gamma, k, 1e-6).edges
         assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges), k
 
 
@@ -219,6 +219,13 @@ class TestVerifyDual:
         matching, dual = self.solved()
         with pytest.raises(ValueError, match=message):
             verify_dual(*mutate(self.EDGES, matching, dual))
+
+    def test_rejects_a_scale_too_coarse_for_a_weight(self):
+        edges = [E(0, 1, 1.5)]
+        matching, dual = max_weight_matching_dual(edges)
+        with pytest.raises(ValueError) as info:
+            verify_dual(edges, matching, dataclasses.replace(dual, scale=0))
+        assert str(info.value) == "weight 1.5 is not a multiple of 2**-0"
 
     def test_exact_raises_when_the_check_fails(self, monkeypatch):
         matching, dual = self.solved()

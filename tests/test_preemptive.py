@@ -8,7 +8,6 @@ from semimatch.bucket import stream_bucket_run
 from semimatch.core import Edge, Matching
 from semimatch.generators import (
     RandomInstanceConfig,
-    TightExampleConfig,
     UniformWeights,
     random_instance,
     tight_instance,
@@ -131,7 +130,7 @@ def test_rejected_edges_were_sufficiently_blocked():
 def test_bucketed_run_stores_edges_that_are_not_a_matching(k):
     # Why the bucketed run is not preemptive: the class matchings it stores
     # overlap, and only finalize turns them into one matching.
-    stream = tight_instance(TightExampleConfig(gamma=2.0, k=k, eps=1e-6))
+    stream = tight_instance(2.0, k, 1e-6)
     state = stream_bucket_run(stream, 2.0, 0.01)
     with pytest.raises(ValueError, match="not a matching"):
         Matching(e for slot in state.matchings.values() for e in slot)
