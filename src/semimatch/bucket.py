@@ -31,10 +31,11 @@ import sys
 from bisect import bisect_right
 from typing import Callable, Iterable, Optional
 
-from .core import Edge, GreedyMatching, Matching, StreamSource
+from .core import Edge, FileStream, GreedyMatching, Matching, StreamSource
 
 __all__ = [
     "BucketState",
+    "check_parameters",
     "class_index",
     "best_copy",
     "run_deterministic",
@@ -185,6 +186,20 @@ class BucketState:
         return Matching(greedy.edges)
 
 
+def check_parameters(gamma: float, epsilon: float, deltas: Iterable[float]) -> None:
+    """Refuse a gamma, epsilon or shift that a pass refuses, with its message.
+
+    A pass checks them when it is built, then the window limit, which
+    needs n; this checks them without a stream.
+    """
+    _check_gamma(gamma)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    for delta in deltas:
+        if not 0 <= delta < 1:
+            raise ValueError(f"delta must lie in [0, 1), got {delta}")
+
+
 # The most grid positions a window may span: q per class, over
 # log_gamma(n/(2*epsilon)) + 2 classes.  A vertex's bitset spans at most
 # twice the window, 256 KiB.  The ratio counts as at least 3: the floors
@@ -213,12 +228,7 @@ class _Grid:
 
     def __init__(self, gamma: float, epsilon: float, num_vertices: int,
                  deltas: tuple[float, ...]):
-        _check_gamma(gamma)
-        if not 0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-        for delta in deltas:
-            if not 0 <= delta < 1:
-                raise ValueError(f"delta must lie in [0, 1), got {delta}")
+        check_parameters(gamma, epsilon, deltas)
         q = len(deltas)
         ratio = num_vertices / (2.0 * epsilon)  # w_max over the threshold
         span = q * (min(math.log(max(ratio, 3.0)), _LOG_RANGE) / math.log(gamma) + 2)
@@ -388,7 +398,7 @@ def best_copy(states: list[BucketState]) -> tuple[Matching, list[Matching]]:
     return max(per_copy, key=lambda m: m.weight), per_copy
 
 
-def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
+def stream_bucket_run(stream: StreamSource | FileStream, gamma: float, epsilon: float,
                       delta: float = 0.0) -> BucketState:
     """One pass over the stream feeding a grid of one copy, shifted by delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, (delta,))
@@ -431,7 +441,7 @@ def delta_grid(q: int) -> list[float]:
 
 
 def ensemble_states(
-    stream: StreamSource, gamma: float, epsilon: float, q: int,
+    stream: StreamSource | FileStream, gamma: float, epsilon: float, q: int,
 ) -> list[BucketState]:
     """One pass over the stream feeding q shifted copies, one per grid delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, tuple(delta_grid(q)))

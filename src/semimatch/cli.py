@@ -24,14 +24,16 @@ from typing import Iterable, Optional, Sequence
 from . import adversary as adv
 from .bucket import (
     best_copy,
+    check_parameters,
     choose_q,
+    delta_grid,
     deterministic_ratio_bound,
     ensemble_ratio_bound,
     ensemble_states,
     stream_bucket_run,
 )
 from .certificate import build_certificate, filter_to_final_window
-from .core import StreamSource, format_stream, load_stream
+from .core import FileStream, StreamSource, format_stream, load_stream
 from .generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
@@ -143,13 +145,13 @@ def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:
     _write((json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records), out)
 
 
-def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: float,
+def _run_variant(stream: StreamSource | FileStream, variant: str, gamma: float, epsilon: float,
                  delta: float, q: Optional[int]) -> dict:
-    """Execute one single-pass run and collect the result record."""
+    """Execute one single-pass run and collect the result record; an ensemble runs q copies."""
     started = time.perf_counter()
     record: dict = {"variant": variant, "gamma": gamma, "epsilon": epsilon}
     if variant == "ensemble":
-        record["q"] = q = q if q is not None else choose_q(gamma, epsilon)
+        record["q"] = q
         states = ensemble_states(stream, gamma, epsilon, q)
     else:
         record["delta"] = delta
@@ -166,32 +168,46 @@ def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: floa
     return record
 
 
-def _load_run(args: argparse.Namespace) -> tuple[StreamSource, Optional[dict], dict]:
-    """The stream, its label map and the config block that run and certificate share."""
-    stream, mapping, sha256 = load_stream(args.stream)  # the module global, which a tracer patches
-    config = {"stream": args.stream, "stream_sha256": sha256, "variant": args.variant,
-              "gamma": args.gamma, "epsilon": args.epsilon,
-              "delta": 0.0 if args.delta is None else args.delta}
-    return stream, mapping, config
+def _run_config(args: argparse.Namespace) -> tuple[Optional[int], dict]:
+    """The ensemble's q (None for one copy) and the config block that run and certificate share.
+
+    The caller sets ``stream_sha256`` once the stream is read.  Every
+    refusal of a parameter comes before the stream is read, except the
+    window limit, which needs n and comes after the header is read.
+    """
+    delta = 0.0 if args.delta is None else args.delta
+    q = None
+    if args.variant == "ensemble":
+        q = choose_q(args.gamma, args.epsilon) if args.q is None else args.q
+    check_parameters(args.gamma, args.epsilon, (delta,) if q is None else delta_grid(q))
+    return q, {"stream": args.stream, "stream_sha256": None, "variant": args.variant,
+               "gamma": args.gamma, "epsilon": args.epsilon, "delta": delta}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    stream, mapping, config = _load_run(args)
-    record = _run_variant(stream, args.variant, args.gamma, args.epsilon, config["delta"], args.q)
-    config |= {"delta": config["delta"] if args.variant == "shifted" else None,
-               "q": record.get("q"), "num_vertices": stream.num_vertices, "num_edges": len(stream)}
+    q, config = _run_config(args)
+    stream = load_stream(args.stream, lazy=True)  # the module global, which a tracer patches
+    if args.with_oracle:  # the oracle reads every edge after the pass
+        stream.hold()
+    record = _run_variant(stream, args.variant, args.gamma, args.epsilon, config["delta"], q)
+    if (ids := stream.ids) is not None:  # the pass named vertices by first appearance
+        record["matching"] = [[ids[u], ids[v], w] for u, v, w in record["matching"]]
+    config |= {"stream_sha256": stream.sha256,
+               "delta": config["delta"] if args.variant == "shifted" else None,
+               "q": q, "num_vertices": stream.num_vertices, "num_edges": len(stream)}
     report = {"command": "run", "config": config, "seed": args.seed, "result": record}
     if args.with_oracle:
         opt_weight = max_weight_matching_exact(stream.edges).weight
         report["result"]["oracle_weight"] = opt_weight
         report["result"]["ratio_vs_oracle"] = (
             opt_weight / record["weight"] if record["weight"] > 0 else None)
-    _emit(report, args.out, mapping)
+    _emit(report, args.out, stream.labels)
     return EXIT_OK
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    stream, mapping, config = _load_run(args)
+    _, config = _run_config(args)
+    stream, mapping, config["stream_sha256"] = load_stream(args.stream)
     state = stream_bucket_run(stream, args.gamma, args.epsilon, config["delta"])
     survivors = filter_to_final_window(state, stream.edges)
     cert = build_certificate(state, max_weight_matching_exact(survivors))

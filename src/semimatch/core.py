@@ -6,20 +6,22 @@ safe to share between concurrent tasks.  The edge-stream text format of
 whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
 header (required when vertex labels are non-numeric).  :func:`load_stream`
 reads a file, pipe or FIFO once, forward, and checks each line, its
-UTF-8 included, as it is read.
+UTF-8 included, as it is read; a :class:`FileStream` reads the lines
+after the header only as a pass iterates its edges, and holds none.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
 __all__ = [
     "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamFormatError",
-    "parse_stream_text", "format_stream", "load_stream",
+    "parse_stream_text", "format_stream", "load_stream", "FileStream",
 ]
 
 
@@ -192,106 +194,177 @@ def _canonical(token: str) -> bool:
     return token.isdigit() and token.isascii() and (token[0] != "0" or token == "0")
 
 
-def _pair(u: int, v: int) -> int:
-    """One int per unordered pair of distinct non-negative ids."""
-    return u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
+# Bytes a set of pair keys takes per key, the int and its share of the
+# table (69-78 measured under tracemalloc from 1e3 to 1e5 keys, rounded
+# down).  Once the set would outweigh a bitmap of every pair below n, the
+# keys move to one.
+_SET_BYTES_PER_PAIR = 64
+
+
+class _Parse:
+    """One forward parse of edge-stream lines, which :meth:`edges` advances.
+
+    ``tokens`` numbers each token in order of first appearance, and the
+    edges that :meth:`edges` yields name their ends by those numbers.
+    ``values`` holds each numbered vertex's id while every token is an
+    id, and is None from the first label on, when a vertex's number is
+    its id.  ``header_n`` is known once the first edge is yielded, and
+    ``num_vertices`` and ``count`` once the lines end.
+    """
+
+    def __init__(self) -> None:
+        self.header_n: Optional[int] = None
+        self.tokens: dict[str, int] = {}
+        self.values: Optional[list[int]] = []
+        self.num_vertices = self.count = 0
+
+    @property
+    def labels(self) -> Optional[dict[str, int]]:
+        """The label-to-id mapping of a label file; None on a file of ids."""
+        return self.tokens if self.values is None else None
+
+    def _reported(self, u: int, v: int, weight: float) -> Edge:
+        """The checked Edge of two numbered vertices, under their reported ids."""
+        values = self.values
+        return Edge(u, v, weight) if values is None else Edge(values[u], values[v], weight)
+
+    def edges(self, lines: Iterable[str]) -> Iterator[Edge]:
+        """Yield each edge as soon as its line is read and checked, each check made once.
+
+        The first edge with an id not below n, the first past n tokens (the
+        range fault for labels) and the first repeated pair are held as
+        (line number, line, u, v) until the lines end, and the first of
+        them is raised then: in-line faults come first.  Pair keys go to
+        a set, and to a bitmap over the pairs below n once the set would
+        be the larger; a pair with an end past n is not looked up there,
+        since the range fault of that end comes before it.
+        """
+        tokens, values = self.tokens, self.values
+        header_n: Optional[int] = None
+        pairs: set[int] = set()
+        bits: Optional[bytearray] = None
+        # n, the pairs below n, and the set size at which their bitmap is the smaller
+        bound = cells = crowded = math.inf
+        out_of_range = past_n = repeated = None
+        count = 0
+        for lineno, raw in enumerate(lines, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise _not_utf8(raw, exc, lineno) from None
+            parts = raw.split()
+            if len(parts) != 3 or parts[0][0] == "#":
+                if not parts or parts[0][0] == "#":
+                    continue
+                line = raw.strip()
+                if not line.startswith("n="):
+                    raise StreamFormatError(
+                        f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
+                if count:
+                    raise StreamFormatError("n= header must precede edge lines", lineno)
+                if header_n is not None:
+                    raise StreamFormatError("duplicate n= header", lineno)
+                text = line[2:]
+                try:
+                    if not _canonical(text):
+                        raise ValueError(text)
+                    header_n = int(text)  # also raises past int()'s digit limit
+                except ValueError:
+                    raise StreamFormatError(f"bad vertex count {text!r}", lineno) from None
+                if header_n < 1:
+                    raise StreamFormatError("n= must be positive", lineno)
+                self.header_n = bound = header_n
+                cells = header_n * (header_n + 1) // 2
+                crowded = cells // (8 * _SET_BYTES_PER_PAIR)
+                continue
+            a, b, w = parts
+            u, v = tokens.get(a), tokens.get(b)
+            if u is None or v is None:
+                if values is not None and not ((u is not None or _canonical(a))
+                                               and (v is not None or _canonical(b))):
+                    if header_n is None:
+                        raise StreamFormatError(
+                            "n= header is required when vertex labels are non-numeric", lineno)
+                    values = self.values = None  # every token is a label from here on
+                beyond = False  # whether a new id is not below n
+                for token in (a, b):
+                    if token not in tokens:
+                        if values is not None:
+                            try:
+                                value = int(token)
+                            except ValueError:  # past int()'s digit limit
+                                raise StreamFormatError(
+                                    f"vertex id of {max(len(a), len(b))} digits is longer "
+                                    f"than int() reads", lineno) from None
+                            beyond = beyond or value >= bound
+                            values.append(value)
+                        tokens[token] = len(tokens)
+                u, v = tokens[a], tokens[b]
+                if beyond and out_of_range is None:
+                    out_of_range = (lineno, raw.strip(), u, v)
+                if past_n is None and len(tokens) > bound:
+                    past_n = (lineno, raw.strip(), u, v)
+            try:
+                weight = float(w)
+            except ValueError:
+                raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+            if u == v or not 0.0 < weight < math.inf:
+                try:
+                    self._reported(u, v, weight)  # raises with the message stated there
+                except ValueError as exc:
+                    raise StreamFormatError(str(exc), lineno) from None
+            pair = u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
+            if bits is not None:
+                if pair < cells:
+                    byte, bit = pair >> 3, 1 << (pair & 7)
+                    if bits[byte] & bit and repeated is None:
+                        repeated = (lineno, raw.strip(), u, v)
+                    bits[byte] |= bit
+            elif pair not in pairs:
+                pairs.add(pair)
+                if len(pairs) > crowded:
+                    bits = bytearray((cells + 7) // 8)
+                    for key in pairs:
+                        if key < cells:
+                            bits[key >> 3] |= 1 << (key & 7)
+                    pairs = set()
+            elif repeated is None:
+                repeated = (lineno, raw.strip(), u, v)
+            count += 1
+            yield _edge(u, v, weight)
+        self.count = count
+        self.num_vertices = (header_n if header_n is not None
+                             else 1 + max(values, default=-1))  # type: ignore[arg-type]
+        if self.num_vertices < 1:
+            raise StreamFormatError("empty stream needs an n= header")
+        faults = [f for f in (out_of_range if values is not None else past_n, repeated)
+                  if f is not None]
+        if faults:
+            lineno, line, u, v = min(faults)
+            try:  # the public constructor words both, neither naming the weight:
+                # out of range alone, else repeated twice
+                StreamSource(self.num_vertices, [self._reported(u, v, 1.0)] * 2)
+            except ValueError as exc:
+                raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
+
+
+def _held(parse: _Parse, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Every edge the parse yields, read to its end and named by its reported ids."""
+    held = tuple(edges)
+    values = parse.values
+    if values is not None:  # renamed in place: no one else holds these edges yet
+        for e in held:
+            _set_u(e, values[e.u])
+            _set_v(e, values[e.v])
+    return held
 
 
 def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Parse a handle in one forward pass that makes each check once, where its value is read.
-
-    ``ids`` maps each token to its vertex in order of first appearance.
-    The first edge with an id not below n, the first past n tokens (the
-    range fault for labels) and the first repeated pair are held as (edge
-    index, line number, line) until the loop ends: in-line faults come first.
-    """
-    header_n: Optional[int] = None
-    ids: dict[str, int] = {}
-    labels = False
-    edges: list[Edge] = []
-    pairs: set[int] = set()
-    out_of_range = past_n = repeated = None
-    for lineno, raw in enumerate(handle, start=1):
-        if not raw.isascii():
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise _not_utf8(raw, exc, lineno) from None
-        parts = raw.split()
-        if len(parts) != 3 or parts[0][0] == "#":
-            if not parts or parts[0][0] == "#":
-                continue
-            line = raw.strip()
-            if not line.startswith("n="):
-                raise StreamFormatError(
-                    f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
-            if edges:
-                raise StreamFormatError("n= header must precede edge lines", lineno)
-            if header_n is not None:
-                raise StreamFormatError("duplicate n= header", lineno)
-            count = line[2:]
-            try:
-                if not _canonical(count):
-                    raise ValueError(count)
-                header_n = int(count)  # also raises past int()'s digit limit
-            except ValueError:
-                raise StreamFormatError(f"bad vertex count {count!r}", lineno) from None
-            if header_n < 1:
-                raise StreamFormatError("n= must be positive", lineno)
-            continue
-        a, b, w = parts
-        u, v = ids.get(a), ids.get(b)
-        if u is None or v is None:
-            if not labels and not ((u is not None or _canonical(a))
-                                   and (v is not None or _canonical(b))):
-                if header_n is None:
-                    raise StreamFormatError(
-                        "n= header is required when vertex labels are non-numeric", lineno)
-                # Every token becomes a label; a canonical id prints back as its own.
-                dense = {vertex: i for i, vertex in enumerate(ids.values())}
-                ids = dict(zip(ids, dense.values()))
-                edges = [_edge(dense[e.u], dense[e.v], e.weight) for e in edges]
-                pairs = {_pair(e.u, e.v) for e in edges}
-                labels = True
-            if labels:
-                u, v = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
-            else:
-                try:
-                    u = ids.setdefault(a, int(a)) if u is None else u
-                    v = ids.setdefault(b, int(b)) if v is None else v
-                except ValueError:  # past int()'s digit limit
-                    raise StreamFormatError(
-                        f"vertex id of {max(len(a), len(b))} digits is longer than int() reads",
-                        lineno) from None
-                if out_of_range is None and header_n is not None and max(u, v) >= header_n:
-                    out_of_range = (len(edges), lineno, raw.strip())
-            if past_n is None and header_n is not None and len(ids) > header_n:
-                past_n = (len(edges), lineno, raw.strip())
-        try:
-            weight = float(w)
-        except ValueError:
-            raise StreamFormatError(f"bad weight {w!r}", lineno) from None
-        if u == v or not 0.0 < weight < math.inf:
-            try:
-                Edge(u, v, weight)  # raises with the message stated there
-            except ValueError as exc:
-                raise StreamFormatError(str(exc), lineno) from None
-        pair = _pair(u, v)
-        if pair in pairs and repeated is None:
-            repeated = (len(edges), lineno, raw.strip())
-        pairs.add(pair)
-        edges.append(_edge(u, v, weight))
-    num_vertices = header_n if header_n is not None else 1 + max(ids.values(), default=-1)
-    if num_vertices < 1:
-        raise StreamFormatError("empty stream needs an n= header")
-    faults = [f for f in (past_n if labels else out_of_range, repeated) if f is not None]
-    if faults:
-        index, lineno, line = min(faults)
-        try:  # the public constructor words both: out of range alone, else repeated twice
-            StreamSource(num_vertices, [edges[index]] * 2)
-        except ValueError as exc:
-            raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
-    return StreamSource._checked(num_vertices, tuple(edges)), ids if labels else None
+    """Parse a handle in one forward pass, holding every edge."""
+    parse = _Parse()
+    edges = _held(parse, parse.edges(handle))
+    return StreamSource._checked(parse.num_vertices, edges), parse.labels
 
 
 def format_stream(stream: StreamSource) -> str:
@@ -327,7 +400,73 @@ class _Sha256File(io.FileIO):
         return count
 
 
-def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]], str]:
+def _closing(handle: TextIO, items: Iterator[Edge]) -> Iterator[Edge]:
+    """The items, then the handle closed; also when they raise or are dropped unread."""
+    with handle:
+        yield from items
+
+
+class FileStream:
+    """An edge-stream file, pipe or FIFO, read once and forward; see :func:`load_stream`.
+
+    Opening it reads through the first edge line.  When the ``n=`` header
+    came before that line, iterating reads the rest, one edge at a time,
+    and holds none of them: an edge names its ends by their order of first
+    appearance, ``ids`` maps those to the ids reported (None when they are
+    the same), and a held id-range or duplicate fault is raised when the
+    read ends.  A file without the header, or one whose edges :meth:`hold`
+    has read, keeps them in ``edges`` under their reported ids and may be
+    iterated again.  ``passes`` counts the iterations; ``sha256``,
+    ``labels`` and ``len()`` hold once the read has ended.
+    """
+
+    def __init__(self, path: str):
+        self._raw = _Sha256File(path)
+        handle = io.TextIOWrapper(io.BufferedReader(self._raw), encoding="utf-8-sig",
+                                  errors="surrogateescape")
+        self.passes = 0
+        self.edges: Optional[tuple[Edge, ...]] = None
+        self._parse = _Parse()
+        rest = _closing(handle, self._parse.edges(handle))
+        first = next(rest, None)  # the header, if any, precedes it
+        self._rest = itertools.chain(() if first is None else (first,), rest)
+        self.num_vertices = self._parse.header_n
+        if self.num_vertices is None:
+            self.hold()
+
+    def hold(self) -> None:
+        """Read the edges not yet read and keep them all; call it before the first pass."""
+        if self.edges is None:
+            self.edges = _held(self._parse, self._rest)
+            self.num_vertices = self._parse.num_vertices
+
+    @property
+    def ids(self) -> Optional[list[int]]:
+        """The reported id of each vertex number the read edges carry; None when they are equal."""
+        return None if self.edges is not None else self._parse.values
+
+    @property
+    def labels(self) -> Optional[dict[str, int]]:
+        return self._parse.labels
+
+    @property
+    def sha256(self) -> Optional[str]:
+        return self._raw.digest.hexdigest() if self._raw.closed else None
+
+    def __iter__(self) -> Iterator[Edge]:
+        self.passes += 1
+        if self.edges is not None:
+            return iter(self.edges)
+        if self.passes > 1:
+            raise ValueError("a stream whose edges are not held is read once")
+        return self._rest
+
+    def __len__(self) -> int:
+        return self._parse.count
+
+
+def load_stream(path: str, lazy: bool = False
+                ) -> tuple[StreamSource, Optional[dict[str, int]], str] | FileStream:
     """Read and parse an edge-stream file, pipe or FIFO in one forward pass.
 
     Returns the stream, the label mapping of :func:`parse_stream_text`,
@@ -335,8 +474,12 @@ def load_stream(path: str) -> tuple[StreamSource, Optional[dict[str, int]], str]
     byte that is not UTF-8 raises :class:`StreamFormatError` at its line,
     in file order with the other faults within a line.  A leading UTF-8
     byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
+    With ``lazy``, returns the :class:`FileStream` instead, which reads
+    the edges after its header as a pass iterates them.
     """
-    raw = _Sha256File(path)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig",
-                          errors="surrogateescape") as handle:
-        return (*_parse_lines(handle), raw.digest.hexdigest())
+    stream = FileStream(path)
+    if lazy:
+        return stream
+    stream.hold()
+    return (StreamSource._checked(stream.num_vertices, stream.edges),  # type: ignore[arg-type]
+            stream.labels, stream.sha256)

@@ -7,23 +7,43 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semimatch
 from semimatch import cli
-from semimatch.bucket import choose_q, deterministic_ratio_bound, ensemble_ratio_bound
+from semimatch.bucket import (
+    best_copy,
+    choose_q,
+    delta_grid,
+    deterministic_ratio_bound,
+    ensemble_ratio_bound,
+    ensemble_states,
+    stream_bucket_run,
+)
 from semimatch.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from semimatch.core import format_stream
+from semimatch.core import (
+    Matching,
+    StreamFormatError,
+    StreamSource,
+    format_stream,
+    load_stream,
+    parse_stream_text,
+)
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
+    UniformWeights,
     random_instance,
     tight_instance_opt_weight,
 )
 
+from model import ModelCopy
 from test_adversary import opt_after_form, optima
 
 
@@ -505,29 +525,212 @@ class TestStreamHandling:
         assert reports[0]["config"]["stream_sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_stream_sha256_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
-        # The file changes after each parse; each report hashes what was parsed.
+        # The file changes after each pass, which run reads its stream inside, and
+        # after the oracle's solve; each report hashes what was parsed.
         path = gen_tight(capsys, tmp_path)
         parsed = []
-        load_stream = cli.load_stream
 
-        def load_then_append(name):
-            result = load_stream(name)
-            parsed.append(Path(name).read_bytes())
-            with open(name, "a", encoding="utf-8") as handle:
-                handle.write("# appended after the parse\n")
-            return result
+        def then_append(fn):
+            def wrapper(*args):
+                result = fn(*args)
+                parsed.append(path.read_bytes())
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write("# appended after the pass\n")
+                return result
+            return wrapper
 
-        monkeypatch.setattr(cli, "load_stream", load_then_append)
+        for name in ("stream_bucket_run", "max_weight_matching_exact"):
+            monkeypatch.setattr(cli, name, then_append(getattr(cli, name)))
         for command in (("run", str(path), "deterministic", "--gamma", "2", "--epsilon", "0.1"),
                         ("certificate", str(path), "--gamma", "2", "--epsilon", "0.1"),
                         ("oracle", str(path))):
+            first = len(parsed)
             code, out, _ = run_cli(capsys, *command)
             assert code == EXIT_OK
             report = json.loads(out)
             # oracle reports the hash at the top level, run and certificate in config
             digest = report.get("config", report)["stream_sha256"]
-            assert digest == hashlib.sha256(parsed[-1]).hexdigest()
+            assert digest == hashlib.sha256(parsed[first]).hexdigest()
         assert path.read_bytes() != parsed[0]
+
+
+def in_memory_result(text, variant, gamma, epsilon, delta=0.0, q=None):
+    """The result block and labels of ``run`` on a text, from the parse that holds every edge."""
+    stream, labels = parse_stream_text(text)
+    if variant == "ensemble":
+        states = ensemble_states(stream, gamma, epsilon, q)
+    else:
+        states = [stream_bucket_run(stream, gamma, epsilon, delta)]
+    best, per_copy = best_copy(states)
+    result = {"variant": variant, "gamma": gamma, "epsilon": epsilon,
+              "matching": [[e.u, e.v, e.weight] for e in best], "weight": best.weight,
+              "stored_edge_peak": sum(s.stored_edge_peak for s in states),
+              "edges_processed": sum(s.edges_processed for s in states),
+              "stream_passes": stream.passes}
+    if variant == "ensemble":
+        result |= {"q": q, "per_copy_weights": [m.weight for m in per_copy]}
+    else:
+        result["delta"] = delta
+    return stream, labels, result
+
+
+class TestStreamedRun:
+    """``run`` reads a file with a header inside its pass and holds none of its edges."""
+
+    def run_file(self, path, variant="deterministic", *flags, gamma=2.0, epsilon=0.01):
+        out = path.with_name("report.json")
+        out.unlink(missing_ok=True)
+        code = main(["run", str(path), variant, "--gamma", repr(gamma),
+                     "--epsilon", repr(epsilon), *flags, "--out", str(out)])
+        return code, (json.loads(out.read_text()) if out.exists() else None)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("lines", [
+        ["n=4", "0 1 1.0", "alice 1 1.0"],
+        # Ids 2 and 3 are fed before the switch; their dense ids are 0 and 1,
+        # and alice and bob take 2 and 3.
+        ["n=5", "# ids first", "2 3 1.0", "", "alice 2 5.0", "bob 0 1.0", "3 alice 0.5"],
+    ], ids=["id-then-label", "ids-clash"])
+    def test_label_switch_in_the_middle_of_a_file(self, tmp_path, newline, lines):
+        text = newline.join(lines + [""])
+        path = tmp_path / "stream.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for variant, flags, q in (("deterministic", (), None), ("ensemble", ("--q", "3"), 3)):
+            code, report = self.run_file(path, variant, *flags)
+            assert code == EXIT_OK
+            stream, labels, expected = in_memory_result(
+                text.replace("\r\n", "\n").replace("\r", "\n"), variant, 2.0, 0.01, q=q)
+            del report["result"]["wall_time_s"]
+            assert report["result"] == expected
+            assert report["vertex_labels"] == labels
+            assert report["config"]["num_vertices"] == stream.num_vertices
+            assert report["config"]["num_edges"] == len(stream)
+            assert report["config"]["stream_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("text", [
+        # A duplicate pair on line 3 is held; the bad weight on line 9 is in-line and wins.
+        "n=8\n0 1 1.0\n1 0 2.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n# c\n6 7 oops\n",
+        # An id out of range on line 2 comes before the duplicate on line 4.
+        "n=4\n0 9 1.0\n0 1 2.0\n1 0 3.0\n2 3 1.0\n",
+        # More labels than n on line 3 come before the duplicate on line 4.
+        "n=2\nalice bob 1.0\ncarol alice 1.0\nbob alice 2.0\n",
+    ], ids=["in-line-wins", "range-first", "labels-past-n"])
+    def test_a_fault_exits_as_the_parse_reports_it(self, capsys, tmp_path, text):
+        path = tmp_path / "stream.txt"
+        path.write_text(text)
+        self.assert_fault_as_parsed(capsys, path)
+
+    def test_a_byte_past_the_first_chunk_that_is_not_utf8(self, capsys, tmp_path):
+        lines = ["n=2000"] + [f"{i} {i + 1} 1.5" for i in range(1500)]
+        path = tmp_path / "stream.txt"
+        path.write_bytes("\n".join(lines + ["1500 1501 2.5\xff", ""]).encode("latin-1"))
+        assert path.stat().st_size > 8192
+        assert self.assert_fault_as_parsed(capsys, path) == 1502
+
+    @staticmethod
+    def assert_fault_as_parsed(capsys, path):
+        """Exit 2 with load_stream's message and line, and no report written; return the line."""
+        with pytest.raises(StreamFormatError) as excinfo:
+            load_stream(str(path))
+        out = path.with_name("report.json")
+        for variant in ("deterministic", "ensemble"):
+            code = main(["run", str(path), variant, "--gamma", "2", "--epsilon", "0.5",
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_CONFIG, "")
+            assert captured.err == f"semimatch: {excinfo.value}\n"
+            assert not out.exists()
+        return excinfo.value.line
+
+    @pytest.mark.parametrize("flags, message", [
+        (("ensemble", "--gamma", "2", "--epsilon", "1e-9"), "q=3465733693"),
+        (("ensemble", "--gamma", "2", "--epsilon", "0.5", "--q", "0"), "q must lie in"),
+        (("deterministic", "--gamma", "0.5", "--epsilon", "0.01"), "gamma must be finite"),
+        (("shifted", "--gamma", "2", "--epsilon", "0.01", "--delta", "1"), "delta must lie"),
+    ], ids=["copy-limit", "q", "gamma", "delta"])
+    def test_parameter_refusals_come_before_the_stream_is_read(self, capsys, tmp_path,
+                                                                flags, message):
+        # A stream with a fault on its first line, and one that does not exist.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 oops\n")
+        for path in (bad, tmp_path / "missing.txt"):
+            code, out, err = run_cli(capsys, "run", str(path), *flags)
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert message in err and "line" not in err
+
+    def test_the_window_limit_comes_after_the_header(self, capsys, tmp_path):
+        # The window needs n; a header fault is found first, then the limit, before the pass.
+        path = tmp_path / "stream.txt"
+        for text, message in (("n=x\n0 1 1.0\n", "bad vertex count"),
+                              ("n=1000\n0 1 1.0\n1 2 oops\n", "window of up to")):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "run", str(path), "deterministic",
+                                     "--gamma", "1.00001", "--epsilon", "0.01")
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert message in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(0, 150), seed=st.integers(0, 2**32 - 1),
+           law=st.sampled_from(["uniform:1,100", "expclasses:2,40"]),
+           ascending=st.booleans())
+    def test_agrees_with_the_held_run_and_the_model(self, n, m, seed, law, ascending):
+        # Every variant reads its file in the pass; each result equals the run on
+        # the edges parse_stream_text holds, and each copy equals the model's.
+        m = min(m, n * (n - 1) // 2)
+        stream = random_instance(RandomInstanceConfig(
+            n=n, m=m, weight_law=cli._parse_law(law), seed=seed))
+        if ascending:
+            stream = StreamSource(n, sorted(stream.edges, key=lambda e: (e.weight, e.key)))
+        text = format_stream(stream)
+        gamma, epsilon = 3.513, 0.5
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "stream.txt"
+            path.write_text(text)
+            runs = [("deterministic", (), 0.0, None), ("shifted", ("--delta", "0.375"), 0.375, None)]
+            runs += [("ensemble", ("--q", str(q)), 0.0, q) for q in (1, 3, 14)]
+            for variant, flags, delta, q in runs:
+                code, report = self.run_file(path, variant, *flags, gamma=gamma, epsilon=epsilon)
+                assert code == EXIT_OK
+                del report["result"]["wall_time_s"]
+                held, _, expected = in_memory_result(text, variant, gamma, epsilon, delta, q)
+                assert report["result"] == expected
+                assert report["config"]["num_edges"] == len(held)
+                deltas = delta_grid(q) if q is not None else [delta]
+                weights = report["result"].get("per_copy_weights", [report["result"]["weight"]])
+                for copy_delta, weight in zip(deltas, weights, strict=True):
+                    model = ModelCopy(gamma, epsilon, n, copy_delta)
+                    for e in held.edges:
+                        model.process(e)
+                    assert weight == Matching(model.finalize()).weight
+                if q is None:
+                    assert report["result"]["matching"] == [
+                        [e.u, e.v, e.weight] for e in model.finalize()]
+                    assert report["result"]["stored_edge_peak"] == model.stored_edge_peak
+
+    def test_memory_holds_no_edge_of_the_stream(self, tmp_path):
+        # n=1000, m=15,000: 2.44 MiB when every edge was held, 0.48 MiB measured streamed.
+        path = tmp_path / "stream.txt"
+        path.write_text(format_stream(random_instance(RandomInstanceConfig(
+            n=1000, m=15_000, weight_law=UniformWeights(1.0, 100.0), seed=1))))
+        assert self.peak_mib(path) < 1.0
+
+    def test_memory_of_a_large_header_with_three_edges(self, tmp_path):
+        # The duplicate store is a set until a bitmap of every pair below n is the
+        # smaller, so n=10**9 allocates no bitmap (0.03 MiB measured).
+        path = tmp_path / "stream.txt"
+        path.write_text("n=1000000000\n0 1 1.0\n5 999999999 2.0\n7 8 3.0\n")
+        assert self.peak_mib(path) < 1.0
+
+    def peak_mib(self, path):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, _ = self.run_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        return peak / 2**20
 
 
 class TestWeightRange:
