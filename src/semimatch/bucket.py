@@ -31,7 +31,7 @@ import sys
 from bisect import bisect_right
 from typing import Callable, Iterable, Optional
 
-from .core import Edge, FileStream, GreedyMatching, Matching, StreamSource
+from .core import Edge, FileStream, GreedyMatching, Matching, StreamSource, _edge, _Row
 
 __all__ = [
     "BucketState",
@@ -171,7 +171,7 @@ class BucketState:
 
     def process(self, edge: Edge) -> None:
         """Classify one arriving edge for every copy of the pass; store it or discard it."""
-        self._grid.feed((edge,))
+        self._grid.feed(((edge.u, edge.v, edge.weight, edge),))
 
     def finalize(self) -> Matching:
         """Greedy matching over the stored edges, highest class first.
@@ -336,22 +336,22 @@ class _Grid:
             floors.append(floor)
         self._bounds = floors[top + 1 - base], floors[alive + q - base]
 
-    def feed(self, edges: Iterable[Edge]) -> None:
-        """The one pass loop: classify each edge once, for every copy.
+    def feed(self, rows: Iterable[_Row]) -> None:
+        """The one pass loop: classify each ``(u, v, weight, edge)`` row once, for every copy.
 
         An edge in fine cell K lies at positions K-q+1 .. K, one per copy;
         those at or above ``alive`` are the copies whose window holds its
         class; one that does not raise w_max finds K by binary search of the
         floors from ``alive`` to ``top``.  One bit test against both ends'
-        bitsets finds the copies whose class matching takes it.
+        bitsets finds the copies whose class matching takes it, which all
+        store one Edge: the row's, else one made then (a lazy read's is None).
         """
         q, full, count = self.q, (1 << self.q) - 1, 0
         w_max, alive, top, base = self.w_max, self.alive, self.top, self.base
         cover, slots, floors = self.cover, self.slots, self.floors
         top_ceil, bottom_ceil = self._bounds
-        for edge in edges:
+        for u, v, w, edge in rows:
             count += 1
-            w = edge.weight
             if w > w_max:
                 self.w_max = w_max = w
                 threshold = self.threshold
@@ -370,13 +370,14 @@ class _Grid:
             else:
                 lo, mask = alive, (1 << (k - alive + 1)) - 1
             shift = lo - base
-            u, v = edge.u, edge.v
             cu, cv = cover.get(u, 0), cover.get(v, 0)
             free = mask & ~((cu | cv) >> shift)
             if not free:
                 continue
             cover[u] = cu | free << shift
             cover[v] = cv | free << shift
+            if edge is None:
+                edge = _edge(u, v, w)
             if free == mask:
                 for slot in slots[shift:shift + mask.bit_length()]:
                     slot.append(edge)
@@ -402,7 +403,7 @@ def stream_bucket_run(stream: StreamSource | FileStream, gamma: float, epsilon: 
                       delta: float = 0.0) -> BucketState:
     """One pass over the stream feeding a grid of one copy, shifted by delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, (delta,))
-    grid.feed(stream)
+    grid.feed(stream.rows())
     return grid.copies()[0]
 
 
@@ -445,7 +446,7 @@ def ensemble_states(
 ) -> list[BucketState]:
     """One pass over the stream feeding q shifted copies, one per grid delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, tuple(delta_grid(q)))
-    grid.feed(stream)
+    grid.feed(stream.rows())
     return grid.copies()
 
 

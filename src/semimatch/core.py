@@ -6,8 +6,8 @@ safe to share between concurrent tasks.  The edge-stream text format of
 whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
 header (required when vertex labels are non-numeric).  :func:`load_stream`
 reads a file, pipe or FIFO once, forward, and checks each line, its
-UTF-8 included, as it is read; a :class:`FileStream` reads the lines
-after the header only as a pass iterates its edges, and holds none.
+UTF-8 included, as it is read; a :class:`FileStream` reads the lines after
+the header only as a pass iterates their rows, and makes and holds no Edge.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, TextIO
 
 __all__ = [
@@ -54,6 +55,8 @@ class Edge:
 
 
 _set_u, _set_v, _set_weight = Edge.u.__set__, Edge.v.__set__, Edge.weight.__set__
+_get_u, _get_v, _get_weight = attrgetter("u"), attrgetter("v"), attrgetter("weight")
+_Row = tuple[int, int, float, Optional[Edge]]  # an edge as a pass reads it; the Edge may be None
 
 
 def _edge(u: int, v: int, weight: float) -> Edge:
@@ -63,6 +66,11 @@ def _edge(u: int, v: int, weight: float) -> Edge:
     _set_v(edge, v)
     _set_weight(edge, weight)
     return edge
+
+
+def _rows(edges: tuple[Edge, ...]) -> Iterator[_Row]:
+    """The rows of held edges, each carrying its own Edge, built in C."""
+    return zip(map(_get_u, edges), map(_get_v, edges), map(_get_weight, edges), edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +163,11 @@ class StreamSource:
         self.passes += 1
         return iter(self.edges)
 
+    def rows(self) -> Iterator[_Row]:
+        """One pass, counted in ``passes``, as the rows of its own edges."""
+        self.passes += 1
+        return _rows(self.edges)
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -202,10 +215,10 @@ _SET_BYTES_PER_PAIR = 64
 
 
 class _Parse:
-    """One forward parse of edge-stream lines, which :meth:`edges` advances.
+    """One forward parse of edge-stream lines, which :meth:`rows` advances.
 
     ``tokens`` numbers each token in order of first appearance, and the
-    edges that :meth:`edges` yields name their ends by those numbers.
+    rows that :meth:`rows` yields name their ends by those numbers.
     ``values`` holds each numbered vertex's id while every token is an
     id, and is None from the first label on, when a vertex's number is
     its id.  ``header_n`` is known once the first edge is yielded, and
@@ -228,8 +241,8 @@ class _Parse:
         values = self.values
         return Edge(u, v, weight) if values is None else Edge(values[u], values[v], weight)
 
-    def edges(self, lines: Iterable[str]) -> Iterator[Edge]:
-        """Yield each edge as soon as its line is read and checked, each check made once.
+    def rows(self, lines: TextIO) -> Iterator[_Row]:
+        """Yield each edge's row, with no Edge, once its line is read and checked, each check once.
 
         The first edge with an id not below n, the first past n tokens (the
         range fault for labels) and the first repeated pair are held as
@@ -244,95 +257,96 @@ class _Parse:
         pairs: set[int] = set()
         bits: Optional[bytearray] = None
         # n, the pairs below n, and the set size at which their bitmap is the smaller
-        bound = cells = crowded = math.inf
+        bound = cells = crowded = inf = math.inf
         out_of_range = past_n = repeated = None
         count = 0
-        for lineno, raw in enumerate(lines, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise _not_utf8(raw, exc, lineno) from None
-            parts = raw.split()
-            if len(parts) != 3 or parts[0][0] == "#":
-                if not parts or parts[0][0] == "#":
-                    continue
-                line = raw.strip()
-                if not line.startswith("n="):
-                    raise StreamFormatError(
-                        f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
-                if count:
-                    raise StreamFormatError("n= header must precede edge lines", lineno)
-                if header_n is not None:
-                    raise StreamFormatError("duplicate n= header", lineno)
-                text = line[2:]
-                try:
-                    if not _canonical(text):
-                        raise ValueError(text)
-                    header_n = int(text)  # also raises past int()'s digit limit
-                except ValueError:
-                    raise StreamFormatError(f"bad vertex count {text!r}", lineno) from None
-                if header_n < 1:
-                    raise StreamFormatError("n= must be positive", lineno)
-                self.header_n = bound = header_n
-                cells = header_n * (header_n + 1) // 2
-                crowded = cells // (8 * _SET_BYTES_PER_PAIR)
-                continue
-            a, b, w = parts
-            u, v = tokens.get(a), tokens.get(b)
-            if u is None or v is None:
-                if values is not None and not ((u is not None or _canonical(a))
-                                               and (v is not None or _canonical(b))):
-                    if header_n is None:
+        with lines:  # closed when they end, raise or are dropped unread
+            for lineno, raw in enumerate(lines, start=1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise _not_utf8(raw, exc, lineno) from None
+                parts = raw.split()
+                if len(parts) != 3 or parts[0][0] == "#":
+                    if not parts or parts[0][0] == "#":
+                        continue
+                    line = raw.strip()
+                    if not line.startswith("n="):
                         raise StreamFormatError(
-                            "n= header is required when vertex labels are non-numeric", lineno)
-                    values = self.values = None  # every token is a label from here on
-                beyond = False  # whether a new id is not below n
-                for token in (a, b):
-                    if token not in tokens:
-                        if values is not None:
-                            try:
-                                value = int(token)
-                            except ValueError:  # past int()'s digit limit
-                                raise StreamFormatError(
-                                    f"vertex id of {max(len(a), len(b))} digits is longer "
-                                    f"than int() reads", lineno) from None
-                            beyond = beyond or value >= bound
-                            values.append(value)
-                        tokens[token] = len(tokens)
-                u, v = tokens[a], tokens[b]
-                if beyond and out_of_range is None:
-                    out_of_range = (lineno, raw.strip(), u, v)
-                if past_n is None and len(tokens) > bound:
-                    past_n = (lineno, raw.strip(), u, v)
-            try:
-                weight = float(w)
-            except ValueError:
-                raise StreamFormatError(f"bad weight {w!r}", lineno) from None
-            if u == v or not 0.0 < weight < math.inf:
+                            f"expected '<u> <v> <weight>', got {len(parts)} fields", lineno)
+                    if count:
+                        raise StreamFormatError("n= header must precede edge lines", lineno)
+                    if header_n is not None:
+                        raise StreamFormatError("duplicate n= header", lineno)
+                    text = line[2:]
+                    try:
+                        if not _canonical(text):
+                            raise ValueError(text)
+                        header_n = int(text)  # also raises past int()'s digit limit
+                    except ValueError:
+                        raise StreamFormatError(f"bad vertex count {text!r}", lineno) from None
+                    if header_n < 1:
+                        raise StreamFormatError("n= must be positive", lineno)
+                    self.header_n = bound = header_n
+                    cells = header_n * (header_n + 1) // 2
+                    crowded = cells // (8 * _SET_BYTES_PER_PAIR)
+                    continue
+                a, b, w = parts
+                u, v = tokens.get(a), tokens.get(b)
+                if u is None or v is None:
+                    if values is not None and not ((u is not None or _canonical(a))
+                                                   and (v is not None or _canonical(b))):
+                        if header_n is None:
+                            raise StreamFormatError(
+                                "n= header is required when vertex labels are non-numeric", lineno)
+                        values = self.values = None  # every token is a label from here on
+                    beyond = False  # whether a new id is not below n
+                    for token in (a, b):
+                        if token not in tokens:
+                            if values is not None:
+                                try:
+                                    value = int(token)
+                                except ValueError:  # past int()'s digit limit
+                                    raise StreamFormatError(
+                                        f"vertex id of {max(len(a), len(b))} digits is longer "
+                                        f"than int() reads", lineno) from None
+                                beyond = beyond or value >= bound
+                                values.append(value)
+                            tokens[token] = len(tokens)
+                    u, v = tokens[a], tokens[b]
+                    if beyond and out_of_range is None:
+                        out_of_range = (lineno, raw.strip(), u, v)
+                    if past_n is None and len(tokens) > bound:
+                        past_n = (lineno, raw.strip(), u, v)
                 try:
-                    self._reported(u, v, weight)  # raises with the message stated there
-                except ValueError as exc:
-                    raise StreamFormatError(str(exc), lineno) from None
-            pair = u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
-            if bits is not None:
-                if pair < cells:
-                    byte, bit = pair >> 3, 1 << (pair & 7)
-                    if bits[byte] & bit and repeated is None:
-                        repeated = (lineno, raw.strip(), u, v)
-                    bits[byte] |= bit
-            elif pair not in pairs:
-                pairs.add(pair)
-                if len(pairs) > crowded:
-                    bits = bytearray((cells + 7) // 8)
-                    for key in pairs:
-                        if key < cells:
-                            bits[key >> 3] |= 1 << (key & 7)
-                    pairs = set()
-            elif repeated is None:
-                repeated = (lineno, raw.strip(), u, v)
-            count += 1
-            yield _edge(u, v, weight)
+                    weight = float(w)
+                except ValueError:
+                    raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+                if u == v or not 0.0 < weight < inf:
+                    try:
+                        self._reported(u, v, weight)  # raises with the message stated there
+                    except ValueError as exc:
+                        raise StreamFormatError(str(exc), lineno) from None
+                pair = u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
+                if bits is not None:
+                    if pair < cells:
+                        byte, bit = pair >> 3, 1 << (pair & 7)
+                        if bits[byte] & bit and repeated is None:
+                            repeated = (lineno, raw.strip(), u, v)
+                        bits[byte] |= bit
+                elif pair not in pairs:
+                    pairs.add(pair)
+                    if len(pairs) > crowded:
+                        bits = bytearray((cells + 7) // 8)
+                        for key in pairs:
+                            if key < cells:
+                                bits[key >> 3] |= 1 << (key & 7)
+                        pairs = set()
+                elif repeated is None:
+                    repeated = (lineno, raw.strip(), u, v)
+                count += 1
+                yield u, v, weight, None
         self.count = count
         self.num_vertices = (header_n if header_n is not None
                              else 1 + max(values, default=-1))  # type: ignore[arg-type]
@@ -349,9 +363,9 @@ class _Parse:
                 raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
 
 
-def _held(parse: _Parse, edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """Every edge the parse yields, read to its end and named by its reported ids."""
-    held = tuple(edges)
+def _held(parse: _Parse, rows: Iterator[_Row]) -> tuple[Edge, ...]:
+    """An Edge for every row the parse yields, read to its end, named by its reported ids."""
+    held = tuple(_edge(u, v, w) for u, v, w, _ in rows)
     values = parse.values
     if values is not None:  # renamed in place: no one else holds these edges yet
         for e in held:
@@ -363,7 +377,7 @@ def _held(parse: _Parse, edges: Iterable[Edge]) -> tuple[Edge, ...]:
 def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
     """Parse a handle in one forward pass, holding every edge."""
     parse = _Parse()
-    edges = _held(parse, parse.edges(handle))
+    edges = _held(parse, parse.rows(handle))
     return StreamSource._checked(parse.num_vertices, edges), parse.labels
 
 
@@ -400,24 +414,18 @@ class _Sha256File(io.FileIO):
         return count
 
 
-def _closing(handle: TextIO, items: Iterator[Edge]) -> Iterator[Edge]:
-    """The items, then the handle closed; also when they raise or are dropped unread."""
-    with handle:
-        yield from items
-
-
 class FileStream:
     """An edge-stream file, pipe or FIFO, read once and forward; see :func:`load_stream`.
 
     Opening it reads through the first edge line.  When the ``n=`` header
-    came before that line, iterating reads the rest, one edge at a time,
-    and holds none of them: an edge names its ends by their order of first
-    appearance, ``ids`` maps those to the ids reported (None when they are
-    the same), and a held id-range or duplicate fault is raised when the
-    read ends.  A file without the header, or one whose edges :meth:`hold`
-    has read, keeps them in ``edges`` under their reported ids and may be
-    iterated again.  ``passes`` counts the iterations; ``sha256``,
-    ``labels`` and ``len()`` hold once the read has ended.
+    came before that line, the pass of :meth:`rows` reads the rest as
+    ``(u, v, weight, None)`` rows and holds none: a row names its ends by
+    their order of first appearance, ``ids`` maps those to the ids reported
+    (None when they are the same), and a held id-range or duplicate fault
+    is raised when the read ends.  A file without the header, or one that
+    :meth:`hold` has read, keeps its edges in ``edges`` under their reported
+    ids, and its passes, which may repeat, carry them.  ``passes`` counts
+    them; ``sha256``, ``labels`` and ``len()`` hold once the read has ended.
     """
 
     def __init__(self, path: str):
@@ -427,7 +435,7 @@ class FileStream:
         self.passes = 0
         self.edges: Optional[tuple[Edge, ...]] = None
         self._parse = _Parse()
-        rest = _closing(handle, self._parse.edges(handle))
+        rest = self._parse.rows(handle)
         first = next(rest, None)  # the header, if any, precedes it
         self._rest = itertools.chain(() if first is None else (first,), rest)
         self.num_vertices = self._parse.header_n
@@ -453,10 +461,11 @@ class FileStream:
     def sha256(self) -> Optional[str]:
         return self._raw.digest.hexdigest() if self._raw.closed else None
 
-    def __iter__(self) -> Iterator[Edge]:
+    def rows(self) -> Iterator[_Row]:
+        """One pass, counted in ``passes``: the rows of the held edges, else of the read."""
         self.passes += 1
         if self.edges is not None:
-            return iter(self.edges)
+            return _rows(self.edges)
         if self.passes > 1:
             raise ValueError("a stream whose edges are not held is read once")
         return self._rest
@@ -475,7 +484,7 @@ def load_stream(path: str, lazy: bool = False
     in file order with the other faults within a line.  A leading UTF-8
     byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
     With ``lazy``, returns the :class:`FileStream` instead, which reads
-    the edges after its header as a pass iterates them.
+    the edges after its header as a pass iterates their rows.
     """
     stream = FileStream(path)
     if lazy:

@@ -404,7 +404,7 @@ class TestFineGrid:
         k = grid._cell(w)
         assert [(k - j) // q for j in range(q)] == \
             [class_index(w, gamma, j / q) for j in range(q)]
-        grid.feed((E(0, 1, w),))
+        grid.feed(((0, 1, w, None),))
         assert grid.top == grid._cell(w) == k
 
     def test_decreasing_floors_are_refused(self, monkeypatch):
@@ -430,7 +430,7 @@ class TestFineGrid:
         q = 14
         # Each edge raises w_max by three classes, 42 positions, so every
         # edge moves the window past the end of the floor table.
-        edges = [E(t, t + 500, 1.5 * 8.0 ** t) for t in range(300)]
+        edges = [(t, t + 500, 1.5 * 8.0 ** t, None) for t in range(300)]
         grid = ensemble_states(StreamSource(1000, ()), 2.0, 0.01, q)[0]._grid
         grid.feed(edges[:1])
         first = grid.alive

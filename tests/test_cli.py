@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semimatch
-from semimatch import cli
+from semimatch import bucket, cli
 from semimatch.bucket import (
     best_copy,
     choose_q,
@@ -706,6 +706,125 @@ class TestStreamedRun:
                     assert report["result"]["matching"] == [
                         [e.u, e.v, e.weight] for e in model.finalize()]
                     assert report["result"]["stored_edge_peak"] == model.stored_edge_peak
+
+    def test_a_lazy_read_closes_its_file_when_dropped_or_when_it_raises(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
+        stream = load_stream(str(path), lazy=True)
+        rows = stream.rows()
+        assert next(rows) == (0, 1, 1.0, None)
+        raw = stream._raw
+        assert not raw.closed
+        del stream, rows  # dropped after its first edge
+        assert raw.closed
+        path.write_text("n=4\n0 1 1.0\n1 2 oops\n2 3 2.0\n")
+        stream = load_stream(str(path), lazy=True)
+        with pytest.raises(StreamFormatError, match="^line 3: bad weight"):
+            list(stream.rows())
+        assert stream._raw.closed  # closed as the read raised, while the stream is still held
+
+    @pytest.mark.parametrize("text, flags, exit_code", [
+        # The window limit refuses the grid, so the pass never starts.
+        ("n=1000\n0 1 1.0\n1 2 2.0\n", ("--gamma", "1.00001"), EXIT_CONFIG),
+        # The read raises at a bad weight in the middle of the file.
+        ("n=1000\n0 1 1.0\n1 2 oops\n2 3 2.0\n", ("--gamma", "2"), EXIT_CONFIG),
+        ("n=1000\n0 1 1.0\n1 2 2.0\n", ("--gamma", "2"), EXIT_OK),
+    ], ids=["window-limit", "bad-weight", "read-to-its-end"])
+    def test_run_closes_the_file_it_reads(self, capsys, monkeypatch, tmp_path, text, flags,
+                                          exit_code):
+        path = tmp_path / "stream.txt"
+        path.write_text(text)
+        opened = []
+
+        def loading(path, lazy=False):
+            stream = load_stream(path, lazy)
+            opened.append(stream._raw)  # the file, not the stream, which the run drops
+            return stream
+
+        monkeypatch.setattr(cli, "load_stream", loading)
+        code, _, _ = run_cli(capsys, "run", str(path), "deterministic", *flags,
+                             "--epsilon", "0.01")
+        assert code == exit_code
+        assert len(opened) == 1 and opened[0].closed
+
+    def counting_edges(self, monkeypatch):
+        """Patch the pass's Edge maker; return the list of every Edge it makes."""
+        made, make = [], bucket._edge
+
+        def making(u, v, weight):
+            made.append(make(u, v, weight))
+            return made[-1]
+
+        monkeypatch.setattr(bucket, "_edge", making)
+        return made
+
+    @staticmethod
+    def model_stored(stream, gamma, epsilon, deltas):
+        """The keys of the edges the model's copies store over the pass."""
+        keys = set()
+        for delta in deltas:
+            model = ModelCopy(gamma, epsilon, stream.num_vertices, delta)
+            for e in stream.edges:
+                model.process(e)
+                if any(edges[-1] is e for edges, _ in model.classes.values()):
+                    keys.add(e.key)
+        return keys
+
+    def test_a_lazy_pass_makes_an_edge_only_for_a_row_it_stores(self, monkeypatch, tmp_path):
+        # The benchmark-shaped file: 2,250 of its 15,000 rows are ever stored.
+        path = tmp_path / "stream.txt"
+        text = format_stream(random_instance(RandomInstanceConfig(
+            n=1000, m=15_000, weight_law=UniformWeights(1.0, 100.0), seed=1)))
+        path.write_text(text)
+        made = self.counting_edges(monkeypatch)
+        code, report = self.run_file(path)
+        assert code == EXIT_OK and report["result"]["stream_passes"] == 1
+        stream, _ = parse_stream_text(text)
+        assert len(made) == len(self.model_stored(stream, 2.0, 0.01, [0.0])) == 2_250
+        assert len({e.key for e in made}) == len(made)
+
+    def test_every_copy_that_stores_a_row_holds_one_edge(self, monkeypatch, tmp_path):
+        # q=14 copies over few classes, so most stored rows are taken by several copies.
+        path = tmp_path / "stream.txt"
+        text = format_stream(random_instance(RandomInstanceConfig(
+            n=200, m=2_000, weight_law=ExponentialClassWeights(2.0, 8), seed=3)))
+        path.write_text(text)
+        made = self.counting_edges(monkeypatch)
+        kept = []
+
+        def keeping(*args):
+            kept.extend(ensemble_states(*args))
+            return kept
+
+        monkeypatch.setattr(cli, "ensemble_states", keeping)
+        code, _ = self.run_file(path, "ensemble", "--q", "14", gamma=3.513, epsilon=0.5)
+        assert code == EXIT_OK
+        stream, _ = parse_stream_text(text)
+        assert len(made) == len(self.model_stored(stream, 3.513, 0.5, delta_grid(14)))
+        ids = {id(e) for e in made}
+        by_key = {}
+        for state in kept:
+            for edges in state.matchings.values():
+                for e in edges:
+                    assert id(e) in ids
+                    assert by_key.setdefault(e.key, e) is e
+        assert sum(len(edges) for s in kept for edges in s.matchings.values()) > len(by_key)
+
+    def test_a_held_pass_stores_the_streams_own_edges(self, monkeypatch, tmp_path):
+        made = self.counting_edges(monkeypatch)
+        stream = random_instance(RandomInstanceConfig(
+            n=200, m=2_000, weight_law=ExponentialClassWeights(2.0, 8), seed=3))
+        own = {id(e) for e in stream.edges}
+        for state in ensemble_states(stream, 3.513, 0.5, 14):
+            assert all(id(e) in own for edges in state.matchings.values() for e in edges)
+        assert stream.passes == 1
+        # A file without the header is held, and run --with-oracle holds its edges.
+        path = tmp_path / "stream.txt"
+        path.write_text(format_stream(stream).split("\n", 1)[1])
+        assert self.run_file(path, "ensemble", "--q", "14")[0] == EXIT_OK
+        path.write_text(format_stream(stream))
+        assert self.run_file(path, "deterministic", "--with-oracle")[0] == EXIT_OK
+        assert made == []
 
     def test_memory_holds_no_edge_of_the_stream(self, tmp_path):
         # n=1000, m=15,000: 2.44 MiB when every edge was held, 0.48 MiB measured streamed.
