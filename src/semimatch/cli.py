@@ -186,7 +186,7 @@ def _run_config(args: argparse.Namespace) -> tuple[Optional[int], dict]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     q, config = _run_config(args)
-    stream = load_stream(args.stream, lazy=True)  # the module global, which a tracer patches
+    stream = load_stream(args.stream)  # the module global, which a tracer patches
     if args.with_oracle:  # the oracle reads every edge after the pass
         stream.hold()
     record = _run_variant(stream, args.variant, args.gamma, args.epsilon, config["delta"], q)
@@ -207,7 +207,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     _, config = _run_config(args)
-    stream, mapping, config["stream_sha256"] = load_stream(args.stream)
+    stream = load_stream(args.stream)
+    stream.hold()  # the certificate reads every edge after the pass
+    config["stream_sha256"] = stream.sha256
     state = stream_bucket_run(stream, args.gamma, args.epsilon, config["delta"])
     survivors = filter_to_final_window(state, stream.edges)
     cert = build_certificate(state, max_weight_matching_exact(survivors))
@@ -223,20 +225,21 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         "per_vertex_association": {
             str(v): [i, w] for v, (i, w) in sorted(cert.per_vertex_association.items())},
     }
-    _emit(report, args.out, mapping)
+    _emit(report, args.out, stream.labels)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    stream, mapping, sha256 = load_stream(args.stream)
+    stream = load_stream(args.stream)
+    stream.hold()
     matching = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",
         "stream": args.stream,
-        "stream_sha256": sha256,
+        "stream_sha256": stream.sha256,
         "matching": _matching_payload(matching),
         "weight": matching.weight,
-    }, args.out, mapping)
+    }, args.out, stream.labels)
     return EXIT_OK
 
 

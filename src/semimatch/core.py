@@ -1,13 +1,12 @@
 """Graph primitives shared by every other module: edges, matchings, streams.
 
 Values other than the :class:`GreedyMatching` builder are immutable and
-safe to share between concurrent tasks.  The edge-stream text format of
-:func:`parse_stream_text` is one edge per line, ``<u> <v> <weight>``
-whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
-header (required when vertex labels are non-numeric).  :func:`load_stream`
-reads a file, pipe or FIFO once, forward, and checks each line, its
-UTF-8 included, as it is read; a :class:`FileStream` reads the lines after
-the header only as a pass iterates their rows, and makes and holds no Edge.
+safe to share between concurrent tasks.  :func:`load_stream` is the one
+way into an edge-stream file, pipe or FIFO, and states its text format.
+It reads the input once, forward, and checks each line, its UTF-8
+included, as it is read; a :class:`FileStream` reads the lines after the
+header only as a pass iterates their rows, and makes and holds no Edge
+unless :meth:`FileStream.hold` is called.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamFormatError",
-    "parse_stream_text", "format_stream", "load_stream", "FileStream",
+    "format_stream", "load_stream", "FileStream",
 ]
 
 
@@ -130,8 +129,8 @@ class StreamSource:
 
     Construction checks each edge's ids against the count and rejects a
     repeated vertex pair in either orientation (ValueError).
-    Iterating delivers the edges one at a time, in order.  ``passes``
-    counts how many iterations have been requested; single-pass
+    :meth:`rows` delivers the edges one at a time, in order, and
+    ``passes`` counts how many times it was called; single-pass
     algorithms are audited against it.
     """
 
@@ -151,17 +150,6 @@ class StreamSource:
                 raise ValueError(f"duplicate edge between {key[0]} and {key[1]}")
             seen.add(key)
         self.num_vertices, self.edges, self.passes = num_vertices, edges, 0
-
-    @classmethod
-    def _checked(cls, num_vertices: int, edges: tuple[Edge, ...]) -> "StreamSource":
-        """A stream whose count and edges the caller has already checked."""
-        stream = cls.__new__(cls)
-        stream.num_vertices, stream.edges, stream.passes = num_vertices, edges, 0
-        return stream
-
-    def __iter__(self) -> Iterator[Edge]:
-        self.passes += 1
-        return iter(self.edges)
 
     def rows(self) -> Iterator[_Row]:
         """One pass, counted in ``passes``, as the rows of its own edges."""
@@ -184,24 +172,6 @@ class StreamFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-def parse_stream_text(text: str) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Parse the edge-stream text format.
-
-    Returns the stream plus the label-to-id mapping when vertex labels
-    were not ids (None when ids were used verbatim).  A token is an id
-    only when it is canonical ASCII decimal (``0`` or ``[1-9][0-9]*``);
-    one other token makes every token a label.  A line of three fields is
-    an edge line; any other line that starts with ``n=`` is the header,
-    whose count must be canonical and positive.  Labels require the
-    header and are remapped densely in order of first appearance.  Faults
-    within a line are reported first; then the first edge with an id not
-    below ``n`` (for labels, the first past ``n`` labels) or a repeated
-    vertex pair.  A line ends at LF, CRLF or CR.  A lone surrogate (a
-    byte that is not UTF-8, in a file) is a fault within its line.
-    """
-    return _parse_lines(io.StringIO(text, newline=None))
-
-
 def _canonical(token: str) -> bool:
     """Whether a token is canonical ASCII decimal: ``0`` or ``[1-9][0-9]*``."""
     return token.isdigit() and token.isascii() and (token[0] != "0" or token == "0")
@@ -214,6 +184,19 @@ def _canonical(token: str) -> bool:
 _SET_BYTES_PER_PAIR = 64
 
 
+class _Sha256File(io.FileIO):
+    """A file read in binary that adds every byte read through ``readinto`` to ``digest``."""
+
+    def __init__(self, path: str):
+        super().__init__(path)
+        self.digest = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        count = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:count])
+        return count
+
+
 class _Parse:
     """One forward parse of edge-stream lines, which :meth:`rows` advances.
 
@@ -222,14 +205,20 @@ class _Parse:
     ``values`` holds each numbered vertex's id while every token is an
     id, and is None from the first label on, when a vertex's number is
     its id.  ``header_n`` is known once the first edge is yielded, and
-    ``num_vertices`` and ``count`` once the lines end.
+    ``num_vertices`` once the lines end; ``count``, the number of edges,
+    and ``sha256``, the hex digest of the bytes read, are None until the
+    lines end with no fault.
     """
+
+    __slots__ = ("header_n", "tokens", "values", "num_vertices", "count", "sha256")
 
     def __init__(self) -> None:
         self.header_n: Optional[int] = None
         self.tokens: dict[str, int] = {}
         self.values: Optional[list[int]] = []
-        self.num_vertices = self.count = 0
+        self.num_vertices = 0
+        self.count: Optional[int] = None
+        self.sha256: Optional[str] = None
 
     @property
     def labels(self) -> Optional[dict[str, int]]:
@@ -241,16 +230,17 @@ class _Parse:
         values = self.values
         return Edge(u, v, weight) if values is None else Edge(values[u], values[v], weight)
 
-    def rows(self, lines: TextIO) -> Iterator[_Row]:
-        """Yield each edge's row, with no Edge, once its line is read and checked, each check once.
+    def rows(self, file: _Sha256File) -> Iterator[_Row]:
+        """Yield each edge's row, with no Edge, once its line of ``file`` is read and checked.
 
-        The first edge with an id not below n, the first past n tokens (the
-        range fault for labels) and the first repeated pair are held as
-        (line number, line, u, v) until the lines end, and the first of
-        them is raised then: in-line faults come first.  Pair keys go to
-        a set, and to a bitmap over the pairs below n once the set would
-        be the larger; a pair with an end past n is not looked up there,
-        since the range fault of that end comes before it.
+        Each check is made once.  The first edge with an id not below n,
+        the first past n tokens (the range fault for labels) and the first
+        repeated pair are held as (line number, line, u, v) until the lines
+        end, and the first of them is raised then: in-line faults come
+        first.  Pair keys go to a set, and to a bitmap over the pairs below
+        n once the set would be the larger; a pair with an end past n is
+        not looked up there, since the range fault of that end comes
+        before it.
         """
         tokens, values = self.tokens, self.values
         header_n: Optional[int] = None
@@ -260,13 +250,16 @@ class _Parse:
         bound = cells = crowded = inf = math.inf
         out_of_range = past_n = repeated = None
         count = 0
+        lines = io.TextIOWrapper(io.BufferedReader(file), encoding="utf-8-sig",
+                                 errors="surrogateescape")
         with lines:  # closed when they end, raise or are dropped unread
             for lineno, raw in enumerate(lines, start=1):
-                if not raw.isascii():
+                if not raw.isascii():  # a byte that is not UTF-8 was read as a lone surrogate
                     try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError as exc:
-                        raise _not_utf8(raw, exc, lineno) from None
+                        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise StreamFormatError(f"byte 0x{bad.object[bad.start]:02x} is not "
+                                                f"UTF-8 ({bad.reason})", lineno) from None
                 parts = raw.split()
                 if len(parts) != 3 or parts[0][0] == "#":
                     if not parts or parts[0][0] == "#":
@@ -347,7 +340,6 @@ class _Parse:
                     repeated = (lineno, raw.strip(), u, v)
                 count += 1
                 yield u, v, weight, None
-        self.count = count
         self.num_vertices = (header_n if header_n is not None
                              else 1 + max(values, default=-1))  # type: ignore[arg-type]
         if self.num_vertices < 1:
@@ -361,24 +353,7 @@ class _Parse:
                 StreamSource(self.num_vertices, [self._reported(u, v, 1.0)] * 2)
             except ValueError as exc:
                 raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
-
-
-def _held(parse: _Parse, rows: Iterator[_Row]) -> tuple[Edge, ...]:
-    """An Edge for every row the parse yields, read to its end, named by its reported ids."""
-    held = tuple(_edge(u, v, w) for u, v, w, _ in rows)
-    values = parse.values
-    if values is not None:  # renamed in place: no one else holds these edges yet
-        for e in held:
-            _set_u(e, values[e.u])
-            _set_v(e, values[e.v])
-    return held
-
-
-def _parse_lines(handle: TextIO) -> tuple[StreamSource, Optional[dict[str, int]]]:
-    """Parse a handle in one forward pass, holding every edge."""
-    parse = _Parse()
-    edges = _held(parse, parse.rows(handle))
-    return StreamSource._checked(parse.num_vertices, edges), parse.labels
+        self.count, self.sha256 = count, file.digest.hexdigest()
 
 
 def format_stream(stream: StreamSource) -> str:
@@ -386,32 +361,6 @@ def format_stream(stream: StreamSource) -> str:
     lines = [f"n={stream.num_vertices}"]
     lines.extend(f"{e.u} {e.v} {e.weight!r}" for e in stream.edges)
     return "\n".join(lines) + "\n"
-
-
-def _not_utf8(line: str, exc: UnicodeEncodeError, lineno: int) -> StreamFormatError:
-    """Report the lone surrogate ``exc`` found in a line: the byte that a file's
-    ``surrogateescape`` decoder stood it in for, else (text given as a str) itself."""
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as bad:
-        return StreamFormatError(
-            f"byte 0x{bad.object[bad.start]:02x} is not UTF-8 ({bad.reason})", lineno)
-    except UnicodeEncodeError:
-        pass
-    return StreamFormatError(f"character {line[exc.start]!r} is not UTF-8 ({exc.reason})", lineno)
-
-
-class _Sha256File(io.FileIO):
-    """A file read in binary that adds every byte read through ``readinto`` to ``digest``."""
-
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.digest = hashlib.sha256()
-
-    def readinto(self, buffer) -> int:
-        count = super().readinto(buffer)
-        self.digest.update(memoryview(buffer)[:count])
-        return count
 
 
 class FileStream:
@@ -425,17 +374,17 @@ class FileStream:
     is raised when the read ends.  A file without the header, or one that
     :meth:`hold` has read, keeps its edges in ``edges`` under their reported
     ids, and its passes, which may repeat, carry them.  ``passes`` counts
-    them; ``sha256``, ``labels`` and ``len()`` hold once the read has ended.
+    them; ``sha256``, ``labels`` and ``len()`` hold once the read has ended
+    with no fault, and ``len()`` raises ValueError before.
     """
 
+    __slots__ = ("passes", "edges", "num_vertices", "_parse", "_rest")
+
     def __init__(self, path: str):
-        self._raw = _Sha256File(path)
-        handle = io.TextIOWrapper(io.BufferedReader(self._raw), encoding="utf-8-sig",
-                                  errors="surrogateescape")
         self.passes = 0
         self.edges: Optional[tuple[Edge, ...]] = None
         self._parse = _Parse()
-        rest = self._parse.rows(handle)
+        rest = self._parse.rows(_Sha256File(path))
         first = next(rest, None)  # the header, if any, precedes it
         self._rest = itertools.chain(() if first is None else (first,), rest)
         self.num_vertices = self._parse.header_n
@@ -443,15 +392,29 @@ class FileStream:
             self.hold()
 
     def hold(self) -> None:
-        """Read the edges not yet read and keep them all; call it before the first pass."""
+        """Read the edges not yet read and keep them all; call it before the first pass.
+
+        The held edges carry their reported ids, so the read's numbering of
+        the tokens is dropped with the read; a label file keeps its labels.
+        """
         if self.edges is None:
-            self.edges = _held(self._parse, self._rest)
-            self.num_vertices = self._parse.num_vertices
+            if self.passes:
+                raise ValueError("a stream whose edges are not held is read once")
+            parse = self._parse
+            held = tuple(_edge(u, v, w) for u, v, w, _ in self._rest)
+            values = parse.values
+            if values is not None:  # renamed in place: no one else holds these edges yet
+                for e in held:
+                    _set_u(e, values[e.u])
+                    _set_v(e, values[e.v])
+            self.edges, self.num_vertices = held, parse.num_vertices
+            del self._rest
+            parse.tokens, parse.values = parse.labels, None  # type: ignore[assignment]
 
     @property
     def ids(self) -> Optional[list[int]]:
         """The reported id of each vertex number the read edges carry; None when they are equal."""
-        return None if self.edges is not None else self._parse.values
+        return self._parse.values
 
     @property
     def labels(self) -> Optional[dict[str, int]]:
@@ -459,36 +422,44 @@ class FileStream:
 
     @property
     def sha256(self) -> Optional[str]:
-        return self._raw.digest.hexdigest() if self._raw.closed else None
+        return self._parse.sha256
 
     def rows(self) -> Iterator[_Row]:
         """One pass, counted in ``passes``: the rows of the held edges, else of the read."""
-        self.passes += 1
         if self.edges is not None:
+            self.passes += 1
             return _rows(self.edges)
-        if self.passes > 1:
+        if self.passes:
             raise ValueError("a stream whose edges are not held is read once")
+        self.passes = 1
         return self._rest
 
     def __len__(self) -> int:
+        if self._parse.count is None:
+            raise ValueError("a stream has no length until its read ends with no fault")
         return self._parse.count
 
 
-def load_stream(path: str, lazy: bool = False
-                ) -> tuple[StreamSource, Optional[dict[str, int]], str] | FileStream:
-    """Read and parse an edge-stream file, pipe or FIFO in one forward pass.
+def load_stream(path: str) -> FileStream:
+    """Open an edge-stream file, pipe or FIFO and read it through its first edge line.
 
-    Returns the stream, the label mapping of :func:`parse_stream_text`,
-    and the SHA-256 (hex) of the bytes parsed, taken in the same read.  A
-    byte that is not UTF-8 raises :class:`StreamFormatError` at its line,
-    in file order with the other faults within a line.  A leading UTF-8
+    The text format is one edge per line, ``<u> <v> <weight>``
+    whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
+    header (required when vertex labels are non-numeric).  A token is an
+    id only when it is canonical ASCII decimal (``0`` or ``[1-9][0-9]*``);
+    one other token makes every token a label.  A line of three fields is
+    an edge line; any other line that starts with ``n=`` is the header,
+    whose count must be canonical and positive.  Labels require the header
+    and are remapped densely in order of first appearance, which
+    ``labels`` maps.  Faults within a line are reported first; then the
+    first edge with an id not below ``n`` (for labels, the first past ``n``
+    labels) or a repeated vertex pair.  A line ends at LF, CRLF or CR.  A
+    byte that is not UTF-8 is a fault within its line.  Each fault raises
+    :class:`StreamFormatError` with its line number.  A leading UTF-8
     byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
-    With ``lazy``, returns the :class:`FileStream` instead, which reads
-    the edges after its header as a pass iterates their rows.
+    ``sha256`` is the SHA-256 (hex) of the bytes parsed, taken in the same
+    read.  The rest of the file is read by the one pass of
+    :meth:`FileStream.rows`, or by :meth:`FileStream.hold`, which keeps
+    every edge for passes and readers after it.
     """
-    stream = FileStream(path)
-    if lazy:
-        return stream
-    stream.hold()
-    return (StreamSource._checked(stream.num_vertices, stream.edges),  # type: ignore[arg-type]
-            stream.labels, stream.sha256)
+    return FileStream(path)

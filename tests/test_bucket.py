@@ -842,7 +842,7 @@ class TestInvariants:
         stream = random_instance(RandomInstanceConfig(
             n=n, m=400, weight_law=UniformWeights(0.01, 1e7), seed=77))
         state = make_state(gamma, epsilon, n)
-        for e in stream:
+        for e in stream.edges:
             state.process(e)
             assert state.stored_edge_count <= bound
         assert state.stored_edge_peak <= bound

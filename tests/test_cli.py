@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semimatch
-from semimatch import bucket, cli
+from semimatch import bucket, cli, core
 from semimatch.bucket import (
     best_copy,
     choose_q,
@@ -33,7 +33,6 @@ from semimatch.core import (
     StreamSource,
     format_stream,
     load_stream,
-    parse_stream_text,
 )
 from semimatch.generators import (
     ExponentialClassWeights,
@@ -45,6 +44,7 @@ from semimatch.generators import (
 
 from model import ModelCopy
 from test_adversary import opt_after_form, optima
+from test_core import held
 
 
 def run_cli(capsys, *argv):
@@ -476,33 +476,43 @@ class TestStreamHandling:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_stream_runs_as_the_file(self, tmp_path):
-        # A pipe is read in the same one forward pass as "< file": the same exit
-        # code, fault line and report (wall_time_s is a timing, so it differs).
+        # A pipe is read in the same one forward pass as "< file", by run's lazy
+        # pass and by the held read of oracle and certificate alike: the same
+        # exit code, fault line and report (wall_time_s is a timing, so it differs).
         path = tmp_path / "stream.txt"
-        argv = [sys.executable, "-m", "semimatch.cli", "run", "/dev/stdin", "deterministic",
-                "--gamma", "2", "--epsilon", "0.1"]
         src = str(Path(semimatch.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs = []
-        for text in ("n=3\n0 1 1.0\n1 2 2.0\n", "n=3\n0 1 1.0\n1 0 2.0\n"):
-            path.write_text(text)
-            piped = subprocess.run(argv, input=text, capture_output=True, text=True,
-                                   env=env, timeout=60)
-            with open(path, encoding="utf-8") as handle:
-                redirected = subprocess.run(argv, stdin=handle, capture_output=True,
-                                            text=True, env=env, timeout=60)
-            assert (piped.returncode, piped.stderr) == (redirected.returncode, redirected.stderr)
-            runs.append((piped, redirected))
-        (valid, valid_file), (repeat, _) = runs
-        assert (valid.returncode, repeat.returncode, repeat.stdout) == (EXIT_OK, EXIT_CONFIG, "")
-        assert "line 3: duplicate edge between 0 and 1" in repeat.stderr
-        reports = [json.loads(run.stdout) for run in (valid, valid_file)]
-        for report in reports:
-            del report["result"]["wall_time_s"]
-        assert reports[0] == reports[1]
-        assert (reports[0]["config"]["stream_sha256"]
-                == hashlib.sha256(b"n=3\n0 1 1.0\n1 2 2.0\n").hexdigest())
+        texts = {"valid": "n=3\n0 1 1.0\n1 2 2.0\n", "labels": "n=3\n0 1 1.0\nalice 1 2.0\n",
+                 "repeat": "n=3\n0 1 1.0\n1 0 2.0\n"}
+        for command in (["run", "/dev/stdin", "deterministic", "--gamma", "2", "--epsilon", "0.1"],
+                        ["oracle", "/dev/stdin"],
+                        ["certificate", "/dev/stdin", "--gamma", "2", "--epsilon", "0.1"]):
+            argv = [sys.executable, "-m", "semimatch.cli", *command]
+            runs = {}
+            for name, text in texts.items():
+                path.write_text(text)
+                piped = subprocess.run(argv, input=text, capture_output=True, text=True,
+                                       env=env, timeout=60)
+                with open(path, encoding="utf-8") as handle:
+                    redirected = subprocess.run(argv, stdin=handle, capture_output=True,
+                                                text=True, env=env, timeout=60)
+                assert ((piped.returncode, piped.stderr)
+                        == (redirected.returncode, redirected.stderr)), command
+                runs[name] = [piped, redirected]
+            repeat = runs["repeat"][0]
+            assert (repeat.returncode, repeat.stdout) == (EXIT_CONFIG, ""), command
+            assert "line 3: duplicate edge between 0 and 1" in repeat.stderr
+            for name in ("valid", "labels"):
+                reports = [json.loads(run.stdout) for run in runs[name]]
+                for report in reports:
+                    report.get("result", {}).pop("wall_time_s", None)
+                assert reports[0] == reports[1], command
+                # oracle reports the hash at the top level, run and certificate in config
+                assert (reports[0].get("config", reports[0])["stream_sha256"]
+                        == hashlib.sha256(texts[name].encode()).hexdigest())
+                assert reports[0].get("vertex_labels") == (
+                    {"0": 0, "1": 1, "alice": 2} if name == "labels" else None), command
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_stream_with_a_byte_order_mark_runs(self, capsys, tmp_path):
@@ -555,8 +565,8 @@ class TestStreamHandling:
 
 
 def in_memory_result(text, variant, gamma, epsilon, delta=0.0, q=None):
-    """The result block and labels of ``run`` on a text, from the parse that holds every edge."""
-    stream, labels = parse_stream_text(text)
+    """The result block and labels of ``run`` on a text, from the stream that holds every edge."""
+    stream = held(text)
     if variant == "ensemble":
         states = ensemble_states(stream, gamma, epsilon, q)
     else:
@@ -571,7 +581,7 @@ def in_memory_result(text, variant, gamma, epsilon, delta=0.0, q=None):
         result |= {"q": q, "per_copy_weights": [m.weight for m in per_copy]}
     else:
         result["delta"] = delta
-    return stream, labels, result
+    return stream, stream.labels, result
 
 
 class TestStreamedRun:
@@ -629,9 +639,9 @@ class TestStreamedRun:
 
     @staticmethod
     def assert_fault_as_parsed(capsys, path):
-        """Exit 2 with load_stream's message and line, and no report written; return the line."""
+        """Exit 2 with the held read's message and line, and no report written; return the line."""
         with pytest.raises(StreamFormatError) as excinfo:
-            load_stream(str(path))
+            load_stream(str(path)).hold()
         out = path.with_name("report.json")
         for variant in ("deterministic", "ensemble"):
             code = main(["run", str(path), variant, "--gamma", "2", "--epsilon", "0.5",
@@ -675,7 +685,7 @@ class TestStreamedRun:
            ascending=st.booleans())
     def test_agrees_with_the_held_run_and_the_model(self, n, m, seed, law, ascending):
         # Every variant reads its file in the pass; each result equals the run on
-        # the edges parse_stream_text holds, and each copy equals the model's.
+        # the edges of the held stream, and each copy equals the model's.
         m = min(m, n * (n - 1) // 2)
         stream = random_instance(RandomInstanceConfig(
             n=n, m=m, weight_law=cli._parse_law(law), seed=seed))
@@ -707,21 +717,35 @@ class TestStreamedRun:
                         [e.u, e.v, e.weight] for e in model.finalize()]
                     assert report["result"]["stored_edge_peak"] == model.stored_edge_peak
 
-    def test_a_lazy_read_closes_its_file_when_dropped_or_when_it_raises(self, tmp_path):
+    @staticmethod
+    def opening(monkeypatch):
+        """Patch the file a stream reads; return the list of every file opened."""
+        opened = []
+
+        class Recorded(core._Sha256File):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        monkeypatch.setattr(core, "_Sha256File", Recorded)
+        return opened
+
+    def test_a_lazy_read_closes_its_file_when_dropped_or_when_it_raises(self, monkeypatch,
+                                                                         tmp_path):
+        opened = self.opening(monkeypatch)
         path = tmp_path / "stream.txt"
         path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
-        stream = load_stream(str(path), lazy=True)
+        stream = load_stream(str(path))
         rows = stream.rows()
         assert next(rows) == (0, 1, 1.0, None)
-        raw = stream._raw
-        assert not raw.closed
+        assert not opened[0].closed
         del stream, rows  # dropped after its first edge
-        assert raw.closed
+        assert opened[0].closed
         path.write_text("n=4\n0 1 1.0\n1 2 oops\n2 3 2.0\n")
-        stream = load_stream(str(path), lazy=True)
+        stream = load_stream(str(path))
         with pytest.raises(StreamFormatError, match="^line 3: bad weight"):
             list(stream.rows())
-        assert stream._raw.closed  # closed as the read raised, while the stream is still held
+        assert opened[1].closed  # closed as the read raised, while the stream is still held
 
     @pytest.mark.parametrize("text, flags, exit_code", [
         # The window limit refuses the grid, so the pass never starts.
@@ -734,14 +758,7 @@ class TestStreamedRun:
                                           exit_code):
         path = tmp_path / "stream.txt"
         path.write_text(text)
-        opened = []
-
-        def loading(path, lazy=False):
-            stream = load_stream(path, lazy)
-            opened.append(stream._raw)  # the file, not the stream, which the run drops
-            return stream
-
-        monkeypatch.setattr(cli, "load_stream", loading)
+        opened = self.opening(monkeypatch)
         code, _, _ = run_cli(capsys, "run", str(path), "deterministic", *flags,
                              "--epsilon", "0.01")
         assert code == exit_code
@@ -779,8 +796,7 @@ class TestStreamedRun:
         made = self.counting_edges(monkeypatch)
         code, report = self.run_file(path)
         assert code == EXIT_OK and report["result"]["stream_passes"] == 1
-        stream, _ = parse_stream_text(text)
-        assert len(made) == len(self.model_stored(stream, 2.0, 0.01, [0.0])) == 2_250
+        assert len(made) == len(self.model_stored(held(text), 2.0, 0.01, [0.0])) == 2_250
         assert len({e.key for e in made}) == len(made)
 
     def test_every_copy_that_stores_a_row_holds_one_edge(self, monkeypatch, tmp_path):
@@ -799,8 +815,7 @@ class TestStreamedRun:
         monkeypatch.setattr(cli, "ensemble_states", keeping)
         code, _ = self.run_file(path, "ensemble", "--q", "14", gamma=3.513, epsilon=0.5)
         assert code == EXIT_OK
-        stream, _ = parse_stream_text(text)
-        assert len(made) == len(self.model_stored(stream, 3.513, 0.5, delta_grid(14)))
+        assert len(made) == len(self.model_stored(held(text), 3.513, 0.5, delta_grid(14)))
         ids = {id(e) for e in made}
         by_key = {}
         for state in kept:

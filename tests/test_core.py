@@ -1,6 +1,9 @@
-import io
+import gc
 import math
+import os
 import random
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,6 @@ from semimatch.core import (
     StreamSource,
     format_stream,
     load_stream,
-    _parse_lines,
-    parse_stream_text,
 )
 
 _CANONICAL = ("0", "1", "7", "10", "12")
@@ -23,6 +24,21 @@ _TOKENS = _CANONICAL + ("007", "07", "+7", "1_0", "-0", "\u0663")
 
 def E(u, v, w=1.0):
     return Edge(u, v, w)
+
+
+def held(text):
+    """The held stream of ``text``, written as UTF-8 to a file of its own.
+
+    It makes its own directory rather than take a fixture, so that tests
+    under hypothesis can call it once per example.
+    """
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "stream.txt")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        stream = load_stream(path)
+        stream.hold()
+        return stream
 
 
 # Canonical ids (some at or above a small n) and labels, among them "007".
@@ -120,7 +136,7 @@ class TestEdge:
 
     def test_int_weight_float_holds_round_trips(self):
         s = StreamSource(2, [E(0, 1, 2 ** 60)])
-        parsed, _ = parse_stream_text(format_stream(s))
+        parsed = held(format_stream(s))
         assert parsed.edges == s.edges
 
     def test_key_is_orientation_independent(self):
@@ -193,8 +209,8 @@ class TestStreamSource:
     def test_counts_passes(self):
         s = StreamSource(4, [E(0, 1), E(2, 3)])
         assert s.passes == 0
-        list(s)
-        list(s)
+        list(s.rows())
+        list(s.rows())
         assert s.passes == 2
 
     def test_rejects_out_of_range_vertex(self):
@@ -222,50 +238,103 @@ class TestStreamSource:
             StreamSource(4, [E(0, 1), E(2, 3), E(3, 2)])
 
 
+class TestFileStream:
+    def test_length_is_known_once_the_read_ends(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
+        stream = load_stream(str(path))
+        with pytest.raises(ValueError, match="no length until its read ends"):
+            len(stream)
+        assert list(stream.rows()) == [(0, 1, 1.0, None), (2, 3, 2.0, None)]
+        assert len(stream) == 2
+        # A read that raises has no length either.
+        path.write_text("n=4\n0 1 1.0\n1 0 2.0\n")
+        stream = load_stream(str(path))
+        with pytest.raises(StreamFormatError, match="duplicate"):
+            list(stream.rows())
+        with pytest.raises(ValueError, match="no length until its read ends"):
+            len(stream)
+        # A file without the header is held as it opens.
+        path.write_text("0 1 1.0\n2 3 2.0\n")
+        assert len(load_stream(str(path))) == 2
+
+    def test_a_stream_read_by_its_pass_is_not_held_after(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
+        stream = load_stream(str(path))
+        list(stream.rows())
+        for again in (stream.hold, stream.rows):
+            with pytest.raises(ValueError, match="is read once"):
+                again()
+        assert (stream.edges, len(stream), stream.passes) == (None, 2, 1)
+
+    def test_a_held_stream_drops_the_numbering_of_its_tokens(self, tmp_path):
+        # 10,000 distinct ids in 5,000 edges: the edges and their ids take 0.68 MiB,
+        # and the numbering of the tokens, once held with them, took 1.07 MiB more.
+        path = tmp_path / "stream.txt"
+        path.write_text("n=10000\n" + "".join(f"{i} {i + 5000} 1.0\n" for i in range(5000)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stream = load_stream(str(path))
+            stream.hold()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (stream.ids, stream.labels, len(stream)) == (None, None, 5000)
+        assert stream.edges[-1] == Edge(4999, 9999, 1.0)
+        assert kept / 2**20 < 1.0
+        # A label file keeps its labels.
+        stream = held("n=3\n007 7 1.0\n7 alice 2.0\n")
+        assert stream.labels == {"007": 0, "7": 1, "alice": 2}
+        assert stream.ids is None
+        assert stream.edges == (Edge(0, 1, 1.0), Edge(1, 2, 2.0))
+
+
 class TestParsing:
     def test_numeric_round_trip(self):
         s = StreamSource(6, [E(0, 1, 1.25), E(4, 5, 0.5)])
-        parsed, mapping = parse_stream_text(format_stream(s))
-        assert mapping is None
+        parsed = held(format_stream(s))
+        assert parsed.labels is None
         assert parsed.num_vertices == 6
         assert parsed.edges == s.edges
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\nn=3\n0 1 2.0\n# trailing\n"
-        parsed, _ = parse_stream_text(text)
+        parsed = held(text)
         assert len(parsed) == 1
         assert parsed.num_vertices == 3
 
     def test_string_labels_need_header(self):
         with pytest.raises(StreamFormatError, match="n= header is required"):
-            parse_stream_text("alice bob 2.0\n")
+            held("alice bob 2.0\n")
         # a negative id is a label, not an id
         with pytest.raises(StreamFormatError, match="n= header is required") as excinfo:
-            parse_stream_text("0 1 1.0\n-1 2 2.0\n")
+            held("0 1 1.0\n-1 2 2.0\n")
         assert excinfo.value.line == 2
 
     def test_string_labels_remapped_in_order(self):
-        parsed, mapping = parse_stream_text("n=4\nalice bob 2.0\ncarol alice 1.0\n")
-        assert mapping == {"alice": 0, "bob": 1, "carol": 2}
+        parsed = held("n=4\nalice bob 2.0\ncarol alice 1.0\n")
+        assert parsed.labels == {"alice": 0, "bob": 1, "carol": 2}
         assert parsed.edges[1] == Edge(2, 0, 1.0)
         # numeric labels before the first other label are remapped too
-        parsed, mapping = parse_stream_text("n=4\n5 6 1.0\nalice 5 2.0\n")
-        assert mapping == {"5": 0, "6": 1, "alice": 2}
+        parsed = held("n=4\n5 6 1.0\nalice 5 2.0\n")
+        assert parsed.labels == {"5": 0, "6": 1, "alice": 2}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 0, 2.0))
-        parsed, mapping = parse_stream_text("n=3\n-1 0 1.0\n")
-        assert mapping == {"-1": 0, "0": 1}
+        parsed = held("n=3\n-1 0 1.0\n")
+        assert parsed.labels == {"-1": 0, "0": 1}
         # distinct labels that int() reads as one id are not a self-loop in a label file
-        parsed, mapping = parse_stream_text("n=4\n007 7 1.0\nalice 7 1.0\n")
-        assert mapping == {"007": 0, "7": 1, "alice": 2}
+        parsed = held("n=4\n007 7 1.0\nalice 7 1.0\n")
+        assert parsed.labels == {"007": 0, "7": 1, "alice": 2}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0))
         # three fields make an edge line, even one whose first label starts with n=
-        parsed, mapping = parse_stream_text("n=3\nn=x y 1.0\n")
-        assert mapping == {"n=x": 0, "y": 1}
+        parsed = held("n=3\nn=x y 1.0\n")
+        assert parsed.labels == {"n=x": 0, "y": 1}
         assert parsed.edges == (Edge(0, 1, 1.0),)
 
     def test_error_carries_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
-            parse_stream_text("0 1 2.0\n0 1\n")
+            held("0 1 2.0\n0 1\n")
         assert excinfo.value.line == 2
         assert "line 2" in str(excinfo.value)
 
@@ -290,31 +359,31 @@ class TestParsing:
     ])
     def test_header_faults(self, text, message, line):
         with pytest.raises(StreamFormatError, match=message) as excinfo:
-            parse_stream_text(text)
+            held(text)
         assert excinfo.value.line == line
 
     def test_one_id_twice_is_self_loop_in_numeric_file(self):
         with pytest.raises(StreamFormatError, match="self-loop at vertex 7") as excinfo:
-            parse_stream_text("n=8\n0 1 1.0\n7 7 1.0\n2 3 1.0\n")
+            held("n=8\n0 1 1.0\n7 7 1.0\n2 3 1.0\n")
         assert excinfo.value.line == 3
 
     def test_only_canonical_decimal_tokens_are_ids(self):
         # "007" is a label, not a second spelling of 7: the file becomes a label file.
-        parsed, mapping = parse_stream_text("n=8\n0 1 1.0\n007 7 1.0\n2 3 1.0\n")
-        assert mapping == {"0": 0, "1": 1, "007": 2, "7": 3, "2": 4, "3": 5}
+        parsed = held("n=8\n0 1 1.0\n007 7 1.0\n2 3 1.0\n")
+        assert parsed.labels == {"0": 0, "1": 1, "007": 2, "7": 3, "2": 4, "3": 5}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(4, 5, 1.0))
-        parsed, mapping = parse_stream_text("n=11\n0 1_0 1.0\n0 10 2.0\n")
-        assert mapping == {"0": 0, "1_0": 1, "10": 2}
+        parsed = held("n=11\n0 1_0 1.0\n0 10 2.0\n")
+        assert parsed.labels == {"0": 0, "1_0": 1, "10": 2}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(0, 2, 2.0))
         for token in ("007", "+7", "1_0", "-0", "\u0663"):
             with pytest.raises(StreamFormatError, match="n= header is required") as excinfo:
-                parse_stream_text(f"0 1 1.0\n{token} 2 1.0\n")
+                held(f"0 1 1.0\n{token} 2 1.0\n")
             assert excinfo.value.line == 2
 
     def test_id_beyond_int_digit_limit(self):
         # int() refuses more than 4,300 digits; a canonical token that long is still an id.
         with pytest.raises(StreamFormatError, match="5000 digits") as excinfo:
-            parse_stream_text("n=3\n0 1 1.0\n1 " + "9" * 5000 + " 1.0\n")
+            held("n=3\n0 1 1.0\n1 " + "9" * 5000 + " 1.0\n")
         assert excinfo.value.line == 3
 
     @given(st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(_TOKENS)), max_size=12))
@@ -322,7 +391,7 @@ class TestParsing:
         pairs = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
         # n=13 exceeds every canonical id and the number of distinct tokens.
         text = "n=13\n" + "".join(f"{a} {b} 1.0\n" for a, b in pairs)
-        parsed, mapping = parse_stream_text(text)
+        parsed = held(text)
         vertex_of: dict[str, int] = {}
         for (a, b), e in zip(pairs, parsed.edges, strict=True):
             assert vertex_of.setdefault(a, e.u) == e.u
@@ -330,54 +399,39 @@ class TestParsing:
         assert len(set(vertex_of.values())) == len(vertex_of)
         tokens = [t for pair in pairs for t in pair]
         if all(t in _CANONICAL for t in tokens):
-            assert mapping is None
+            assert parsed.labels is None
         else:
-            assert mapping == {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-
-    def test_successful_parse_never_seeks(self):
-        class NoSeek(io.StringIO):
-            def seek(self, *args):
-                raise AssertionError("seek during a successful parse")
-
-        for text in ("n=4\n0 1 1.0\n2 3 1.0\n", "n=4\n0 1 1.0\nalice 1 2.0\n"):
-            parsed, _ = _parse_lines(NoSeek(text, newline=None))
-            assert len(parsed) == 2
-        # An id-range or duplicate fault is found in the same pass, too.
-        for text, message in (("n=2\n0 1 1.0\n1 2 1.0\n", "exceeds"),
-                              ("n=4\n0 1 1.0\nalice 1 2.0\n1 0 3.0\n", "duplicate")):
-            with pytest.raises(StreamFormatError, match=message) as excinfo:
-                _parse_lines(NoSeek(text, newline=None))
-            assert excinfo.value.line == text.count("\n")
+            assert parsed.labels == {t: i for i, t in enumerate(dict.fromkeys(tokens))}
 
     def test_labels_over_n_are_an_id_range_fault(self):
         # More labels than n is held until the file ends, after every in-line fault.
         with pytest.raises(StreamFormatError, match="bad weight 'oops'") as excinfo:
-            parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\nx y oops\n")
+            held("n=2\nalice bob 1.0\ncarol alice 1.0\nx y oops\n")
         assert excinfo.value.line == 4
         with pytest.raises(StreamFormatError) as excinfo:
-            parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\n")
+            held("n=2\nalice bob 1.0\ncarol alice 1.0\n")
         assert str(excinfo.value) == ("line 3: vertex id 2 exceeds the largest id 1 for "
                                       "num_vertices=2: 'carol alice 1.0'")
 
     def test_bad_weight_line_number(self):
         with pytest.raises(StreamFormatError) as excinfo:
-            parse_stream_text("0 1 2.0\n2 3 oops\n")
+            held("0 1 2.0\n2 3 oops\n")
         assert excinfo.value.line == 2
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(StreamFormatError, match="duplicate"):
-            parse_stream_text("0 1 2.0\n1 0 3.0\n")
+            held("0 1 2.0\n1 0 3.0\n")
         with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
-            parse_stream_text("n=4\nalice bob 1.0\n# again\n\nbob alice 2.0\n")
+            held("n=4\nalice bob 1.0\n# again\n\nbob alice 2.0\n")
         assert excinfo.value.line == 5
         assert "bob alice" in str(excinfo.value)
 
     def test_id_exceeding_header(self):
         with pytest.raises(StreamFormatError, match="exceeds") as excinfo:
-            parse_stream_text("n=2\n0 5 1.0\n")
+            held("n=2\n0 5 1.0\n")
         assert excinfo.value.line == 2
         with pytest.raises(StreamFormatError, match="exceeds") as excinfo:
-            parse_stream_text("n=3\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n")
+            held("n=3\n# c\n0 1 1.0\n\n1 2 1.0\n2 3 1.0\n")
         assert excinfo.value.line == 6
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -387,13 +441,13 @@ class TestParsing:
         text = newline.join(["n=4", "0 1 1.0", "# c", "", "alice 1 1.0", "1 alice 2.0", ""])
         path = tmp_path / "stream.txt"
         path.write_bytes(text.encode("utf-8"))
-        for parse in (lambda: load_stream(str(path)), lambda: parse_stream_text(text)):
-            with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
-                parse()
-            assert excinfo.value.line == 6
+        with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
+            load_stream(str(path)).hold()
+        assert excinfo.value.line == 6
         path.write_bytes(text.replace("1 alice", "bob alice").encode("utf-8"))
-        parsed, mapping, _ = load_stream(str(path))
-        assert mapping == {"0": 0, "1": 1, "alice": 2, "bob": 3}
+        parsed = load_stream(str(path))
+        parsed.hold()
+        assert parsed.labels == {"0": 0, "1": 1, "alice": 2, "bob": 3}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0), Edge(3, 2, 2.0))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -403,7 +457,7 @@ class TestParsing:
         path = tmp_path / "stream.txt"
         path.write_bytes(newline.join(lines + ["5000 5001 2.5\xff", ""]).encode("latin-1"))
         with pytest.raises(StreamFormatError, match="0xff is not UTF-8") as excinfo:
-            load_stream(str(path))
+            load_stream(str(path)).hold()
         assert excinfo.value.line == 5002
 
     def test_fault_before_a_bad_byte_in_one_decoder_chunk(self, tmp_path):
@@ -413,26 +467,27 @@ class TestParsing:
         path.write_bytes("\n".join(lines + ["39 40 2.5\xff", ""]).encode("latin-1"))
         assert path.stat().st_size < 8192
         with pytest.raises(StreamFormatError, match="bad weight 'oops'") as excinfo:
-            load_stream(str(path))
+            load_stream(str(path)).hold()
         assert excinfo.value.line == 2
 
-    @pytest.mark.parametrize("surrogate", ["\ud800", "\udcff"], ids=["d800", "dcff"])
-    @pytest.mark.parametrize("text", ["n=3\n0 1 1.0\n1 x{} 2.0\n", "n=3\n0 1 1.0\n# c{}\n"],
+    @pytest.mark.parametrize("data", [b"n=3\n0 1 1.0\n1 x\xff 2.0\n", b"n=3\n0 1 1.0\n# c\xff\n"],
                              ids=["label", "comment"])
-    def test_lone_surrogate_in_text_is_a_format_error(self, surrogate, text):
-        with pytest.raises(StreamFormatError, match="is not UTF-8") as excinfo:
-            parse_stream_text(text.format(surrogate))
-        assert excinfo.value.line == 3
+    def test_non_utf8_byte_in_a_label_or_a_comment(self, tmp_path, data):
+        path = tmp_path / "stream.txt"
+        path.write_bytes(data)
+        with pytest.raises(StreamFormatError) as excinfo:
+            load_stream(str(path)).hold()
+        assert str(excinfo.value) == "line 3: byte 0xff is not UTF-8 (invalid start byte)"
 
     def test_only_lf_crlf_cr_end_lines(self):
         # A form feed is whitespace inside a line, not a line break.
         with pytest.raises(StreamFormatError, match="6 fields") as excinfo:
-            parse_stream_text("0 1 1.0\f2 3 1.0\n")
+            held("0 1 1.0\f2 3 1.0\n")
         assert excinfo.value.line == 1
 
     def test_too_many_labels_for_header(self):
         with pytest.raises(StreamFormatError) as excinfo:
-            parse_stream_text("n=2\nalice bob 1.0\ncarol alice 1.0\n")
+            held("n=2\nalice bob 1.0\ncarol alice 1.0\n")
         assert excinfo.value.line == 3
         assert "carol" in str(excinfo.value)
 
@@ -442,7 +497,7 @@ class TestParsing:
         text = "".join(f"{line}\n" for line in ([f"n={header}"] if header else []) + lines)
         expected = _naive_scan(header, lines, first_line=2 if header else 1)
         try:
-            parsed, mapping = parse_stream_text(text)
+            parsed = held(text)
         except StreamFormatError as exc:
             assert expected[0] == "fault", (text, exc)
             assert (exc.line, expected[2] in str(exc)) == (expected[1], True), (text, exc)
@@ -452,7 +507,7 @@ class TestParsing:
         public = StreamSource(parsed.num_vertices,
                               [Edge(e.u, e.v, e.weight) for e in parsed.edges])
         assert (public.num_vertices, public.edges) == (parsed.num_vertices, parsed.edges)
-        assert (parsed.num_vertices, parsed.edges, mapping) == (num_vertices, edges, labels)
+        assert (parsed.num_vertices, parsed.edges, parsed.labels) == (num_vertices, edges, labels)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), _EDGE_WEIGHT)
                     .filter(lambda row: row[0] != row[1]),
@@ -461,8 +516,8 @@ class TestParsing:
     def test_format_then_parse_gives_the_stream_back(self, rows, extra):
         edges = [Edge(u, v, w) for u, v, w in rows]
         stream = StreamSource(1 + extra + max((max(e.u, e.v) for e in edges), default=0), edges)
-        parsed, mapping = parse_stream_text(format_stream(stream))
-        assert mapping is None
+        parsed = held(format_stream(stream))
+        assert parsed.labels is None
         assert (parsed.num_vertices, parsed.edges) == (stream.num_vertices, stream.edges)
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=2, max_value=9),
@@ -479,6 +534,6 @@ class TestParsing:
             seen.add(key)
             edges.append(Edge(u, v, rng.uniform(0.001, 1e6)))
         stream = StreamSource(n, edges)
-        parsed, _ = parse_stream_text(format_stream(stream))
+        parsed = held(format_stream(stream))
         assert parsed.edges == stream.edges
         assert parsed.num_vertices == stream.num_vertices
