@@ -334,7 +334,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         before = held.keys() | {edge.key}
         algorithm.on_edge(edge)
         held = algorithm.current_matching
-        if not isinstance(held, Matching):  # whose constructor checks disjointness
+        if not isinstance(held, Matching):  # disjoint: its constructor or a greedy cover checked it
             raise ContractViolationError(
                 f"victim's hold after {label} is a {type(held).__name__}, not a Matching")
         # Past these checks it holds only edges it held before and this one.

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .core import Edge, FileStream, GreedyMatching, Matching, StreamSource, _edge, _Row
@@ -180,10 +181,8 @@ class BucketState:
         unless it touches a vertex already taken.
         """
         greedy = GreedyMatching()
-        for slot in reversed(self._grid.column(self._copy)):
-            for e in slot:
-                greedy.add(e)
-        return Matching(greedy.edges)
+        greedy.extend(chain.from_iterable(reversed(self._grid.column(self._copy))))
+        return greedy.matching()
 
 
 def check_parameters(gamma: float, epsilon: float, deltas: Iterable[float]) -> None:
@@ -341,15 +340,19 @@ class _Grid:
 
         An edge in fine cell K lies at positions K-q+1 .. K, one per copy;
         those at or above ``alive`` are the copies whose window holds its
-        class; one that does not raise w_max finds K by binary search of the
-        floors from ``alive`` to ``top``.  One bit test against both ends'
-        bitsets finds the copies whose class matching takes it, which all
-        store one Edge: the row's, else one made then (a lazy read's is None).
+        class.  The loop works in table indices ``p - base``: the live ones
+        run from ``start`` (alive) to below ``stop`` (top + 1), and an edge
+        that does not raise w_max finds ``K + 1`` by binary search of the
+        floors between them.  One bit test against both ends' bitsets finds
+        the copies whose class matching takes it, which all store one Edge:
+        the row's, else one made then (a lazy read's is None).
         """
         q, full, count = self.q, (1 << self.q) - 1, 0
-        w_max, alive, top, base = self.w_max, self.alive, self.top, self.base
-        cover, slots, floors = self.cover, self.slots, self.floors
+        w_max, cover, slots, floors = self.w_max, self.cover, self.slots, self.floors
         top_ceil, bottom_ceil = self._bounds
+        start = stop = 0  # a fresh grid's first edge moves the window, which sets them
+        if self.top is not None:
+            start, stop = self.alive - self.base, self.top + 1 - self.base
         for u, v, w, edge in rows:
             count += 1
             if w > w_max:
@@ -357,19 +360,19 @@ class _Grid:
                 threshold = self.threshold
                 if w >= top_ceil or threshold >= bottom_ceil:
                     self._move(threshold)
-                    alive, top, base, cover = self.alive, self.top, self.base, self.cover
+                    start, stop = self.alive - self.base, self.top + 1 - self.base
+                    cover = self.cover
                     top_ceil, bottom_ceil = self._bounds
-                k = top
+                end = stop  # one past the index of K
             else:
-                k = bisect_right(floors, w, alive - base, top + 1 - base) + base - 1
-                if k < alive:
+                end = bisect_right(floors, w, start, stop)
+                if end <= start:
                     continue
-            lo = k - q + 1
-            if lo >= alive:
+            shift = end - q  # the index of K-q+1, the lowest position of the edge
+            if shift >= start:
                 mask = full
             else:
-                lo, mask = alive, (1 << (k - alive + 1)) - 1
-            shift = lo - base
+                shift, mask = start, (1 << (end - start)) - 1
             cu, cv = cover.get(u, 0), cover.get(v, 0)
             free = mask & ~((cu | cv) >> shift)
             if not free:
@@ -379,7 +382,7 @@ class _Grid:
             if edge is None:
                 edge = _edge(u, v, w)
             if free == mask:
-                for slot in slots[shift:shift + mask.bit_length()]:
+                for slot in slots[shift:end]:
                     slot.append(edge)
             else:
                 while free:

@@ -105,8 +105,15 @@ class Matching:
         return {e.key for e in self.edges}
 
 
+_set_edges, _set_total = Matching.edges.__set__, Matching.weight.__set__
+
+
 class GreedyMatching:
-    """A matching grown greedily in ``edges``, whose endpoints are ``cover``."""
+    """A matching grown greedily in ``edges``, whose endpoints are ``cover``.
+
+    Its cover test keeps no two edges that share a vertex, so it is the
+    disjointness check of what it keeps, and :meth:`matching` makes no other.
+    """
 
     __slots__ = ("edges", "cover")
 
@@ -114,14 +121,38 @@ class GreedyMatching:
         self.edges: list[Edge] = []
         self.cover: set[int] = set()
 
+    def extend(self, edges: Iterable[Edge]) -> None:
+        """Keep each edge, in order, if neither of its ends is covered yet."""
+        keep, covered, cover = self.edges.append, self.cover.add, self.cover
+        for e in edges:
+            u, v = e.u, e.v
+            if u not in cover and v not in cover:
+                keep(e)
+                covered(u)
+                covered(v)
+
     def add(self, edge: Edge) -> bool:
         """Keep the edge if neither end is covered; return whether it was kept."""
-        if edge.u in self.cover or edge.v in self.cover:
-            return False
-        self.edges.append(edge)
-        self.cover.add(edge.u)
-        self.cover.add(edge.v)
-        return True
+        kept = len(self.edges)
+        self.extend((edge,))
+        return len(self.edges) > kept
+
+    def matching(self) -> Matching:
+        """The edges kept so far, as a :class:`Matching` that the cover test has checked."""
+        matching = object.__new__(Matching)
+        _set_edges(matching, tuple(self.edges))
+        _set_total(matching, math.fsum(map(_get_weight, self.edges)))
+        return matching
+
+
+def _stream_fault(num_vertices: int, key: tuple[int, int]) -> str:
+    """What is wrong with the edge of ``key`` in a stream of n vertices that
+    refuses it: an id not below n, else a pair that came before."""
+    low, high = key
+    if high >= num_vertices:
+        return (f"vertex id {high} exceeds the largest id {num_vertices - 1} "
+                f"for num_vertices={num_vertices}")
+    return f"duplicate edge between {low} and {high}"
 
 
 class StreamSource:
@@ -142,12 +173,9 @@ class StreamSource:
         edges = tuple(edges)
         seen: set[tuple[int, int]] = set()
         for e in edges:
-            if e.u >= num_vertices or e.v >= num_vertices:
-                raise ValueError(f"vertex id {max(e.u, e.v)} exceeds the largest id "
-                                 f"{num_vertices - 1} for num_vertices={num_vertices}")
             key = e.key
-            if key in seen:
-                raise ValueError(f"duplicate edge between {key[0]} and {key[1]}")
+            if key[1] >= num_vertices or key in seen:
+                raise ValueError(_stream_fault(num_vertices, key))
             seen.add(key)
         self.num_vertices, self.edges, self.passes = num_vertices, edges, 0
 
@@ -348,11 +376,8 @@ class _Parse:
                   if f is not None]
         if faults:
             lineno, line, u, v = min(faults)
-            try:  # the public constructor words both, neither naming the weight:
-                # out of range alone, else repeated twice
-                StreamSource(self.num_vertices, [self._reported(u, v, 1.0)] * 2)
-            except ValueError as exc:
-                raise StreamFormatError(f"{exc}: {line!r}", lineno) from None
+            key = self._reported(u, v, 1.0).key
+            raise StreamFormatError(f"{_stream_fault(self.num_vertices, key)}: {line!r}", lineno)
         self.count, self.sha256 = count, file.digest.hexdigest()
 
 

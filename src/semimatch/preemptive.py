@@ -90,7 +90,7 @@ class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
 
     @property
     def current_matching(self) -> Matching:
-        return Matching(self._held.edges)
+        return self._held.matching()
 
 
 DEFAULT_VICTIMS: tuple[str, ...] = (

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from semimatch import bucket
 from semimatch.bucket import (
@@ -22,7 +22,7 @@ from semimatch.bucket import (
     stream_bucket_run,
 )
 from semimatch.certificate import filter_to_final_window
-from semimatch.core import Edge, Matching, StreamSource
+from semimatch.core import Edge, GreedyMatching, Matching, StreamSource
 from semimatch.generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
@@ -538,7 +538,41 @@ class TestModel:
                 assert final == tuple(expected)
 
 
+@st.composite
+def tied_streams(draw):
+    """Up to 40 edges on 10 vertices, their weights drawn from at most four values.
+
+    A value may be 1.7e308, so that a copy's matching can weigh more than
+    the largest float.
+    """
+    values = draw(st.lists(st.floats(min_value=1.0, max_value=100.0) | st.just(1.7e308),
+                           min_size=1, max_size=4))
+    weights = draw(st.lists(st.sampled_from(values), min_size=1, max_size=40))
+    pairs = draw(st.permutations([(u, v) for v in range(10) for u in range(v)]))
+    return StreamSource(10, [E(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
 class TestFinalize:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 3, 14]), st.sampled_from([2.0, 3.513]), tied_streams())
+    @example(14, 2.0, StreamSource(4, [E(0, 1, 1.7e308), E(2, 3, 1.7e308)]))
+    def test_every_copy_finalizes_as_a_loop_of_add(self, q, gamma, stream):
+        for state in ensemble_states(stream, gamma, 0.5, q):
+            stored = [e for _, slot in sorted(state.matchings.items(), reverse=True) for e in slot]
+            added = GreedyMatching()
+            kept = [added.add(e) for e in stored]
+            extended = GreedyMatching()
+            extended.extend(stored)
+            assert extended.edges == added.edges == [e for e, k in zip(stored, kept) if k]
+            assert extended.cover == added.cover
+            try:
+                checked = Matching(added.edges)
+            except OverflowError:  # the exact sum of the weights exceeds the largest float
+                with pytest.raises(OverflowError):
+                    state.finalize()
+            else:
+                assert state.finalize() == checked  # the same edges and the same weight
+
     def test_greedy_by_class(self):
         state = make_state(gamma=2.0, epsilon=0.1, n=6)
         state.process(E(0, 1, 2.0))  # class 1

@@ -17,6 +17,8 @@ from semimatch.core import (
     format_stream,
     load_stream,
 )
+from semimatch.oracle import max_weight_matching_exact
+from semimatch.preemptive import make_victim
 
 _CANONICAL = ("0", "1", "7", "10", "12")
 _TOKENS = _CANONICAL + ("007", "07", "+7", "1_0", "-0", "\u0663")
@@ -144,7 +146,28 @@ class TestEdge:
 
 
 class TestValidateMatching:
-    """The Matching constructor is the one disjointness check."""
+    """The Matching constructor checks every matching that GreedyMatching does not build."""
+
+    def test_every_matching_but_the_greedy_one_is_checked(self, monkeypatch):
+        checked = []
+        check = Matching.__post_init__
+
+        def spy(self):
+            check(self)
+            checked.append(self.edges)
+
+        monkeypatch.setattr(Matching, "__post_init__", spy)
+        edges = [E(0, 1, 2.0), E(1, 2, 3.0), E(2, 3, 1.0)]
+        opt = max_weight_matching_exact(edges)
+        victims = [make_victim(name) for name in ("threshold:1", "hold-first")]
+        for victim in victims:
+            for e in edges:
+                victim.on_edge(e)
+        held = [victim.current_matching for victim in victims]
+        assert checked == [opt.edges, held[0].edges]  # the oracle's and the threshold victim's
+        greedy = GreedyMatching()
+        greedy.extend(edges)
+        assert greedy.matching() == held[1] and len(checked) == 2
 
     def test_empty_is_a_matching(self):
         assert Matching().edges == Matching([]).edges == ()
@@ -203,6 +226,16 @@ class TestGreedyMatching:
         assert kept == [True, False, True, False, True]
         assert greedy.edges == [E(0, 1), E(2, 3), E(4, 5)]
         assert greedy.cover == {0, 1, 2, 3, 4, 5}
+
+    def test_matching_is_what_the_checked_constructor_gives(self):
+        greedy = GreedyMatching()
+        greedy.extend([E(0, 1, 0.1), E(1, 2, 5.0), E(2, 3, 0.2), E(4, 5, 0.3)])
+        matching = greedy.matching()
+        assert matching == Matching(greedy.edges)
+        assert matching.edges == (E(0, 1, 0.1), E(2, 3, 0.2), E(4, 5, 0.3))
+        assert matching.weight == math.fsum([0.1, 0.2, 0.3])
+        greedy.add(E(6, 7, 1.0))  # a later edge leaves the matching taken before it alone
+        assert len(matching) == 3 and len(greedy.matching()) == 4
 
 
 class TestStreamSource:
