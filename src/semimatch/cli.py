@@ -139,10 +139,14 @@ def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> N
     _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
 
 
+# json.dumps with these flags builds a new encoder for every call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:
     """One JSON object per line, each written as it is encoded: a long
     transcript is never held as one string."""
-    _write((json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records), out)
+    _write((_LINE_ENCODER.encode(r) + "\n" for r in records), out)
 
 
 def _run_variant(stream: StreamSource | FileStream, variant: str, gamma: float, epsilon: float,

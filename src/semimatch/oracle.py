@@ -68,7 +68,7 @@ def verify_dual(edges: Iterable[Edge], matching: Matching, dual: MatchingDual) -
     property of the blossoms (such as nesting) is assumed.  Takes
     O(m * depth) time, depth being the most blossoms that hold one vertex.
     """
-    potential = dual.potential
+    potential, blossoms = dual.potential, dual.blossoms
     covered = {vertex for e in matching for vertex in (e.u, e.v)}
     for vertex, y in potential.items():
         if y < 0:
@@ -76,20 +76,24 @@ def verify_dual(edges: Iterable[Edge], matching: Matching, dual: MatchingDual) -
         if y > 0 and vertex not in covered:
             raise ValueError(f"vertex {vertex} has potential {y} > 0 but is unmatched")
     holding: dict[int, list[int]] = {}
-    for index, (members, z) in enumerate(dual.blossoms):
+    for index, (members, z) in enumerate(blossoms):
         if z < 0:
             raise ValueError(f"blossom {sorted(members)} has negative z {z}")
         for vertex in members:
             holding.setdefault(vertex, []).append(index)
-    inside = [0] * len(dual.blossoms)
+    inside = [0] * len(blossoms)
     unseen = set(matching.edges)
     for e in edges:
-        shared = [i for i in holding.get(e.u, ()) if e.v in dual.blossoms[i][0]]
-        slack = (potential.get(e.u, 0) + potential.get(e.v, 0)
-                 + sum(dual.blossoms[i][1] for i in shared) - 2 * _scaled(e.weight, dual.scale))
+        u, v = e.u, e.v
+        slack = potential.get(u, 0) + potential.get(v, 0) - 2 * _scaled(e.weight, dual.scale)
+        shared: Sequence[int] = ()
+        if u in holding:
+            shared = [i for i in holding[u] if v in blossoms[i][0]]
+            for i in shared:
+                slack += blossoms[i][1]
         if slack < 0:
             raise ValueError(f"edge {e} violates its dual constraint by {-slack}")
-        if e in unseen:
+        if unseen and e in unseen:
             if slack:
                 raise ValueError(f"matched edge {e} has slack {slack}")
             unseen.discard(e)
@@ -97,7 +101,7 @@ def verify_dual(edges: Iterable[Edge], matching: Matching, dual: MatchingDual) -
                 inside[i] += 1
     if unseen:
         raise ValueError(f"matched edge {next(iter(unseen))} is not an input edge")
-    for (members, z), count in zip(dual.blossoms, inside):
+    for (members, z), count in zip(blossoms, inside):
         if z > 0 and (len(members) % 2 == 0 or 2 * count != len(members) - 1):
             raise ValueError(f"blossom {sorted(members)} has z {z} but is not odd and full")
 
@@ -105,15 +109,16 @@ def verify_dual(edges: Iterable[Edge], matching: Matching, dual: MatchingDual) -
 class _Blossom:
     """Primal-dual weighted blossom algorithm on vertices ``0..n-1``.
 
-    Edge k joins ``endpoint[2k]`` and ``endpoint[2k+1]`` with integer
-    weight ``weight[k]``; endpoint p and ``p ^ 1`` are the two ends of edge
-    ``p >> 1``.  Ids ``n..2n-1`` name blossoms, and all state is kept in
-    flat lists indexed by vertex or blossom id.  Duals follow the doubled
-    convention of :class:`MatchingDual`: ``dual[v] + dual[w] >= 2W`` for an
-    edge outside every blossom, vertex duals move by delta and blossom ``z``
-    by 2*delta.  Since every weight is an integer and all free vertices
-    share one dual, every S-vertex has the same parity, so each delta is an
-    integer and no tolerance is needed.
+    Edge k joins ``endpoint[2k]`` and ``endpoint[2k+1]``, and ``weight[k]``
+    holds 2W, twice its integer weight W, the only form the solver reads;
+    endpoint p and ``p ^ 1`` are the two ends of edge ``p >> 1``.  Ids
+    ``n..2n-1`` name blossoms, and all state is kept in flat lists indexed
+    by vertex or blossom id.  Duals follow the doubled convention of
+    :class:`MatchingDual`: ``dual[v] + dual[w] >= 2W`` for an edge outside
+    every blossom, vertex duals move by delta and blossom ``z`` by 2*delta.
+    Since every weight is an integer and all free vertices share one dual,
+    every S-vertex has the same parity, so each delta is an integer and no
+    tolerance is needed.
     """
 
     __slots__ = ("n", "endpoint", "weight", "adjacent", "first", "dual", "mate", "inblossom",
@@ -130,7 +135,7 @@ class _Blossom:
             self.first[v + 1] += 1
         for v in range(n):
             self.first[v + 1] += self.first[v]
-        self.dual = [max(weight, default=0)] * n + [0] * n
+        self.dual = [max(weight, default=0) // 2] * n + [0] * n
         self.mate = [-1] * n               # the endpoint across v's matched edge
         self.inblossom = list(range(n))    # top-level blossom holding each vertex
         self.parent = [-1] * nb
@@ -145,7 +150,7 @@ class _Blossom:
 
     def slack(self, k: int) -> int:
         endpoint, dual = self.endpoint, self.dual
-        return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - 2 * self.weight[k]
+        return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - self.weight[k]
 
     def leaves(self, b: int) -> list[int]:
         n, childs = self.n, self.childs
@@ -328,13 +333,15 @@ class _Blossom:
             self.inblossom, self.parent, self.base, self.queue)
         label, labelend, bestedge, bestlist = (
             self.label, self.labelend, self.bestedge, self.bestlist)
-        nb, slack = 2 * n, self.slack
+        nb = 2 * n
         for _ in range(n):
-            for b in range(nb):
-                label[b], bestedge[b], bestlist[b] = 0, -1, None
+            # One statement each, so that only one fresh list is alive at a time.
+            label[:] = bytes(nb)
+            bestedge[:] = [-1] * nb
+            bestlist[:] = [None] * nb
             queue.clear()
-            for v in range(n):
-                if mate[v] == -1 and label[inblossom[v]] == 0:
+            for v, p in enumerate(mate):
+                if p == -1 and label[inblossom[v]] == 0:
                     self.assign_label(v, 1, -1)
             augmented = False
             while not augmented:
@@ -346,7 +353,9 @@ class _Blossom:
                         if bv == bw:
                             continue
                         k = p >> 1
-                        kslack = dual[v] + dual[w] - 2 * weight[k]
+                        # Slack is written out here and in the delta loops: a call of
+                        # slack() per candidate costs more than the sum it computes.
+                        kslack = dual[v] + dual[w] - weight[k]
                         if kslack <= 0:
                             if label[bw] == 0:
                                 self.assign_label(w, 2, p ^ 1)
@@ -361,30 +370,37 @@ class _Blossom:
                                 # A reached vertex inside a T-blossom, kept for its expansion.
                                 label[w], labelend[w] = 2, p ^ 1
                         elif label[bw] == 1:
-                            if bestedge[bv] == -1 or kslack < slack(bestedge[bv]):
+                            best = bestedge[bv]
+                            if best == -1 or kslack < (dual[endpoint[2 * best]]
+                                                       + dual[endpoint[2 * best + 1]] - weight[best]):
                                 bestedge[bv] = k
                         elif label[w] == 0:
-                            if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                            best = bestedge[w]
+                            if best == -1 or kslack < (dual[endpoint[2 * best]]
+                                                       + dual[endpoint[2 * best + 1]] - weight[best]):
                                 bestedge[w] = k
                 if augmented:
                     break
                 delta, kind, target = min(dual[:n]), 1, -1
                 for v in range(n):
-                    if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                        d = slack(bestedge[v])
+                    best = bestedge[v]
+                    if best != -1 and label[inblossom[v]] == 0:
+                        d = dual[endpoint[2 * best]] + dual[endpoint[2 * best + 1]] - weight[best]
                         if d < delta:
-                            delta, kind, target = d, 2, bestedge[v]
+                            delta, kind, target = d, 2, best
                 for b in range(nb):
-                    if parent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                        d = slack(bestedge[b]) >> 1
+                    best = bestedge[b]
+                    if best != -1 and parent[b] == -1 and label[b] == 1:
+                        d = (dual[endpoint[2 * best]] + dual[endpoint[2 * best + 1]]
+                             - weight[best]) >> 1
                         if d < delta:
-                            delta, kind, target = d, 3, bestedge[b]
+                            delta, kind, target = d, 3, best
                 for b in range(n, nb):
                     if (base[b] >= 0 and parent[b] == -1 and label[b] == 2
                             and dual[b] >> 1 < delta):
                         delta, kind, target = dual[b] >> 1, 4, b
-                for v in range(n):
-                    t = label[inblossom[v]]
+                for v, b in enumerate(inblossom):
+                    t = label[b]
                     if t == 1:
                         dual[v] -= delta
                     elif t == 2:
@@ -433,7 +449,7 @@ def max_weight_matching_dual(edges: Sequence[Edge]) -> tuple[Matching, MatchingD
     vertices, endpoint = _number_vertices(edges)
     scale = _common_scale(edges)
     mate, potential, blossoms = _Blossom(
-        len(vertices), endpoint, [_scaled(e.weight, scale) for e in edges]).solve()
+        len(vertices), endpoint, [2 * _scaled(e.weight, scale) for e in edges]).solve()
     matched = sorted({p >> 1 for p in mate if p != -1})
     return Matching(edges[k] for k in matched), MatchingDual(
         scale, dict(zip(vertices, potential)),

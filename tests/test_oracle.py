@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -127,6 +128,42 @@ def test_agrees_with_networkx_on_random_instances():
         if index % 4 == 3:  # small integer weights: many ties and blossoms
             edges = [E(e.u, e.v, float(rng.randint(1, 4))) for e in edges]
         assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges), index
+
+
+def _tied_instances(rng, count):
+    """Graphs with integer weights 1..4: many ties and blossoms."""
+    for _ in range(count):
+        n = rng.randint(6, 40)
+        edges = _random_edges(rng, n, rng.randint(n, 3 * n))
+        yield [E(e.u, e.v, float(rng.randint(1, 4))) for e in edges]
+
+
+def _wide_instance():
+    return _random_edges(random.Random(300), 300, 3000)
+
+
+def test_agrees_with_networkx_at_300_vertices():
+    edges = _wide_instance()
+    assert max_weight_matching_exact(edges).weight == _networkx_optimum(edges)
+
+
+@pytest.mark.parametrize("instances, expected", [
+    (lambda: (_random_edges(random.Random(48 + i), 20, 48) for i in range(100)),
+     "80e96c97be98d5a2b66db818f812c04937cab3161626bcd653ca1fe7c47456bc"),
+    (lambda: _tied_instances(random.Random(4), 100),
+     "e291bafcfacd5177259ab12c6966a8b1c526c3f08f4cada2674ef4bdf5123d26"),
+    (lambda: [_wide_instance()],
+     "9b91129e9bdc970350798a175922848464e1d3cf64175dd2fd41646ac7e31274"),
+], ids=["seeded-n20-m48", "integer-weights-1-to-4", "n300-m3000"])
+def test_optimum_digest_is_pinned(instances, expected):
+    # Which optimum, potentials and blossoms the solver returns depends on
+    # every comparison and iteration order in it, not only on OPT's weight.
+    digest = hashlib.sha256()
+    for edges in instances():
+        matching, dual = max_weight_matching_dual(edges)
+        digest.update(repr((sorted(matching.keys()), dual.scale, list(dual.potential.items()),
+                            [(sorted(members), z) for members, z in dual.blossoms])).encode())
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize("gamma", [2.0, 3.513])
