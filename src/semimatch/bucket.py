@@ -32,7 +32,7 @@ from bisect import bisect_right
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .core import Edge, FileStream, GreedyMatching, Matching, StreamSource, _edge, _Row
+from .core import Edge, GreedyMatching, Matching, StreamSource, _edge, _Row
 
 __all__ = [
     "BucketState",
@@ -402,7 +402,7 @@ def best_copy(states: list[BucketState]) -> tuple[Matching, list[Matching]]:
     return max(per_copy, key=lambda m: m.weight), per_copy
 
 
-def stream_bucket_run(stream: StreamSource | FileStream, gamma: float, epsilon: float,
+def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
                       delta: float = 0.0) -> BucketState:
     """One pass over the stream feeding a grid of one copy, shifted by delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, (delta,))
@@ -445,7 +445,7 @@ def delta_grid(q: int) -> list[float]:
 
 
 def ensemble_states(
-    stream: StreamSource | FileStream, gamma: float, epsilon: float, q: int,
+    stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> list[BucketState]:
     """One pass over the stream feeding q shifted copies, one per grid delta."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, tuple(delta_grid(q)))

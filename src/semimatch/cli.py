@@ -33,7 +33,7 @@ from .bucket import (
     stream_bucket_run,
 )
 from .certificate import build_certificate, filter_to_final_window
-from .core import FileStream, StreamSource, format_stream, load_stream
+from .core import StreamSource, format_stream, load_stream
 from .generators import (
     ExponentialClassWeights,
     RandomInstanceConfig,
@@ -149,7 +149,7 @@ def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:
     _write((_LINE_ENCODER.encode(r) + "\n" for r in records), out)
 
 
-def _run_variant(stream: StreamSource | FileStream, variant: str, gamma: float, epsilon: float,
+def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: float,
                  delta: float, q: Optional[int]) -> dict:
     """Execute one single-pass run and collect the result record; an ensemble runs q copies."""
     started = time.perf_counter()
@@ -350,8 +350,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if row[k] is None else row[k]) for k in fieldnames})
+    writer.writerows(rows)
     _write([buffer.getvalue()], args.csv)
     if args.jsonl:
         _emit_lines(rows, args.jsonl)

@@ -1,12 +1,12 @@
 """Graph primitives shared by every other module: edges, matchings, streams.
 
-Values other than the :class:`GreedyMatching` builder are immutable and
-safe to share between concurrent tasks.  :func:`load_stream` is the one
-way into an edge-stream file, pipe or FIFO, and states its text format.
-It reads the input once, forward, and checks each line, its UTF-8
-included, as it is read; a :class:`FileStream` reads the lines after the
-header only as a pass iterates their rows, and makes and holds no Edge
-unless :meth:`FileStream.hold` is called.
+Values other than the :class:`GreedyMatching` builder and a
+:class:`StreamSource` are immutable and safe to share between concurrent
+tasks.  :func:`load_stream` is the one way into an edge-stream file, pipe
+or FIFO, and states its text format.  It reads the input once, forward,
+and checks each line, its UTF-8 included, as it is read; the stream it
+returns reads the lines after the header only as a pass iterates their
+rows, and makes and holds no Edge unless :meth:`StreamSource.hold` is called.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Edge", "Matching", "GreedyMatching", "StreamSource", "StreamFormatError",
-    "format_stream", "load_stream", "FileStream",
+    "format_stream", "load_stream",
 ]
 
 
@@ -65,11 +65,6 @@ def _edge(u: int, v: int, weight: float) -> Edge:
     _set_v(edge, v)
     _set_weight(edge, weight)
     return edge
-
-
-def _rows(edges: tuple[Edge, ...]) -> Iterator[_Row]:
-    """The rows of held edges, each carrying its own Edge, built in C."""
-    return zip(map(_get_u, edges), map(_get_v, edges), map(_get_weight, edges), edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,14 +151,24 @@ def _stream_fault(num_vertices: int, key: tuple[int, int]) -> str:
 
 
 class StreamSource:
-    """A declared vertex count plus a sequence of distinct edges.
+    """A vertex count and a sequence of distinct edges, built from edges or
+    read from a file by :func:`load_stream`; ``passes`` counts its passes.
 
-    Construction checks each edge's ids against the count and rejects a
-    repeated vertex pair in either orientation (ValueError).
-    :meth:`rows` delivers the edges one at a time, in order, and
-    ``passes`` counts how many times it was called; single-pass
-    algorithms are audited against it.
+    Building one checks each edge's ids against the count and rejects a
+    repeated vertex pair in either orientation (ValueError).  A stream
+    built from edges, read from a file without the ``n=`` header, or read
+    by :meth:`hold` is held: ``edges`` keeps them under their reported ids,
+    and its passes, which may repeat, carry them.  Until then a stream read
+    with the header is lazy: its one pass reads the rest of the file as
+    ``(u, v, weight, None)`` rows, naming ends by their order of first
+    appearance, which ``ids`` maps to the ids reported, and raises a held
+    id-range or duplicate fault when the read ends.  Its ``len()`` raises
+    ValueError until then.  ``sha256`` and ``labels`` hold once a read ends
+    with no fault.  ``ids``, ``labels`` and ``sha256`` are None on a stream
+    built from edges.
     """
+
+    __slots__ = ("passes", "edges", "num_vertices", "_parse", "_rest")
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
         if type(num_vertices) is not int:
@@ -177,18 +182,64 @@ class StreamSource:
             if key[1] >= num_vertices or key in seen:
                 raise ValueError(_stream_fault(num_vertices, key))
             seen.add(key)
-        self.num_vertices, self.edges, self.passes = num_vertices, edges, 0
+        self.num_vertices, self.edges, self.passes, self._parse = num_vertices, edges, 0, None
+
+    def hold(self) -> None:
+        """Read the edges not yet read and keep them all; call it before the first pass.
+
+        The held edges carry their reported ids, so the read's numbering of
+        the tokens is dropped with the read; a label file keeps its labels.
+        A held stream is left as it is.
+        """
+        if self.edges is None:
+            if self.passes:
+                raise ValueError("a stream whose edges are not held is read once")
+            parse = self._parse
+            held = tuple(_edge(u, v, w) for u, v, w, _ in self._rest)
+            values = parse.values
+            if values is not None:  # renamed in place: no one else holds these edges yet
+                for e in held:
+                    _set_u(e, values[e.u])
+                    _set_v(e, values[e.v])
+            self.edges, self.num_vertices = held, parse.num_vertices
+            del self._rest
+            parse.tokens, parse.values = parse.labels, None  # type: ignore[assignment]
+
+    @property
+    def ids(self) -> Optional[list[int]]:
+        """The reported id of each vertex number the read edges carry; None when
+        each number is its vertex's id: from a label file's first label on, and once held."""
+        return None if self._parse is None else self._parse.values
+
+    @property
+    def labels(self) -> Optional[dict[str, int]]:
+        return None if self._parse is None else self._parse.labels
+
+    @property
+    def sha256(self) -> Optional[str]:
+        return None if self._parse is None else self._parse.sha256
 
     def rows(self) -> Iterator[_Row]:
-        """One pass, counted in ``passes``, as the rows of its own edges."""
-        self.passes += 1
-        return _rows(self.edges)
+        """One pass, counted in ``passes``: the rows of the held edges, each
+        carrying its own Edge and built in C, else the rows of the read."""
+        if (edges := self.edges) is not None:
+            self.passes += 1
+            return zip(map(_get_u, edges), map(_get_v, edges), map(_get_weight, edges), edges)
+        if self.passes:
+            raise ValueError("a stream whose edges are not held is read once")
+        self.passes = 1
+        return self._rest
 
     def __len__(self) -> int:
-        return len(self.edges)
+        if self.edges is not None:
+            return len(self.edges)
+        if self._parse.count is None:
+            raise ValueError("a stream has no length until its read ends with no fault")
+        return self._parse.count
 
     def __repr__(self) -> str:
-        return f"StreamSource(n={self.num_vertices}, m={len(self.edges)})"
+        count = self._parse.count if self.edges is None else len(self.edges)
+        return f"StreamSource(n={self.num_vertices}, m={'?' if count is None else count})"
 
 
 class StreamFormatError(ValueError):
@@ -236,6 +287,12 @@ class _Parse:
     ``num_vertices`` once the lines end; ``count``, the number of edges,
     and ``sha256``, the hex digest of the bytes read, are None until the
     lines end with no fault.
+
+    It is an object apart from the :class:`StreamSource` it reads for: the
+    generator of :meth:`rows` refers to its ``self``, so were that the
+    stream, which holds the generator, the two would form a reference
+    cycle, and a stream dropped before its read ends would keep its file
+    open until the garbage collector ran.
     """
 
     __slots__ = ("header_n", "tokens", "values", "num_vertices", "count", "sha256")
@@ -388,85 +445,9 @@ def format_stream(stream: StreamSource) -> str:
     return "\n".join(lines) + "\n"
 
 
-class FileStream:
-    """An edge-stream file, pipe or FIFO, read once and forward; see :func:`load_stream`.
-
-    Opening it reads through the first edge line.  When the ``n=`` header
-    came before that line, the pass of :meth:`rows` reads the rest as
-    ``(u, v, weight, None)`` rows and holds none: a row names its ends by
-    their order of first appearance, ``ids`` maps those to the ids reported
-    (None when they are the same), and a held id-range or duplicate fault
-    is raised when the read ends.  A file without the header, or one that
-    :meth:`hold` has read, keeps its edges in ``edges`` under their reported
-    ids, and its passes, which may repeat, carry them.  ``passes`` counts
-    them; ``sha256``, ``labels`` and ``len()`` hold once the read has ended
-    with no fault, and ``len()`` raises ValueError before.
-    """
-
-    __slots__ = ("passes", "edges", "num_vertices", "_parse", "_rest")
-
-    def __init__(self, path: str):
-        self.passes = 0
-        self.edges: Optional[tuple[Edge, ...]] = None
-        self._parse = _Parse()
-        rest = self._parse.rows(_Sha256File(path))
-        first = next(rest, None)  # the header, if any, precedes it
-        self._rest = itertools.chain(() if first is None else (first,), rest)
-        self.num_vertices = self._parse.header_n
-        if self.num_vertices is None:
-            self.hold()
-
-    def hold(self) -> None:
-        """Read the edges not yet read and keep them all; call it before the first pass.
-
-        The held edges carry their reported ids, so the read's numbering of
-        the tokens is dropped with the read; a label file keeps its labels.
-        """
-        if self.edges is None:
-            if self.passes:
-                raise ValueError("a stream whose edges are not held is read once")
-            parse = self._parse
-            held = tuple(_edge(u, v, w) for u, v, w, _ in self._rest)
-            values = parse.values
-            if values is not None:  # renamed in place: no one else holds these edges yet
-                for e in held:
-                    _set_u(e, values[e.u])
-                    _set_v(e, values[e.v])
-            self.edges, self.num_vertices = held, parse.num_vertices
-            del self._rest
-            parse.tokens, parse.values = parse.labels, None  # type: ignore[assignment]
-
-    @property
-    def ids(self) -> Optional[list[int]]:
-        """The reported id of each vertex number the read edges carry; None when they are equal."""
-        return self._parse.values
-
-    @property
-    def labels(self) -> Optional[dict[str, int]]:
-        return self._parse.labels
-
-    @property
-    def sha256(self) -> Optional[str]:
-        return self._parse.sha256
-
-    def rows(self) -> Iterator[_Row]:
-        """One pass, counted in ``passes``: the rows of the held edges, else of the read."""
-        if self.edges is not None:
-            self.passes += 1
-            return _rows(self.edges)
-        if self.passes:
-            raise ValueError("a stream whose edges are not held is read once")
-        self.passes = 1
-        return self._rest
-
-    def __len__(self) -> int:
-        if self._parse.count is None:
-            raise ValueError("a stream has no length until its read ends with no fault")
-        return self._parse.count
-
-
-def load_stream(path: str) -> FileStream:
-    """Open an edge-stream file, pipe or FIFO and read it through its first edge line.
+def load_stream(path: str) -> StreamSource:
+    """Open an edge-stream file, pipe or FIFO as a :class:`StreamSource`,
+    read through its first edge line.
 
     The text format is one edge per line, ``<u> <v> <weight>``
     whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
@@ -483,8 +464,17 @@ def load_stream(path: str) -> FileStream:
     :class:`StreamFormatError` with its line number.  A leading UTF-8
     byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
     ``sha256`` is the SHA-256 (hex) of the bytes parsed, taken in the same
-    read.  The rest of the file is read by the one pass of
-    :meth:`FileStream.rows`, or by :meth:`FileStream.hold`, which keeps
-    every edge for passes and readers after it.
+    read.  A file without the header is held at once.  The rest of a file
+    with it is read by the one pass of :meth:`StreamSource.rows`, or by
+    :meth:`StreamSource.hold`, which keeps every edge for passes and
+    readers after it.
     """
-    return FileStream(path)
+    stream = object.__new__(StreamSource)
+    stream.passes, stream.edges, stream._parse = 0, None, _Parse()
+    rest = stream._parse.rows(_Sha256File(path))
+    first = next(rest, None)  # the header, if any, precedes it
+    stream._rest = itertools.chain(() if first is None else (first,), rest)
+    stream.num_vertices = stream._parse.header_n
+    if stream.num_vertices is None:
+        stream.hold()
+    return stream

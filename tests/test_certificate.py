@@ -101,6 +101,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="below the final discard threshold"):
             build_certificate(state, dead)
 
+    def test_oracle_edge_one_class_below_the_window_rejected(self):
+        # At gamma=2, epsilon=1 and n=4, one edge of weight 4096 puts the threshold
+        # at 4096/4*2 = 2048: the window starts at class 11, and 1024 is in class 10.
+        state = stream_bucket_run(StreamSource(4, ()), 2.0, 1.0)
+        state.process(Edge(2, 3, 4096.0))
+        assert state.window[0] == 11
+        build_certificate(state, Matching([Edge(0, 1, 2048.0)]))  # the window's own class
+        with pytest.raises(ValueError, match=r"class 10, window \(11, "):
+            build_certificate(state, Matching([Edge(0, 1, 1024.0)]))
+
 
 class TestChainOnRandomInstances:
     @pytest.mark.parametrize("gamma,delta", [(2.0, 0.0), (3.513, 0.0), (2.0, 0.3), (3.513, 0.7)])
@@ -146,3 +156,20 @@ class TestLinks:
         assert cert.links()["opt_rounded_le_tw"] is True
         assert all(cert.links().values())
         assert cert.chain_holds() is True
+
+
+class TestLinkBounds:
+    # Each link reads True at its bound and False at (1 + 1e-6) times it, so a
+    # link loosened by a larger factor, such as gamma, fails here.  The other
+    # weights are 1.0, and OPT 1.5, so that every other link stays slack.
+    @pytest.mark.parametrize("gamma", [2.0, 3.513])
+    @pytest.mark.parametrize("link,side,bound", [
+        ("opt_le_gamma_opt_rounded", "opt_weight", lambda g: g),
+        ("opt_rounded_le_tw", "opt_rounded", lambda g: 1.0),
+        ("tw_le_bound_times_alg", "total_associated_weight", lambda g: 2.0 * g / (g - 1.0)),
+    ])
+    def test_link_reads_false_just_past_its_bound(self, link, side, bound, gamma):
+        for factor, holds in ((1.0, True), (1.0 + 1e-6, False)):
+            links = hand_cert(**{"gamma": gamma, "opt_weight": 1.5,
+                                 side: factor * bound(gamma)}).links()
+            assert links == {name: holds if name == link else True for name in links}, factor

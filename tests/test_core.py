@@ -291,6 +291,18 @@ class TestFileStream:
         path.write_text("0 1 1.0\n2 3 2.0\n")
         assert len(load_stream(str(path))) == 2
 
+    def test_repr_of_a_lazy_stream_gives_its_count_once_read(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
+        stream = load_stream(str(path))
+        assert repr(stream) == "StreamSource(n=4, m=?)"
+        list(stream.rows())
+        assert repr(stream) == "StreamSource(n=4, m=2)"
+        assert (stream.ids, stream.labels, len(stream.sha256)) == ([0, 1, 2, 3], None, 64)
+        built = StreamSource(4, [E(0, 1), E(2, 3)])
+        built.hold()  # a stream built from edges is held already
+        assert (built.ids, built.labels, built.sha256, built.passes) == (None, None, None, 0)
+
     def test_a_stream_read_by_its_pass_is_not_held_after(self, tmp_path):
         path = tmp_path / "stream.txt"
         path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
