@@ -294,6 +294,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     presented: dict[tuple[int, int], Edge] = {}
     transcript: list[dict] = []
     held = Matching()
+    held_keys: set[tuple[int, int]] = set()  # the keys of ``held``, as the last offer read them
     # The tracked optimum, a matching of presented edges stored under both
     # ends of each edge; it bounds OPT from below.  ``delta`` nets its changes
     # by row since the last record closed: +1 added, -1 evicted, 0 both.
@@ -314,46 +315,59 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         evicted = at_u or at_v
         if evicted is not None:
             del opt[evicted.u], opt[evicted.v]
-            delta[_row(evicted)] = delta.get(_row(evicted), 0) - 1
+            row = _row(evicted)
+            delta[row] = delta.get(row, 0) - 1
         opt[edge.u] = opt[edge.v] = edge
-        delta[_row(edge)] = delta.get(_row(edge), 0) + 1
+        row = _row(edge)
+        delta[row] = delta.get(row, 0) + 1
         return evicted
 
     def close() -> None:
         """Move the optimum's net change into the last record."""
-        transcript[-1]["opt_added"] = sorted(row for row, n in delta.items() if n > 0)
-        transcript[-1]["opt_removed"] = sorted(row for row, n in delta.items() if n < 0)
+        added, removed = [], []
+        for row, n in delta.items():
+            if n > 0:
+                added.append(row)
+            elif n < 0:
+                removed.append(row)
+        # sorted() copies to an exact-size list; an appended list keeps its spare slots.
+        transcript[-1]["opt_added"], transcript[-1]["opt_removed"] = sorted(added), sorted(removed)
         delta.clear()
 
     def offer(edge: Edge, label: str) -> set[tuple[int, int]]:
         """Present an edge, check the victim's reply, and return the held keys."""
-        nonlocal held
+        nonlocal held, held_keys
         if transcript:
             close()
-        presented[edge.key] = edge
-        before = held.keys() | {edge.key}
+        new = edge.key
+        presented[new] = edge
         algorithm.on_edge(edge)
         held = algorithm.current_matching
         if not isinstance(held, Matching):  # disjoint: its constructor or a greedy cover checked it
             raise ContractViolationError(
                 f"victim's hold after {label} is a {type(held).__name__}, not a Matching")
         # Past these checks it holds only edges it held before and this one.
+        keys, rows = set(), []
         for e in held:
-            if presented.get(e.key) != e:
+            key = e.key
+            if presented.get(key) != e:
                 raise ContractViolationError(
                     f"victim holds an edge it was never given: {e}")
-            if e.key not in before:
+            if key != new and key not in held_keys:
                 raise ContractViolationError(
                     f"victim resurrected {e} after dropping it ({label})")
+            keys.add(key)
+            rows.append((*key, e.weight))
+        held_keys = keys
         transcript.append({
             "step": step + 1,
             "label": label,
             "u": edge.u,
             "v": edge.v,
             "weight": edge.weight,
-            "held_after": sorted(map(_row, held)),
+            "held_after": sorted(rows),
         })
-        return held.keys()
+        return keys
 
     def relabel() -> None:
         """WLOG: the victim's edge of the symmetric pair is the ``a`` edge."""

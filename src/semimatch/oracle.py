@@ -121,20 +121,28 @@ class _Blossom:
     tolerance is needed.
     """
 
-    __slots__ = ("n", "endpoint", "weight", "adjacent", "first", "dual", "mate", "inblossom",
-                 "parent", "childs", "endps", "base", "label", "labelend", "bestedge",
-                 "bestlist", "queue")
+    __slots__ = ("n", "top", "endpoint", "weight", "adjacent", "first", "dual", "mate",
+                 "inblossom", "parent", "childs", "endps", "base", "label", "labelend",
+                 "bestedge", "bestlist", "queue")
 
     def __init__(self, n: int, endpoint: list[int], weight: list[int]):
         nb = 2 * n
         self.n, self.endpoint, self.weight = n, endpoint, weight
-        # adjacent[first[v]:first[v + 1]] are the far endpoints of v's edges.
-        self.adjacent = sorted(range(len(endpoint)), key=lambda p: endpoint[p ^ 1])
-        self.first = [0] * (n + 1)
+        # Ids below ``top`` are vertices and the blossom ids add_blossom has handed
+        # out; no id at or above it has ever held a blossom.
+        self.top = n
+        # adjacent[first[v]:first[v + 1]] are the far endpoints of v's edges, by
+        # edge index: a counting sort of each far endpoint p ^ 1 by its near end endpoint[p].
+        self.first = first = [0] * (n + 1)
         for v in endpoint:
-            self.first[v + 1] += 1
+            first[v + 1] += 1
         for v in range(n):
-            self.first[v + 1] += self.first[v]
+            first[v + 1] += first[v]
+        self.adjacent = adjacent = [0] * len(endpoint)
+        place = first[:n]
+        for p, v in enumerate(endpoint):
+            adjacent[place[v]] = p ^ 1
+            place[v] += 1
         self.dual = [max(weight, default=0) // 2] * n + [0] * n
         self.mate = [-1] * n               # the endpoint across v's matched edge
         self.inblossom = list(range(n))    # top-level blossom holding each vertex
@@ -201,6 +209,7 @@ class _Blossom:
             self.endpoint, self.inblossom, self.parent, self.label, self.labelend, self.bestlist)
         bb, bv, bw = inblossom[root], inblossom[endpoint[2 * k]], inblossom[endpoint[2 * k + 1]]
         b = self.base.index(-1, self.n)
+        self.top = max(self.top, b + 1)
         self.base[b], parent[b], parent[bb] = root, -1, b
         path, ends = [], []
         while bv != bb:
@@ -381,6 +390,7 @@ class _Blossom:
                                 bestedge[w] = k
                 if augmented:
                     break
+                top = self.top
                 delta, kind, target = min(dual[:n]), 1, -1
                 for v in range(n):
                     best = bestedge[v]
@@ -388,14 +398,14 @@ class _Blossom:
                         d = dual[endpoint[2 * best]] + dual[endpoint[2 * best + 1]] - weight[best]
                         if d < delta:
                             delta, kind, target = d, 2, best
-                for b in range(nb):
+                for b in range(top):
                     best = bestedge[b]
                     if best != -1 and parent[b] == -1 and label[b] == 1:
                         d = (dual[endpoint[2 * best]] + dual[endpoint[2 * best + 1]]
                              - weight[best]) >> 1
                         if d < delta:
                             delta, kind, target = d, 3, best
-                for b in range(n, nb):
+                for b in range(n, top):
                     if (base[b] >= 0 and parent[b] == -1 and label[b] == 2
                             and dual[b] >> 1 < delta):
                         delta, kind, target = dual[b] >> 1, 4, b
@@ -405,7 +415,7 @@ class _Blossom:
                         dual[v] -= delta
                     elif t == 2:
                         dual[v] += delta
-                for b in range(n, nb):
+                for b in range(n, top):
                     if base[b] >= 0 and parent[b] == -1:
                         if label[b] == 1:
                             dual[b] += 2 * delta
@@ -422,10 +432,10 @@ class _Blossom:
                     self.expand(target, False)
             if not augmented:
                 break
-            for b in range(n, nb):
+            for b in range(n, self.top):
                 if parent[b] == -1 and base[b] >= 0 and label[b] == 1 and dual[b] == 0:
                     self.expand(b, True)
-        blossoms = [(self.leaves(b), dual[b]) for b in range(n, nb)
+        blossoms = [(self.leaves(b), dual[b]) for b in range(n, self.top)
                     if base[b] >= 0 and dual[b] > 0]
         return mate, dual[:n], blossoms
 

@@ -43,9 +43,10 @@ class _PresentedMixin:
         self._presented: set[tuple[int, int]] = set()
 
     def _note_presented(self, edge: Edge) -> None:
-        if edge.key in self._presented:
-            raise ValueError(f"edge between {edge.key} presented twice")
-        self._presented.add(edge.key)
+        key = edge.key
+        if key in self._presented:
+            raise ValueError(f"edge between {key} presented twice")
+        self._presented.add(key)
 
 
 class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
@@ -61,10 +62,9 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
 
     def on_edge(self, edge: Edge) -> None:
         self._note_presented(edge)
-        blockers: list[Edge] = []
-        for f in (self._cover.get(edge.u), self._cover.get(edge.v)):
-            if f is not None and f not in blockers:
-                blockers.append(f)
+        # A held edge covers both of its ends with one object, so `is` tells one blocker from two.
+        at_u, at_v = self._cover.get(edge.u), self._cover.get(edge.v)
+        blockers = [f for f in (at_u, None if at_v is at_u else at_v) if f is not None]
         if edge.weight > self.improvement_factor * math.fsum(f.weight for f in blockers):
             for f in blockers:
                 del self._cover[f.u]
@@ -74,7 +74,9 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
 
     @property
     def current_matching(self) -> Matching:
-        return Matching(dict.fromkeys(self._cover.values()))
+        # Each held edge once, at its u end, in acceptance order.  A list, which the
+        # Matching copies to a tuple of its exact size; from a generator it would resize one.
+        return Matching([e for vertex, e in self._cover.items() if vertex == e.u])
 
 
 class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):

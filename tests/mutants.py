@@ -1,0 +1,78 @@
+"""Mutation checks: each mutant loosens one check of ``src/semimatch``, and
+the tests named for its group must fail against it.
+
+Usage, from the root of a checkout::
+
+    python tests/mutants.py certificate
+    python tests/mutants.py adversary
+
+Each mutant is applied to its own copy of ``src``, which must be the
+``semimatch`` that gets imported, and pytest must exit 1 (failed tests, not
+an error) on it.  A mutant's old text must occur exactly once in its module.
+Exits 1 when any mutant survives or cannot be applied.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Each group: the test files it runs, and its mutants as (module, old text, new text).
+GROUPS = {
+    "certificate": (["tests/test_certificate.py"], [
+        ("certificate.py", "le(self.opt_weight, g * self.opt_rounded)",
+         "le(self.opt_weight, g * g * self.opt_rounded)"),
+        ("certificate.py", "(2.0 * g / (g - 1.0))", "(2.0 * g * g / (g - 1.0))"),
+        ("certificate.py", "le(self.opt_rounded, self.total_associated_weight)",
+         "le(self.opt_rounded, g * self.total_associated_weight)"),
+        ("certificate.py", "lo is None or i < lo:", "lo is None or i < lo - 1:"),
+    ]),
+    "adversary": (["tests/test_adversary.py", "tests/test_preemptive.py"], [
+        ("adversary.py", "if not isinstance(held, Matching):", "if False:"),
+        ("adversary.py", "if presented.get(key) != e:", "if False:"),
+        ("adversary.py", "if key != new and key not in held_keys:", "if False:"),
+        ("preemptive.py", "if key in self._presented:", "if False:"),
+    ]),
+}
+
+
+def survivors(tests: list[str], mutants: list[tuple[str, str, str]]) -> list[str]:
+    """Apply each mutant to a fresh copy of src and run the tests; return the problems."""
+    problems = []
+    for module, old, new in mutants:
+        name = f"{module}: {old!r} -> {new!r}"
+        with tempfile.TemporaryDirectory() as work:
+            copy = pathlib.Path(work, "src")
+            shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+            target = copy / "semimatch" / module
+            text = target.read_text()
+            if text.count(old) != 1:
+                problems.append(f"{name}: the old text is found {text.count(old)} times, not once")
+                continue
+            target.write_text(text.replace(old, new))
+            env = dict(os.environ, PYTHONPATH=str(copy))
+            imported = subprocess.run(
+                [sys.executable, "-c", "import semimatch; print(semimatch.__file__)"],
+                env=env, capture_output=True, text=True, check=True).stdout.strip()
+            if pathlib.Path(imported).resolve().parent != (copy / "semimatch").resolve():
+                problems.append(f"{name}: imported {imported}, not the mutated copy")
+                continue
+            status = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                env=env, cwd=ROOT).returncode
+            print(f"{name}: pytest exit {status}", flush=True)
+            if status != 1:
+                problems.append(f"{name} is not killed (pytest exit {status})")
+    return problems
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in GROUPS:
+        sys.exit(f"usage: python {sys.argv[0]} {{{'|'.join(GROUPS)}}}")
+    problems = survivors(*GROUPS[sys.argv[1]])
+    print("\n".join(problems) or "every mutant is killed")
+    sys.exit(bool(problems))

@@ -39,6 +39,19 @@ class TestThresholdPreemptive:
         alg.on_edge(E(1, 2, 5.0))
         assert alg.current_matching.keys() == {(1, 2)}
 
+    def test_current_matching_lists_each_held_edge_once_in_acceptance_order(self):
+        alg = ThresholdPreemptive(1.0)
+        a, b, c = E(0, 1, 2.0), E(3, 2, 2.0), E(5, 4, 1.0)
+        for e in (a, b, c):
+            alg.on_edge(e)
+        assert list(alg.current_matching) == [a, b, c]
+        both = E(1, 2, 5.0)  # preempts a at vertex 1 and b at vertex 2
+        alg.on_edge(both)
+        assert list(alg.current_matching) == [c, both]
+        refill = E(6, 3, 1.0)  # re-covers 3, freed when b went
+        alg.on_edge(refill)
+        assert list(alg.current_matching) == [c, both, refill]
+
     def test_duplicate_presentation_rejected(self):
         alg = ThresholdPreemptive(1.0)
         alg.on_edge(E(0, 1, 1.0))
