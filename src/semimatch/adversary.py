@@ -293,7 +293,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     w, wp, n = table.w, table.w_prime, table.n
     presented: dict[tuple[int, int], Edge] = {}
     transcript: list[dict] = []
-    held = Matching()
+    held: Optional[Matching] = None  # the victim's hold, as the last offer checked it
     held_keys: set[tuple[int, int]] = set()  # the keys of ``held``, as the last offer read them
     # The tracked optimum, a matching of presented edges stored under both
     # ends of each edge; it bounds OPT from below.  ``delta`` nets its changes
@@ -342,32 +342,38 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         new = edge.key
         presented[new] = edge
         algorithm.on_edge(edge)
-        held = algorithm.current_matching
-        if not isinstance(held, Matching):  # disjoint: its constructor or a greedy cover checked it
-            raise ContractViolationError(
-                f"victim's hold after {label} is a {type(held).__name__}, not a Matching")
-        # Past these checks it holds only edges it held before and this one.
-        keys, rows = set(), []
-        for e in held:
-            key = e.key
-            if presented.get(key) != e:
+        previous, held = held, algorithm.current_matching
+        if held is previous and transcript:
+            # The frozen Matching that the last offer checked: the victim declined this
+            # edge, and its keys and rows are the last record's.
+            rows = transcript[-1]["held_after"].copy()
+        else:
+            # Disjoint if a Matching: its constructor or a greedy cover checked it.
+            if not isinstance(held, Matching):
                 raise ContractViolationError(
-                    f"victim holds an edge it was never given: {e}")
-            if key != new and key not in held_keys:
-                raise ContractViolationError(
-                    f"victim resurrected {e} after dropping it ({label})")
-            keys.add(key)
-            rows.append((*key, e.weight))
-        held_keys = keys
+                    f"victim's hold after {label} is a {type(held).__name__}, not a Matching")
+            # Past these checks it holds only edges it held before and this one.
+            keys, rows = set(), []
+            for e in held:
+                key = e.key
+                if presented.get(key) != e:
+                    raise ContractViolationError(
+                        f"victim holds an edge it was never given: {e}")
+                if key != new and key not in held_keys:
+                    raise ContractViolationError(
+                        f"victim resurrected {e} after dropping it ({label})")
+                keys.add(key)
+                rows.append((*key, e.weight))
+            held_keys, rows = keys, sorted(rows)  # sorted() copies to an exact-size list
         transcript.append({
             "step": step + 1,
             "label": label,
             "u": edge.u,
             "v": edge.v,
             "weight": edge.weight,
-            "held_after": sorted(rows),
+            "held_after": rows,
         })
-        return keys
+        return held_keys
 
     def relabel() -> None:
         """WLOG: the victim's edge of the symmetric pair is the ``a`` edge."""

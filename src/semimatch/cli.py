@@ -139,8 +139,9 @@ def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> N
     _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
 
 
-# json.dumps with these flags builds a new encoder for every call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+# json.dumps with these flags builds a new encoder for every call.  Transcript records
+# and sweep rows are trees that this module builds, so no container is checked for cycles.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
 
 
 def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:

@@ -23,11 +23,6 @@ __all__ = [
 ]
 
 
-def _common_scale(edges: Iterable[Edge]) -> int:
-    """Smallest k >= 0 for which every weight times 2**k is an integer."""
-    return max((e.weight.as_integer_ratio()[1].bit_length() - 1 for e in edges), default=0)
-
-
 def _scaled(weight: float, scale: int) -> int:
     """``weight * 2**scale`` as an exact integer."""
     numerator, denominator = weight.as_integer_ratio()
@@ -457,9 +452,13 @@ def max_weight_matching_dual(edges: Sequence[Edge]) -> tuple[Matching, MatchingD
     among several optima depends only on the edge order.
     """
     vertices, endpoint = _number_vertices(edges)
-    scale = _common_scale(edges)
-    mate, potential, blossoms = _Blossom(
-        len(vertices), endpoint, [2 * _scaled(e.weight, scale) for e in edges]).solve()
+    # One ratio per weight gives the scale, the smallest k >= 0 that makes every weight
+    # times 2**k an integer, and the 2W that the solver reads, weight * 2**(k+1).  A
+    # float's denominator is 2**(bit_length - 1).
+    ratios = [e.weight.as_integer_ratio() for e in edges]
+    scale = max((den.bit_length() - 1 for _num, den in ratios), default=0)
+    doubled = [num << (scale + 2 - den.bit_length()) for num, den in ratios]
+    mate, potential, blossoms = _Blossom(len(vertices), endpoint, doubled).solve()
     matched = sorted({p >> 1 for p in mate if p != -1})
     return Matching(edges[k] for k in matched), MatchingDual(
         scale, dict(zip(vertices, potential)),

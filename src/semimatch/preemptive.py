@@ -4,13 +4,16 @@ A preemptive algorithm must hold a feasible matching at all times; it
 may discard (preempt) a held edge, but an edge that was rejected or
 preempted is gone forever.  A victim's held matching,
 ``current_matching``, is the whole record of what it accepted and
-preempted: ``on_edge`` returns nothing.
+preempted: ``on_edge`` returns nothing.  Both baselines build that
+``Matching`` on its first read and return the same object until ``on_edge``
+changes the hold.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from typing import Optional
 
 from .core import Edge, GreedyMatching, Matching
 
@@ -33,7 +36,12 @@ class PreemptiveAlgorithm(abc.ABC):
     @property
     @abc.abstractmethod
     def current_matching(self) -> Matching:
-        """The feasible matching currently held."""
+        """The feasible matching currently held.
+
+        While the hold is unchanged this may be the same frozen ``Matching``
+        as at the last read.  The game checks every hold but the very object
+        it checked at the last offer, which it takes as that hold again.
+        """
 
 
 class _PresentedMixin:
@@ -59,6 +67,7 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
         self.improvement_factor = improvement_factor
         # Each held edge under both of its ends, in the order it was accepted.
         self._cover: dict[int, Edge] = {}
+        self._matching: Optional[Matching] = None  # the hold as last read; None once it changes
 
     def on_edge(self, edge: Edge) -> None:
         self._note_presented(edge)
@@ -71,12 +80,15 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
                 del self._cover[f.v]
             self._cover[edge.u] = edge
             self._cover[edge.v] = edge
+            self._matching = None
 
     @property
     def current_matching(self) -> Matching:
-        # Each held edge once, at its u end, in acceptance order.  A list, which the
-        # Matching copies to a tuple of its exact size; from a generator it would resize one.
-        return Matching([e for vertex, e in self._cover.items() if vertex == e.u])
+        if self._matching is None:
+            # Each held edge once, at its u end, in acceptance order.  A list, which the
+            # Matching copies to a tuple of its exact size; from a generator it would resize one.
+            self._matching = Matching([e for vertex, e in self._cover.items() if vertex == e.u])
+        return self._matching
 
 
 class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
@@ -85,14 +97,18 @@ class HoldFirst(_PresentedMixin, PreemptiveAlgorithm):
     def __init__(self) -> None:
         super().__init__()
         self._held = GreedyMatching()
+        self._matching: Optional[Matching] = None  # as in ThresholdPreemptive
 
     def on_edge(self, edge: Edge) -> None:
         self._note_presented(edge)
-        self._held.add(edge)
+        if self._held.add(edge):
+            self._matching = None
 
     @property
     def current_matching(self) -> Matching:
-        return self._held.matching()
+        if self._matching is None:
+            self._matching = self._held.matching()
+        return self._matching
 
 
 DEFAULT_VICTIMS: tuple[str, ...] = (

@@ -4,7 +4,7 @@ import math
 from typing import Iterable
 
 from semimatch.core import Edge
-from semimatch.oracle import _common_scale, _number_vertices, _scaled
+from semimatch.oracle import _number_vertices, _scaled
 
 _BRUTEFORCE_MAX_EDGES = 16
 
@@ -27,7 +27,7 @@ def max_weight_matching_bruteforce(edges: Iterable[Edge]) -> float:
 
     _vertices, endpoint = _number_vertices(edges)
     masks = [1 << endpoint[2 * k] | 1 << endpoint[2 * k + 1] for k in range(m)]
-    scale = _common_scale(edges)
+    scale = max(e.weight.as_integer_ratio()[1].bit_length() - 1 for e in edges)
     scaled = [_scaled(e.weight, scale) for e in edges]
     size = 1 << m
     valid = bytearray(size)

@@ -36,6 +36,13 @@ GROUPS = {
         ("adversary.py", "if presented.get(key) != e:", "if False:"),
         ("adversary.py", "if key != new and key not in held_keys:", "if False:"),
         ("preemptive.py", "if key in self._presented:", "if False:"),
+        # The game takes every hold but the first for the one it checked last.
+        ("adversary.py", "if held is previous and transcript:", "if True and transcript:"),
+        # Each victim returns the hold it built first, whatever on_edge does.
+        ("preemptive.py", "self._cover[edge.v] = edge\n            self._matching = None",
+         "self._cover[edge.v] = edge"),
+        ("preemptive.py", "if self._held.add(edge):\n            self._matching = None",
+         "self._held.add(edge)"),
     ]),
 }
 

@@ -426,6 +426,36 @@ class _Resurrector(PreemptiveAlgorithm):
         return Matching(self.held)
 
 
+class _RecyclingResurrector(_Resurrector):
+    """A _Resurrector that returns one Matching object per hold, so that a
+    resurrection can come back as a hold object the game checked before."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.objects = {}
+
+    @property
+    def current_matching(self):
+        held = tuple(self.held)
+        if held not in self.objects:
+            self.objects[held] = Matching(held)
+        return self.objects[held]
+
+
+class _FreshHold(PreemptiveAlgorithm):
+    """Plays as ``inner`` does, but returns a new, equal Matching at every read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_edge(self, edge):
+        self.inner.on_edge(edge)
+
+    @property
+    def current_matching(self):
+        return Matching(self.inner.current_matching)
+
+
 def replay_transcript(result):
     """Every record's tracked optimum must be a valid matching made of
     already-presented edges, and held sets must obey irrevocability.
@@ -527,6 +557,43 @@ class TestRunAdversary:
             run_adversary(victim, AdversaryConfig(C=4.9))
         assert victim.held == [victim.seen[resurrected - 1]]
         assert len(victim.seen) == len(plan)
+
+    @pytest.mark.parametrize("plan, resurrected", [
+        # the object held after edge 1 comes back after edge 2 was held
+        ((1, 2, 1), 1),
+        # one object across the declined edge 2, then the rejected edge 2
+        ((1, 1, 2), 2),
+    ], ids=["earlier-object", "after-a-decline"])
+    def test_resurrection_detected_in_a_recycled_hold(self, plan, resurrected):
+        victim = _RecyclingResurrector(plan)
+        with pytest.raises(ContractViolationError, match="resurrect"):
+            run_adversary(victim, AdversaryConfig(C=4.9))
+        assert victim.held == [victim.seen[resurrected - 1]]
+
+    @pytest.mark.parametrize("name", [*DEFAULT_VICTIMS, "threshold:1.7071067811865475"])
+    @pytest.mark.parametrize("C", [3.5, 4.965])
+    def test_a_fresh_hold_at_every_read_plays_the_same_game(self, name, C):
+        # The game checks every hold that is not the object it checked at the
+        # last offer; the registered victims repeat one object across declines.
+        cached = run_adversary(make_victim(name), AdversaryConfig(C=C))
+        fresh = run_adversary(_FreshHold(make_victim(name)), AdversaryConfig(C=C))
+        assert fresh == cached
+        assert json.dumps(fresh.to_json_dict()) == json.dumps(cached.to_json_dict())
+
+    def test_one_checked_matching_per_change_of_the_hold(self, monkeypatch):
+        built = []
+        post_init = Matching.__post_init__
+
+        def spy(matching):
+            built.append(matching)
+            post_init(matching)
+
+        monkeypatch.setattr(Matching, "__post_init__", spy)
+        result = run_adversary(make_victim("threshold:1"), AdversaryConfig(C=4.965))
+        holds = [record["held_after"] for record in result.transcript]
+        changes = sum(before != after for before, after in zip([None, *holds], holds))
+        # About half the offers are declined; 381 offers at C=4.965.
+        assert len(built) == changes < len(holds) * 0.6
 
     def test_lower_c_also_beaten(self):
         result = run_adversary(make_victim("hold-first"), AdversaryConfig(C=4.5))

@@ -52,6 +52,24 @@ class TestThresholdPreemptive:
         alg.on_edge(refill)
         assert list(alg.current_matching) == [c, both, refill]
 
+    def test_current_matching_is_one_object_until_the_hold_changes(self):
+        alg = ThresholdPreemptive(1.5)
+        empty = alg.current_matching
+        assert alg.current_matching is empty and not empty.edges
+        alg.on_edge(E(0, 1, 2.0))  # accepted on an empty hold
+        first = alg.current_matching
+        assert first is not empty and first.keys() == {(0, 1)}
+        alg.on_edge(E(1, 2, 3.0))  # declined: 3 is not above 1.5 * 2
+        assert alg.current_matching is first
+        alg.on_edge(E(2, 3, 1.0))  # accepted, nothing blocks it
+        second = alg.current_matching
+        assert second is not first and second.keys() == {(0, 1), (2, 3)}
+        alg.on_edge(E(0, 3, 10.0))  # preempts both: 10 > 1.5 * 3
+        third = alg.current_matching
+        assert third is not second and third.keys() == {(0, 3)}
+        assert alg.current_matching is third
+        assert first.keys() == {(0, 1)}  # a returned hold is frozen
+
     def test_duplicate_presentation_rejected(self):
         alg = ThresholdPreemptive(1.0)
         alg.on_edge(E(0, 1, 1.0))
@@ -69,6 +87,20 @@ class TestHoldFirst:
         for e in (E(0, 1, 1.0), E(1, 2, 50.0), E(2, 3, 1.0)):
             alg.on_edge(e)
         assert alg.current_matching.keys() == {(0, 1), (2, 3)}
+
+    def test_current_matching_is_one_object_until_the_hold_changes(self):
+        alg = HoldFirst()
+        empty = alg.current_matching
+        assert alg.current_matching is empty and not empty.edges
+        alg.on_edge(E(0, 1, 1.0))
+        first = alg.current_matching
+        assert first is not empty and first.keys() == {(0, 1)}
+        alg.on_edge(E(1, 2, 50.0))  # vertex 1 is covered: declined
+        assert alg.current_matching is first
+        alg.on_edge(E(2, 3, 1.0))
+        second = alg.current_matching
+        assert second is not first and second.keys() == {(0, 1), (2, 3)}
+        assert alg.current_matching is second
 
 
 class TestRegistry:
