@@ -247,22 +247,22 @@ class _Grid:
         self.cover: dict[int, int] = {}
         self.floors: list[float] = []
         self.peaks = [0] * q
-        # floor(top + 1) and floor(alive + q): a w_max or threshold that
-        # reaches either moves the window.  The first edge always does.
-        self._bounds = (0.0, 0.0)
 
     @property
     def threshold(self) -> float:
         """Discard threshold 2*epsilon*w_max/n below which classes die.
 
-        A product 2*epsilon*w_max that overflows is divided by n first.
-        A quotient that underflows to 0 reads as ulp(0), below which no
+        A product 2*epsilon*w_max that overflows is divided by n first and
+        read as at least max_float/n, the most a finite product gives, so
+        the threshold, and the window, never fall as w_max rises.  A
+        quotient that underflows to 0 reads as ulp(0), below which no
         weight lies.  Capping at w_max keeps the edge that raised w_max
         from discarding itself when epsilon > n/2.
         """
-        threshold = 2.0 * self.epsilon * self.w_max / self.num_vertices
+        n = self.num_vertices
+        threshold = 2.0 * self.epsilon * self.w_max / n
         if threshold == math.inf:
-            threshold = self.w_max / self.num_vertices * (2.0 * self.epsilon)
+            threshold = max(self.w_max / n * (2.0 * self.epsilon), sys.float_info.max / n)
         return min(threshold, self.w_max) or _TINY
 
     def column(self, j: int) -> list[list[Edge]]:
@@ -305,10 +305,8 @@ class _Grid:
         position an edge's classes depend on.
         """
         q, first = self.q, self.top is None
-        top_ceil, bottom_ceil = self._bounds
-        top = self._cell(self.w_max) if self.w_max >= top_ceil else self.top
-        bottom = self._cell(threshold) if threshold >= bottom_ceil else self.alive + q - 1
-        alive, slots, floors, base = bottom - q + 1, self.slots, self.floors, self.base
+        top, alive = self._cell(self.w_max), self._cell(threshold) - q + 1
+        slots, floors, base = self.slots, self.floors, self.base
         if first:
             base = alive
         else:
@@ -333,7 +331,6 @@ class _Grid:
                     f"gamma={self.gamma}, q={q}: the class floors decrease at grid position "
                     f"{p}, and the grid needs floors that never decrease")
             floors.append(floor)
-        self._bounds = floors[top + 1 - base], floors[alive + q - base]
 
     def feed(self, rows: Iterable[_Row]) -> None:
         """The one pass loop: classify each ``(u, v, weight, edge)`` row once, for every copy.
@@ -343,16 +340,20 @@ class _Grid:
         class.  The loop works in table indices ``p - base``: the live ones
         run from ``start`` (alive) to below ``stop`` (top + 1), and an edge
         that does not raise w_max finds ``K + 1`` by binary search of the
-        floors between them.  One bit test against both ends' bitsets finds
+        floors between them.  An edge that raises w_max moves the window
+        when w_max reaches ``floors[stop]`` or the threshold reaches
+        ``floors[start + q]``, the floors just above their cells; the first
+        edge always does.  One bit test against both ends' bitsets finds
         the copies whose class matching takes it, which all store one Edge:
         the row's, else one made then (a lazy read's is None).
         """
         q, full, count = self.q, (1 << self.q) - 1, 0
         w_max, cover, slots, floors = self.w_max, self.cover, self.slots, self.floors
-        top_ceil, bottom_ceil = self._bounds
-        start = stop = 0  # a fresh grid's first edge moves the window, which sets them
+        start = stop = 0
+        top_ceil = bottom_ceil = 0.0
         if self.top is not None:
             start, stop = self.alive - self.base, self.top + 1 - self.base
+            top_ceil, bottom_ceil = floors[stop], floors[start + q]
         for u, v, w, edge in rows:
             count += 1
             if w > w_max:
@@ -362,7 +363,7 @@ class _Grid:
                     self._move(threshold)
                     start, stop = self.alive - self.base, self.top + 1 - self.base
                     cover = self.cover
-                    top_ceil, bottom_ceil = self._bounds
+                    top_ceil, bottom_ceil = floors[stop], floors[start + q]
                 end = stop  # one past the index of K
             else:
                 end = bisect_right(floors, w, start, stop)

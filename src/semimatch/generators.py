@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .bucket import class_index
+from .bucket import _power, class_index
 from .core import Edge, StreamSource
 
 __all__ = [
@@ -32,10 +32,8 @@ def _ladder_levels(gamma: float, k: int, eps: float) -> list[tuple[float, float]
     if not 0 < eps < gamma - 1:
         raise ValueError(
             f"eps must lie in (0, gamma-1) to keep weights positive and ordered, got {eps}")
-    try:
-        gamma ** (k + 1)
-    except OverflowError:
-        raise ValueError(f"gamma**(k+1) must be a finite float, got gamma={gamma}, k={k}") from None
+    if _power(gamma, k + 1) == math.inf:
+        raise ValueError(f"gamma**(k+1) must be a finite float, got gamma={gamma}, k={k}")
     levels = [(gamma ** i, gamma ** (i + 1) - eps) for i in range(k + 1)]
     for i, (low, high) in enumerate(levels):
         if class_index(low, gamma) != i or class_index(high, gamma) != i:
@@ -106,11 +104,7 @@ class ExponentialClassWeights:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if type(self.depth) is not int or self.depth < 1:
             raise ValueError(f"depth must be a positive integer, got {self.depth!r}")
-        try:
-            finite = self.gamma ** self.depth < math.inf
-        except OverflowError:
-            finite = False
-        if not finite:
+        if _power(self.gamma, self.depth) == math.inf:
             raise ValueError(
                 f"gamma**depth must be a finite float, got gamma={self.gamma}, depth={self.depth}")
 

@@ -1,6 +1,7 @@
 """The paper's one pass, one copy at a time, written from its definition: the tests' reference for the grid."""
 
 import math
+import sys
 
 from semimatch.bucket import class_index
 from semimatch.core import Edge
@@ -15,10 +16,14 @@ class ModelCopy:
         self.classes: dict[int, tuple[list[Edge], set[int]]] = {}
 
     def threshold(self) -> float:
-        """2*epsilon*w_max/n (over n first if the product overflows), at most w_max, at least ulp(0)."""
+        """2*epsilon*w_max/n, at most w_max, at least ulp(0).
+
+        A product that overflows is divided by n first, and read as at least
+        max_float/n, so the threshold never falls as w_max rises.
+        """
         t = 2.0 * self.epsilon * self.w_max / self.n
         if t == math.inf:
-            t = self.w_max / self.n * (2.0 * self.epsilon)
+            t = max(self.w_max / self.n * (2.0 * self.epsilon), sys.float_info.max / self.n)
         return min(t, self.w_max) or math.ulp(0.0)
 
     def process(self, e: Edge) -> None:

@@ -5,6 +5,7 @@ Usage, from the root of a checkout::
 
     python tests/mutants.py certificate
     python tests/mutants.py adversary
+    python tests/mutants.py pass
 
 Each mutant is applied to its own copy of ``src``, which must be the
 ``semimatch`` that gets imported, and pytest must exit 1 (failed tests, not
@@ -43,6 +44,27 @@ GROUPS = {
          "self._cover[edge.v] = edge"),
         ("preemptive.py", "if self._held.add(edge):\n            self._matching = None",
          "self._held.add(edge)"),
+    ]),
+    "pass": (["tests/test_bucket.py"], [
+        # A w_max or threshold that reaches the floor above its cell moves the window.
+        ("bucket.py", "if w >= top_ceil or threshold >= bottom_ceil:",
+         "if w > top_ceil or threshold >= bottom_ceil:"),
+        ("bucket.py", "if w >= top_ceil or threshold >= bottom_ceil:",
+         "if w >= top_ceil or threshold > bottom_ceil:"),
+        # The threshold's trigger read one position low, after a move and on entry.
+        ("bucket.py", "cover = self.cover\n                    top_ceil, bottom_ceil = "
+         "floors[stop], floors[start + q]",
+         "cover = self.cover\n                    top_ceil, bottom_ceil = "
+         "floors[stop], floors[start + q - 1]"),
+        ("bucket.py", "floors[start + q]\n        for u, v, w, edge in rows:",
+         "floors[start + q - 1]\n        for u, v, w, edge in rows:"),
+        # The rebase keeps each vertex's bits unshifted.
+        ("bucket.py", "{x: bits >> shift for x,", "{x: bits for x,"),
+        # The prune leaves the top position's edges.
+        ("bucket.py", "min(alive, self.top + 1)", "min(alive, self.top)"),
+        # The threshold falls by an ulp where 2*epsilon*w_max first overflows.
+        ("bucket.py", "max(self.w_max / n * (2.0 * self.epsilon), sys.float_info.max / n)",
+         "self.w_max / n * (2.0 * self.epsilon)"),
     ]),
 }
 

@@ -177,6 +177,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdversaryConfig(C=0.9)
 
+    def test_c_bounds_are_open(self):
+        top = solve_R() - 1e-9
+        for C in (1.0, top):
+            with pytest.raises(ValueError, match="strictly between"):
+                AdversaryConfig(C=C)
+        for C in (math.nextafter(1.0, 2.0), math.nextafter(top, 0.0)):
+            assert AdversaryConfig(C=C).C == C
+
 
 class _DropEverything(PreemptiveAlgorithm):
     def __init__(self):

@@ -302,6 +302,30 @@ class TestWindowCache:
         assert {i: [e.weight for e in slot] for i, slot in state.matchings.items()} \
             == {10: [1024.0, 1024.0], 7: [128.0], 9: [under_top]}
 
+    def test_threshold_never_falls_where_the_product_overflows(self):
+        # 2*eps*w1 is the largest finite product and 2*eps*w0, w0 the float
+        # after w1, overflows.  Divided by n first, w0's threshold would fall
+        # an ulp below w1's, which is the floor of class 80.
+        gamma, epsilon, n, delta = 5834.438195258898, 0.5117887789824292, 5972, 0.8493555705315856
+        w1 = 1.7562842413589084e+308
+        w0 = math.nextafter(w1, math.inf)
+        assert 2.0 * epsilon * w1 < math.inf == 2.0 * epsilon * w0
+        state = make_state(gamma=gamma, epsilon=epsilon, n=n, delta=delta)
+        model = ModelCopy(gamma, epsilon, n, delta)
+        state.process(E(0, 1, w1))
+        model.process(E(0, 1, w1))
+        threshold = state.threshold
+        assert state.floor(80) == threshold
+        below = math.nextafter(threshold, 0.0)
+        for e in (E(2, 3, w0), E(4, 5, below)):
+            state.process(e)
+            model.process(e)
+        assert state.threshold >= threshold
+        assert state.window == (class_index(state.threshold, gamma, delta),
+                                class_index(w0, gamma, delta)) == (80, 81)
+        assert state.matchings == model.matchings
+        assert sorted(state.matchings) == [80, 81]
+
     def test_cell_derivations_on_ascending_stream(self, monkeypatch):
         edges = ascending_class_edges()
         gamma, epsilon = 3.513, 0.5
@@ -325,6 +349,39 @@ class TestWindowCache:
             assert calls <= 2 * moves
             # Every arrival raises w_max, yet the window moves rarely.
             assert calls < len(edges) // 10
+
+    def test_one_feed_moves_only_when_a_copys_window_changes(self, monkeypatch):
+        # One feed over the whole stream reads both triggers again from the
+        # floor table after each move, and each move derives two cells, those
+        # of w_max and of the threshold.
+        edges = ascending_class_edges()
+        gamma, epsilon, q = 3.513, 0.5, 14
+        moves = cells = 0
+        move, cell = bucket._Grid._move, bucket._Grid._cell
+
+        def counting_move(grid, threshold):
+            nonlocal moves
+            moves += 1
+            return move(grid, threshold)
+
+        def counting_cell(grid, w):
+            nonlocal cells
+            cells += 1
+            return cell(grid, w)
+
+        monkeypatch.setattr(bucket._Grid, "_move", counting_move)
+        monkeypatch.setattr(bucket._Grid, "_cell", counting_cell)
+        ensemble_states(StreamSource(1000, edges), gamma, epsilon, q)
+        models = [ModelCopy(gamma, epsilon, 1000, delta) for delta in delta_grid(q)]
+        changes, windows = 0, None
+        for e in edges:
+            for model in models:
+                model.process(e)
+            now = [model.window for model in models]
+            changes += now != windows
+            windows = now
+        assert (moves, cells) == (changes, 2 * changes)
+        assert changes < len(edges) // 5
 
 
 def ascending_class_edges():
@@ -701,6 +758,14 @@ class TestChooseQ:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             choose_q(2.0, 1.5)
+
+    def test_epsilon_bounds_are_open(self):
+        for epsilon in (0.0, 1.0):
+            with pytest.raises(ValueError) as info:
+                choose_q(2.0, epsilon)
+            assert str(info.value) == f"epsilon must lie in (0, 1), got {epsilon}"
+        # 2**(1/4) <= 1 + epsilon/5 < 2**(1/3) just inside the upper bound
+        assert choose_q(2.0, math.nextafter(1.0, 0.0)) == 4
 
     def test_rejects_epsilon_lost_in_rounding(self):
         # 1 + 1e-17/5 == 1.0: no number of copies meets the test

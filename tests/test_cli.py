@@ -113,6 +113,16 @@ class TestGen:
         assert err == (f"semimatch: bad weight law {law!r}; "
                        "use uniform:<lo>,<hi> or expclasses:<gamma>,<depth>\n")
 
+    def test_module_entry_point_exits_with_mains_code(self):
+        src = str(Path(semimatch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "semimatch.cli", "gen", "random", "--n", "4", "--m", "2",
+             "--seed", "1"], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.splitlines()[0] == "n=4"
+
     @pytest.mark.parametrize("gamma, k, shown", [
         ("2", "2000", "gamma=2.0, k=2000"), ("1e200", "2", "gamma=1e+200, k=2")])
     def test_ladder_beyond_the_float_range(self, capsys, gamma, k, shown):
@@ -242,6 +252,16 @@ class TestOracle:
         report = json.loads(out)
         assert report["weight"] == pytest.approx(27.999994, abs=1e-12)
         assert len(report["matching"]) == 6
+
+    def test_run_with_oracle_on_a_stream_without_edges(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("n=3\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "deterministic", "--gamma", "2",
+                               "--epsilon", "0.1", "--with-oracle")
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert (result["weight"], result["oracle_weight"], result["ratio_vs_oracle"]) \
+            == (0.0, 0.0, None)
 
     def test_k5_tight_ladder_has_the_analytic_optimum(self, capsys, tmp_path):
         path = gen_tight(capsys, tmp_path, k=5)  # 24 vertices
@@ -413,6 +433,16 @@ class TestStreamHandling:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "line 2" in err
+
+    @pytest.mark.parametrize("weight, shown", [("0", "0.0"), ("inf", "inf")])
+    def test_weight_outside_the_positive_finite_reals_exits_2_at_its_line(
+            self, capsys, tmp_path, weight, shown):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"n=2\n0 1 {weight}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "deterministic",
+                                 "--gamma", "2", "--epsilon", "0.1")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"semimatch: line 2: edge weight must be a positive finite real, got {shown}\n"
 
     def test_string_labels_emit_mapping(self, capsys, tmp_path):
         path = tmp_path / "labels.txt"
@@ -954,6 +984,13 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.strip().splitlines() == [
             "variant,gamma,seed,n,m,alg_weight,opt_weight,ratio,bound"]
+
+    def test_ratio_is_empty_when_no_edge_is_matched(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--m", "0", "--seeds", "0", "--gammas", "2")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["variant"], row["alg_weight"], row["ratio"]) for row in rows] \
+            == [("deterministic", "0.0", ""), ("ensemble", "0.0", "")]
 
     def test_small_sweep_table(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"

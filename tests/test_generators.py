@@ -62,6 +62,20 @@ class TestTightInstance:
         with pytest.raises(ValueError):
             tight_instance(2.0, 2, 0.0)
 
+    def test_gamma_two_is_the_lowest_accepted(self):
+        assert len(tight_instance(2.0, 1, 0.5).edges) == 7
+        below = math.nextafter(2.0, 0.0)
+        with pytest.raises(ValueError) as info:
+            tight_instance(below, 1, 0.5)
+        assert str(info.value) == f"gamma must be finite and at least 2, got {below}"
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_eps_bounds_are_open(self, eps):
+        with pytest.raises(ValueError) as info:
+            tight_instance(2.0, 1, eps)
+        assert str(info.value) == (
+            f"eps must lie in (0, gamma-1) to keep weights positive and ordered, got {eps}")
+
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="^gamma must be finite"):
@@ -130,6 +144,12 @@ class TestRandomInstance:
         classes = {class_index(e.weight, 2.0) for e in stream.edges}
         assert classes <= set(range(6))
         assert len(classes) >= 3
+
+    def test_uniform_law_bounds(self):
+        assert UniformWeights(1, 1).sample(random.Random(0)) == 1
+        with pytest.raises(ValueError) as info:
+            UniformWeights(0.0, 1.0)
+        assert str(info.value) == "need 0 < lo <= hi and a finite hi, got [0.0, 1.0]"
 
     def test_uniform_law_refuses_non_finite_hi(self):
         with pytest.raises(ValueError, match="finite hi"):

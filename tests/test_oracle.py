@@ -257,6 +257,12 @@ class TestVerifyDual:
         with pytest.raises(ValueError, match=message):
             verify_dual(*mutate(self.EDGES, matching, dual))
 
+    def test_accepts_an_even_blossom_with_z_zero(self):
+        # z = 0 adds nothing to any constraint, so no size or fill is asked of it.
+        matching, dual = self.solved()
+        zero = dataclasses.replace(dual, blossoms=dual.blossoms + ((frozenset({0, 3, 5, 6}), 0),))
+        verify_dual(self.EDGES, matching, zero)
+
     def test_rejects_a_scale_too_coarse_for_a_weight(self):
         edges = [E(0, 1, 1.5)]
         matching, dual = max_weight_matching_dual(edges)
