@@ -19,7 +19,8 @@ import os
 import stat
 import sys
 import time
-from typing import Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import adversary as adv
 from .bucket import (
@@ -139,15 +140,31 @@ def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> N
     _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
 
 
-# json.dumps with these flags builds a new encoder for every call.  Transcript records
-# and sweep rows are trees that this module builds, so no container is checked for cycles.
+# json.dumps with these flags builds a new encoder for every call.  Sweep rows are
+# trees that this module builds, so no container is checked for cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
 
 
 def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:
-    """One JSON object per line, each written as it is encoded: a long
-    transcript is never held as one string."""
+    """One JSON object per line, each written as it is encoded: ``sweep --jsonl``'s rows."""
     _write((_LINE_ENCODER.encode(r) + "\n" for r in records), out)
+
+
+def _rows_text(rows: Sequence[tuple]) -> str:
+    return ", ".join([f"[{u}, {v}, {w!r}]" for u, v, w in rows])
+
+
+def _transcript_lines(records: Sequence[dict]) -> Iterator[str]:
+    """Yield one line per record, equal to ``json.dumps(record, sort_keys=True,
+    allow_nan=False)``, because ``Edge`` weights are finite and the key set is fixed."""
+    last = held = None
+    for r in records:
+        if r["held_after"] != last:  # a declined edge repeats the last record's hold
+            last, held = r["held_after"], _rows_text(r["held_after"])
+        yield (f'{{"held_after": [{held}], "label": {encode_basestring_ascii(r["label"])}, '
+               f'"opt_added": [{_rows_text(r["opt_added"])}], '
+               f'"opt_removed": [{_rows_text(r["opt_removed"])}], '
+               f'"step": {r["step"]}, "u": {r["u"]}, "v": {r["v"]}, "weight": {r["weight"]!r}}}\n')
 
 
 def _run_variant(stream: StreamSource, variant: str, gamma: float, epsilon: float,
@@ -268,7 +285,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     payload["victim"] = args.victim
     payload["C"] = args.C
     if args.transcript:
-        _emit_lines(result.transcript, args.transcript)
+        _write(_transcript_lines(result.transcript), args.transcript)
         payload["transcript"] = f"written to {args.transcript}"
     _emit(payload, args.out)
     return EXIT_OK

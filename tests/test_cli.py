@@ -13,10 +13,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import semimatch
 from semimatch import bucket, cli, core
+from semimatch.adversary import AdversaryConfig, run_adversary
 from semimatch.bucket import (
     best_copy,
     choose_q,
@@ -41,9 +42,10 @@ from semimatch.generators import (
     random_instance,
     tight_instance_opt_weight,
 )
+from semimatch.preemptive import DEFAULT_VICTIMS, make_victim
 
 from model import ModelCopy
-from test_adversary import opt_after_form, optima
+from test_adversary import C_GRID, opt_after_form, optima
 from test_core import held
 
 
@@ -364,6 +366,62 @@ class TestAdversary:
         report = json.loads(out_path.read_text())
         *_, last = optima(report["transcript"])
         assert math.fsum(w for _u, _v, w in last) == report["tracked_opt_weight"]
+
+    @pytest.mark.parametrize("victim", DEFAULT_VICTIMS)
+    def test_report_embeds_the_transcript_file_records(self, capsys, tmp_path, victim):
+        # README: the --out report embeds the same records when no --transcript is given.
+        report_path, transcript_path = tmp_path / "r.json", tmp_path / "t.jsonl"
+        for argv in (("--out", str(report_path)), ("--transcript", str(transcript_path))):
+            code, _, _ = run_cli(capsys, "adversary", "--victim", victim, "--C", "4.9", *argv)
+            assert code == EXIT_OK
+        lines = transcript_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(report_path.read_text())["transcript"] == [json.loads(l) for l in lines]
+
+    @pytest.mark.parametrize("victim", [*DEFAULT_VICTIMS, "threshold:1.7071067811865475"])
+    def test_transcript_lines_are_json_dumps_of_each_record(self, victim):
+        for C in [*C_GRID, 4.965, 4.9673]:
+            transcript = run_adversary(make_victim(victim), AdversaryConfig(C=C)).transcript
+            expected = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                               for r in transcript)
+            assert "".join(cli._transcript_lines(transcript)) == expected, C
+
+    _ids = st.integers(0, 2 ** 53)
+    _weights = st.floats(5e-324, 1.79e308) | st.integers(1, 2 ** 53)
+    _rows = st.lists(st.tuples(_ids, _ids, _weights), max_size=3)
+    _record = st.fixed_dictionaries({
+        "step": st.integers(1, 2 ** 53),
+        "label": st.text(st.sampled_from('"\\\x00\x1f\x7fé \U0001f600') | st.characters()),
+        "u": _ids, "v": _ids, "weight": _weights,
+        "held_after": _rows, "opt_added": _rows, "opt_removed": _rows})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_record, st.booleans()), max_size=6))
+    def test_transcript_lines_match_json_dumps_on_any_records(self, draws):
+        records = []
+        for record, repeat in draws:
+            if repeat and records:  # a declined edge: the game copies the last hold
+                record["held_after"] = records[-1]["held_after"].copy()
+            elif records:
+                # The writer reuses an equal hold's text; the CLI's victims hold the
+                # presented edges, so their equal holds have the same weights.
+                previous = records[-1]["held_after"]
+                assume(record["held_after"] != previous or json.dumps(record["held_after"])
+                       == json.dumps(previous))
+            records.append(record)
+        expected = [json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records]
+        assert list(cli._transcript_lines(records)) == expected
+
+    def test_transcript_is_written_one_line_per_chunk(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_write", lambda *args: calls.append(args))
+        code, _, _ = run_cli(capsys, "adversary", "--victim", "threshold:1", "--C", "4.965",
+                             "--transcript", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_OK
+        (lines, _path), _report = calls  # the report is written after the transcript
+        assert iter(lines) is lines  # an iterator, not one joined string or a list
+        lines = list(lines)
+        assert len(lines) == 381
+        assert all(line.count("\n") == 1 and line.endswith("}\n") for line in lines)
 
 
 class TestOutputFiles:
