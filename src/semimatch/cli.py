@@ -134,15 +134,58 @@ def _write(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> None:
-    if labels is not None:  # a label file's map from its labels to the reported ids
-        payload["vertex_labels"] = labels
-    _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], out)
-
-
-# json.dumps with these flags builds a new encoder for every call.  Sweep rows are
+# The compact encoder of sweep's JSON lines and of the report writer's rows, built
+# once: json.dumps with these flags builds a new one for every call.  Both encode
 # trees that this module builds, so no container is checked for cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
+
+
+# The report writer's text of each scalar type; the encoder refuses a float that is
+# not finite.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else _LINE_ENCODER.encode(x),
+    bool: lambda b: "true" if b else "false"}
+
+
+def _report_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of a tree
+    whose dicts have ``str`` keys, without the pure-Python encoder that
+    ``indent`` selects: a list of rows goes through the C encoder in one call."""
+    if (scalar := _SCALAR_TEXT.get(type(value))) is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(k)}: {_report_text(value[k], inner)}"
+                 for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if value and type(value[0]) in (list, tuple):
+            text = _LINE_ENCODER.encode(value)
+            # No string, dict or empty row; len + 1 "[" and len - 1 "], [": every
+            # element is a row of numbers, bools and nulls, so ", ", "[" and "]"
+            # are all structure.
+            if ('"' not in text and "{" not in text and "[]" not in text
+                    and text.count("[") == len(value) + 1
+                    and text.count("], [") == len(value) - 1):
+                row = inner + "  "
+                return ("[" + inner + text[1:-1].replace("], [", "]," + inner + "[")
+                        .replace(", ", "," + row).replace("[", "[" + row)
+                        .replace("]", inner + "]") + indent + "]")
+        parts = [_report_text(v, inner) for v in value]
+        brackets = "[]"
+    else:  # another type: the encoder's text for a subclass, or its TypeError
+        return _LINE_ENCODER.encode(value)
+    if not parts:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{indent}{brackets[1]}"
+
+
+def _emit(payload: dict, out: Optional[str], labels: Optional[dict] = None) -> None:
+    """Write the report; it is formatted whole first, so a refused one writes nothing."""
+    if labels is not None:  # a label file's map from its labels to the reported ids
+        payload["vertex_labels"] = labels
+    _write([_report_text(payload) + "\n"], out)
 
 
 def _emit_lines(records: Sequence[dict], out: Optional[str]) -> None:

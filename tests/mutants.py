@@ -6,6 +6,7 @@ Usage, from the root of a checkout::
     python tests/mutants.py certificate
     python tests/mutants.py adversary
     python tests/mutants.py pass
+    python tests/mutants.py report
 
 Each mutant is applied to its own copy of ``src``, which must be the
 ``semimatch`` that gets imported, and pytest must exit 1 (failed tests, not
@@ -70,6 +71,15 @@ GROUPS = {
         # The threshold falls by an ulp where 2*epsilon*w_max first overflows.
         ("bucket.py", "max(self.w_max / n * (2.0 * self.epsilon), sys.float_info.max / n)",
          "self.w_max / n * (2.0 * self.epsilon)"),
+    ]),
+    "report": (["tests/test_cli.py"], [
+        # The report writer leaves a dict's keys in insertion order.
+        ("cli.py", "for k in sorted(value)]", "for k in value]"),
+        # It reflows a list of rows one level out, at the list's own indent.
+        ("cli.py", 'row = inner + "  "', "row, inner = inner, indent"),
+        # It writes a float that is not finite as Python spells it.
+        ("cli.py", "float.__repr__(x) if math.isfinite(x) else _LINE_ENCODER.encode(x)",
+         "float.__repr__(x)"),
     ]),
 }
 

@@ -1235,3 +1235,78 @@ class TestGoldenOutputs:
                            for r in opt_after_form(records))
         digests["transcript.jsonl"] = hashlib.sha256(expanded.encode()).hexdigest()
         assert digests == self.DIGESTS
+
+    def test_every_report_is_json_dumps_with_indent_2(self, capsys, tmp_path, monkeypatch):
+        """Each report reads back to its own bytes: the golden commands' reports,
+        an adversary report whose records hold tuples, and a label file's run."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "labels.txt").write_text("n=3\n007 7 1.0\n7 alice 2.0\n")
+        extra = [("adversary", "--victim", "threshold:1", "--C", "4.9",
+                  "--out", "adversary_records.json"),
+                 ("run", "labels.txt", "deterministic", "--gamma", "2", "--epsilon", "0.01",
+                  "--out", "labels.json")]
+        for argv in [*self.COMMANDS, *extra]:
+            assert main(list(argv)) == EXIT_OK, argv
+        reports = sorted(tmp_path.glob("*.json"))
+        assert len(reports) == 10
+        for path in reports:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+        records = json.loads((tmp_path / "adversary_records.json").read_text())["transcript"]
+        assert any(r["held_after"] for r in records)
+        labels = json.loads((tmp_path / "labels.json").read_text())["vertex_labels"]
+        assert labels == {"007": 0, "7": 1, "alice": 2}
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+_NUMBERS = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 10 ** 30]))
+_KEYS = st.text(st.sampled_from(', []"{}\\\n\x00é☃\U0001f600') | st.characters())
+# Rows of numbers: empty, ragged, as tuples, or holding a row or a string.
+_ROWS = st.lists(st.lists(_NUMBERS, max_size=4) | st.tuples(_NUMBERS, _NUMBERS, _NUMBERS)
+                 | st.lists(_NUMBERS | _KEYS | st.lists(_NUMBERS, max_size=2), max_size=3),
+                 max_size=5)
+_TREES = st.recursive(
+    _NUMBERS | _KEYS | _ROWS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=25)
+
+
+def _holding(children):
+    """A list, a list of one row or a dict that holds a value of ``children`` among finite ones."""
+    return (st.builds(lambda a, x, b: [*a, x, *b], st.lists(_TREES, max_size=2), children,
+                      st.lists(_TREES, max_size=2))
+            | st.builds(lambda a, x, b: [[*a, x, *b]], st.lists(_NUMBERS, max_size=2), children,
+                        st.lists(_NUMBERS, max_size=2))
+            | st.builds(lambda d, k, x: {**d, k: x}, st.dictionaries(_KEYS, _TREES, max_size=2),
+                        _KEYS, children))
+
+
+class TestReportWriter:
+    """``cli._report_text`` gives the bytes of ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)``, including rows that its one C-encoder call reflows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_matches_json_dumps_on_any_tree(self, value):
+        assert cli._report_text(value) == _dumps(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(st.sampled_from([math.nan, math.inf, -math.inf]), _holding, max_leaves=4))
+    def test_a_float_that_is_not_finite_at_any_depth_is_refused(self, value):
+        with pytest.raises(ValueError):
+            _dumps(value)
+        with pytest.raises(ValueError):
+            cli._report_text(value)
+
+    def test_a_refused_report_writes_nothing(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"old report\n")
+        with pytest.raises(ValueError):
+            cli._emit({"x": [[0, 1, float("nan")]]}, str(path))
+        assert path.read_bytes() == b"old report\n"
