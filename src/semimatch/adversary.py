@@ -324,6 +324,9 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
 
     def close() -> None:
         """Move the optimum's net change into the last record."""
+        if not delta:  # nothing to sort; fresh lists, so that no two records share one
+            transcript[-1]["opt_added"], transcript[-1]["opt_removed"] = [], []
+            return
         added, removed = [], []
         for row, n in delta.items():
             if n > 0:
@@ -356,7 +359,8 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
             keys, rows = set(), []
             for e in held:
                 key = e.key
-                if presented.get(key) != e:
+                # Equality is the rule; the identity test skips it for the object given.
+                if (given := presented.get(key)) is not e and given != e:
                     raise ContractViolationError(
                         f"victim holds an edge it was never given: {e}")
                 if key != new and key not in held_keys:
@@ -405,7 +409,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
     if not keys:
         insert(first)
         return finish(1)
-    if keys == {second.key}:  # else first: the two share x1
+    if len(keys) == 1 and second.key in keys:  # else first: the two share x1
         relabel()
         a, b = q, p
     else:
@@ -421,10 +425,10 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         keys = offer(pair_a, f"x{i}-a{i}")
         if not keys:
             return finish(i)
-        if keys == {pair_b.key}:
+        if len(keys) == 1 and pair_b.key in keys:
             relabel()
             pair_a, pair_b = pair_b, pair_a
-        if keys == {pair_a.key}:  # the victim switched: (re)enter the chain
+        if len(keys) == 1 and pair_a.key in keys:  # the victim switched: (re)enter the chain
             insert(pair_b)
             if restore is not None:
                 insert(restore)
@@ -436,7 +440,7 @@ def run_adversary(algorithm: PreemptiveAlgorithm, config: AdversaryConfig) -> Ga
         keys = offer(escape, f"y{i}-c{i}")
         if not keys:
             return finish(i)
-        if keys == {escape.key}:
+        if len(keys) == 1 and escape.key in keys:
             insert(pair_b)
             # Only the run's first escape edge evicts: the chain edge at y.
             restore = insert(escape) or restore

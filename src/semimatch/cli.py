@@ -204,9 +204,10 @@ def _transcript_lines(records: Sequence[dict]) -> Iterator[str]:
     for r in records:
         if r["held_after"] != last:  # a declined edge repeats the last record's hold
             last, held = r["held_after"], _rows_text(r["held_after"])
+        added, removed = r["opt_added"], r["opt_removed"]  # most often one or both empty
         yield (f'{{"held_after": [{held}], "label": {encode_basestring_ascii(r["label"])}, '
-               f'"opt_added": [{_rows_text(r["opt_added"])}], '
-               f'"opt_removed": [{_rows_text(r["opt_removed"])}], '
+               f'"opt_added": [{_rows_text(added) if added else ""}], '
+               f'"opt_removed": [{_rows_text(removed) if removed else ""}], '
                f'"step": {r["step"]}, "u": {r["u"]}, "v": {r["v"]}, "weight": {r["weight"]!r}}}\n')
 
 

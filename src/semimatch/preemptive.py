@@ -64,7 +64,9 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
         super().__init__()
         if not 1 <= improvement_factor < math.inf:
             raise ValueError(f"threshold factor must be finite and >= 1, got {improvement_factor}")
-        self.improvement_factor = improvement_factor
+        # A float, so that c times the one blocker's weight is a float product, as c times
+        # an fsum is, also for an int factor and an int weight.
+        self.improvement_factor = float(improvement_factor)
         # Each held edge under both of its ends, in the order it was accepted.
         self._cover: dict[int, Edge] = {}
         self._matching: Optional[Matching] = None  # the hold as last read; None once it changes
@@ -73,11 +75,20 @@ class ThresholdPreemptive(_PresentedMixin, PreemptiveAlgorithm):
         self._note_presented(edge)
         # A held edge covers both of its ends with one object, so `is` tells one blocker from two.
         at_u, at_v = self._cover.get(edge.u), self._cover.get(edge.v)
-        blockers = [f for f in (at_u, None if at_v is at_u else at_v) if f is not None]
-        if edge.weight > self.improvement_factor * math.fsum(f.weight for f in blockers):
-            for f in blockers:
-                del self._cover[f.u]
-                del self._cover[f.v]
+        if at_u is None or at_u is at_v:  # at most one blocker: put it first
+            at_u, at_v = at_v, None
+        # The blocked weight: none, the one blocker's, or the exactly rounded sum of two.
+        if at_u is None:
+            blocked = 0.0
+        elif at_v is None:
+            blocked = at_u.weight
+        else:
+            blocked = math.fsum((at_u.weight, at_v.weight))
+        if edge.weight > self.improvement_factor * blocked:
+            if at_u is not None:
+                del self._cover[at_u.u], self._cover[at_u.v]
+                if at_v is not None:
+                    del self._cover[at_v.u], self._cover[at_v.v]
             self._cover[edge.u] = edge
             self._cover[edge.v] = edge
             self._matching = None

@@ -519,6 +519,15 @@ class TestRunAdversary:
         rows = sum(len(r["opt_added"]) + len(r["opt_removed"]) for r in result.transcript)
         assert rows <= 2 * len(result.transcript)
 
+    @pytest.mark.parametrize("name", DEFAULT_VICTIMS)
+    def test_no_two_records_share_a_list(self, name):
+        # An offer that changes nothing gets two fresh empty lists, not a shared one.
+        for C in C_GRID:
+            transcript = run_adversary(make_victim(name), AdversaryConfig(C=C)).transcript
+            lists = [r[key] for r in transcript
+                     for key in ("held_after", "opt_added", "opt_removed")]
+            assert len({id(rows) for rows in lists}) == len(lists), C
+
     def test_replay_catches_a_dropped_removal(self):
         # The transition tour evicts on entering, continuing and leaving an
         # escape run and at the checkpoint.

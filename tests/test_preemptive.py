@@ -70,6 +70,46 @@ class TestThresholdPreemptive:
         assert alg.current_matching is third
         assert first.keys() == {(0, 1)}  # a returned hold is frozen
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2),
+           st.lists(st.floats(min_value=5e-324, max_value=1.79e308), min_size=3, max_size=3),
+           st.sampled_from([1, 1.5, 1 + 1 / math.sqrt(2), 2, 3]),
+           st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_accepts_exactly_above_c_times_the_blocked_weight(self, count, weights, c, flips):
+        # Blockers (0, 1) and (2, 3), each in a drawn orientation; the offered edge
+        # meets none of them at 4-5, one at 1-4 or both at 1-2, either end first.
+        held = [E(*((1, 0) if flips[0] else (0, 1)), weights[0]),
+                E(*((3, 2) if flips[1] else (2, 3)), weights[1])][:count]
+        ends = [(4, 5), (1, 4), (1, 2)][count]
+        edge = E(*(ends[::-1] if flips[2] else ends), weights[2])
+        alg = ThresholdPreemptive(c)
+        for f in held:
+            alg.on_edge(f)
+        try:
+            accept = edge.weight > c * math.fsum(f.weight for f in held)
+        except OverflowError:  # the two blockers' sum leaves the float range, as does the hold's
+            with pytest.raises(OverflowError):
+                alg.on_edge(edge)
+            return
+        assert list(alg.current_matching) == held
+        alg.on_edge(edge)
+        assert list(alg.current_matching) == ([edge] if accept else held)
+
+    def test_two_blockers_past_the_float_range_raise(self):
+        # Their exact sum, 3.4e308, has no float: fsum raises rather than round it to inf.
+        alg = ThresholdPreemptive(1.0)
+        alg.on_edge(E(0, 1, 1.7e308))
+        alg.on_edge(E(2, 3, 1.7e308))
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            alg.on_edge(E(1, 2, 1.0))
+
+    def test_an_int_factor_rounds_its_product_as_a_float(self):
+        # 3 * (2**53 - 3) is 3 * 2**53 - 9 exactly, which rounds to the offered weight.
+        alg = ThresholdPreemptive(3)
+        alg.on_edge(E(0, 1, 2 ** 53 - 3))
+        alg.on_edge(E(1, 2, 3 * 2 ** 53 - 8))
+        assert alg.current_matching.keys() == {(0, 1)}
+
     def test_duplicate_presentation_rejected(self):
         alg = ThresholdPreemptive(1.0)
         alg.on_edge(E(0, 1, 1.0))
