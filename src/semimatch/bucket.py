@@ -171,8 +171,9 @@ class BucketState:
         return self._grid._floor(i * self._grid.q + self._copy)
 
     def process(self, edge: Edge) -> None:
-        """Classify one arriving edge for every copy of the pass; store it or discard it."""
+        """Classify one arriving edge for every copy of the pass; store or discard it; count it."""
         self._grid.feed(((edge.u, edge.v, edge.weight, edge),))
+        self._grid.edges_processed += 1
 
     def finalize(self) -> Matching:
         """Greedy matching over the stored edges, highest class first.
@@ -345,9 +346,10 @@ class _Grid:
         ``floors[start + q]``, the floors just above their cells; the first
         edge always does.  One bit test against both ends' bitsets finds
         the copies whose class matching takes it, which all store one Edge:
-        the row's, else one made then (a lazy read's is None).
+        the row's, else one made then (a lazy read's is None).  It counts
+        no rows: its caller adds them to ``edges_processed``.
         """
-        q, full, count = self.q, (1 << self.q) - 1, 0
+        q, full = self.q, (1 << self.q) - 1
         w_max, cover, slots, floors = self.w_max, self.cover, self.slots, self.floors
         start = stop = 0
         top_ceil = bottom_ceil = 0.0
@@ -355,7 +357,6 @@ class _Grid:
             start, stop = self.alive - self.base, self.top + 1 - self.base
             top_ceil, bottom_ceil = floors[stop], floors[start + q]
         for u, v, w, edge in rows:
-            count += 1
             if w > w_max:
                 self.w_max = w_max = w
                 threshold = self.threshold
@@ -390,7 +391,6 @@ class _Grid:
                     low = free & -free
                     slots[shift + low.bit_length() - 1].append(edge)
                     free ^= low
-        self.edges_processed += count
 
 
 def best_copy(states: list[BucketState]) -> tuple[Matching, list[Matching]]:
@@ -405,9 +405,11 @@ def best_copy(states: list[BucketState]) -> tuple[Matching, list[Matching]]:
 
 def stream_bucket_run(stream: StreamSource, gamma: float, epsilon: float,
                       delta: float = 0.0) -> BucketState:
-    """One pass over the stream feeding a grid of one copy, shifted by delta."""
+    """One pass over the stream feeding a grid of one copy, shifted by delta,
+    whose ``edges_processed`` is the stream's length, which the read counts."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, (delta,))
     grid.feed(stream.rows())
+    grid.edges_processed += len(stream)
     return grid.copies()[0]
 
 
@@ -448,9 +450,11 @@ def delta_grid(q: int) -> list[float]:
 def ensemble_states(
     stream: StreamSource, gamma: float, epsilon: float, q: int,
 ) -> list[BucketState]:
-    """One pass over the stream feeding q shifted copies, one per grid delta."""
+    """One pass over the stream feeding q shifted copies, one per grid delta,
+    whose ``edges_processed`` is the stream's length, which the read counts."""
     grid = _Grid(gamma, epsilon, stream.num_vertices, tuple(delta_grid(q)))
     grid.feed(stream.rows())
+    grid.edges_processed += len(stream)
     return grid.copies()
 
 

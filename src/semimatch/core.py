@@ -256,6 +256,15 @@ def _canonical(token: str) -> bool:
     return token.isdigit() and token.isascii() and (token[0] != "0" or token == "0")
 
 
+def _check_utf8(raw: str, lineno: int) -> None:
+    """Raise the fault of line ``lineno``'s first byte that is not UTF-8 (a lone surrogate)."""
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as bad:
+        raise StreamFormatError(f"byte 0x{bad.object[bad.start]:02x} is not "
+                                f"UTF-8 ({bad.reason})", lineno) from None
+
+
 # Bytes a set of pair keys takes per key, the int and its share of the
 # table (69-78 measured under tracemalloc from 1e3 to 1e5 keys, rounded
 # down).  Once the set would outweigh a bitmap of every pair below n, the
@@ -326,6 +335,15 @@ class _Parse:
         n once the set would be the larger; a pair with an end past n is
         not looked up there, since the range fault of that end comes
         before it.
+
+        Lines are counted, ``count`` edge lines and ``other`` blank, comment
+        and header lines, and a line's number, ``count + other + 1``, is
+        worked out only for a fault.  A line that is not ASCII is checked
+        for a byte that is not UTF-8 only off the common path: when it is
+        not three fields or is a comment, brings a new token, or is about
+        to raise an in-line fault.  Any other edge line holds no bad byte:
+        its tokens were checked on the line that brought them, and
+        ``float`` refuses a weight holding the lone surrogate of one.
         """
         tokens, values = self.tokens, self.values
         header_n: Optional[int] = None
@@ -334,19 +352,17 @@ class _Parse:
         # n, the pairs below n, and the set size at which their bitmap is the smaller
         bound = cells = crowded = inf = math.inf
         out_of_range = past_n = repeated = None
-        count = 0
+        count = other = 0
         lines = io.TextIOWrapper(io.BufferedReader(file), encoding="utf-8-sig",
                                  errors="surrogateescape")
         with lines:  # closed when they end, raise or are dropped unread
-            for lineno, raw in enumerate(lines, start=1):
-                if not raw.isascii():  # a byte that is not UTF-8 was read as a lone surrogate
-                    try:
-                        raw.encode("utf-8", "surrogateescape").decode("utf-8")
-                    except UnicodeDecodeError as bad:
-                        raise StreamFormatError(f"byte 0x{bad.object[bad.start]:02x} is not "
-                                                f"UTF-8 ({bad.reason})", lineno) from None
+            for raw in lines:
                 parts = raw.split()
                 if len(parts) != 3 or parts[0][0] == "#":
+                    lineno = count + other + 1
+                    if not raw.isascii():
+                        _check_utf8(raw, lineno)
+                    other += 1
                     if not parts or parts[0][0] == "#":
                         continue
                     line = raw.strip()
@@ -373,6 +389,9 @@ class _Parse:
                 a, b, w = parts
                 u, v = tokens.get(a), tokens.get(b)
                 if u is None or v is None:
+                    lineno = count + other + 1
+                    if not raw.isascii():
+                        _check_utf8(raw, lineno)
                     if values is not None and not ((u is not None or _canonical(a))
                                                    and (v is not None or _canonical(b))):
                         if header_n is None:
@@ -400,8 +419,13 @@ class _Parse:
                 try:
                     weight = float(w)
                 except ValueError:
-                    raise StreamFormatError(f"bad weight {w!r}", lineno) from None
+                    if not raw.isascii():
+                        _check_utf8(raw, count + other + 1)
+                    raise StreamFormatError(f"bad weight {w!r}", count + other + 1) from None
                 if u == v or not 0.0 < weight < inf:
+                    lineno = count + other + 1
+                    if not raw.isascii():
+                        _check_utf8(raw, lineno)
                     try:
                         self._reported(u, v, weight)  # raises with the message stated there
                     except ValueError as exc:
@@ -409,10 +433,13 @@ class _Parse:
                 pair = u * (u + 1) // 2 + v if u > v else v * (v + 1) // 2 + u
                 if bits is not None:
                     if pair < cells:
-                        byte, bit = pair >> 3, 1 << (pair & 7)
-                        if bits[byte] & bit and repeated is None:
-                            repeated = (lineno, raw.strip(), u, v)
-                        bits[byte] |= bit
+                        index = pair >> 3
+                        old = bits[index]
+                        new = old | 1 << (pair & 7)
+                        if new != old:
+                            bits[index] = new
+                        elif repeated is None:
+                            repeated = (count + other + 1, raw.strip(), u, v)
                 elif pair not in pairs:
                     pairs.add(pair)
                     if len(pairs) > crowded:
@@ -422,7 +449,7 @@ class _Parse:
                                 bits[key >> 3] |= 1 << (key & 7)
                         pairs = set()
                 elif repeated is None:
-                    repeated = (lineno, raw.strip(), u, v)
+                    repeated = (count + other + 1, raw.strip(), u, v)
                 count += 1
                 yield u, v, weight, None
         self.num_vertices = (header_n if header_n is not None

@@ -7,6 +7,7 @@ Usage, from the root of a checkout::
     python tests/mutants.py adversary
     python tests/mutants.py pass
     python tests/mutants.py report
+    python tests/mutants.py parse
 
 Each mutant is applied to its own copy of ``src``, which must be the
 ``semimatch`` that gets imported, and pytest must exit 1 (failed tests, not
@@ -90,6 +91,26 @@ GROUPS = {
         # It writes a float that is not finite as Python spells it.
         ("cli.py", "float.__repr__(x) if math.isfinite(x) else _LINE_ENCODER.encode(x)",
          "float.__repr__(x)"),
+    ]),
+    "parse": (["tests/test_core.py", "tests/test_bucket.py"], [
+        # A weight that float() refuses is reported before its line's bad byte.
+        ("core.py", "if not raw.isascii():\n                        "
+         "_check_utf8(raw, count + other + 1)\n                    raise", "raise"),
+        # A new token is taken without a look at its line's bytes.
+        ("core.py", "lineno = count + other + 1\n                    if not raw.isascii():\n"
+         "                        _check_utf8(raw, lineno)\n                    if values",
+         "lineno = count + other + 1\n                    if values"),
+        # A blank or comment line is left out of the count of other lines.
+        ("core.py", "other += 1\n                    if not parts or parts[0][0] == \"#\":\n"
+         "                        continue",
+         "if not parts or parts[0][0] == \"#\":\n                        continue\n"
+         "                    other += 1"),
+        # A repeated pair is held at the line before its own.
+        ("core.py", "elif repeated is None:\n                            "
+         "repeated = (count + other + 1,",
+         "elif repeated is None:\n                            repeated = (count + other,"),
+        # A copy's process leaves its edge out of edges_processed.
+        ("bucket.py", "self._grid.edges_processed += 1", "pass"),
     ]),
 }
 

@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import random
+import re
 import tempfile
 import tracemalloc
 
@@ -40,6 +41,22 @@ def held(text):
             handle.write(text.encode("utf-8"))
         stream = load_stream(path)
         stream.hold()
+        return stream
+
+
+def read_bytes(data, how):
+    """The stream of the bytes ``data``, read to its end by draining its pass
+    (``how="rows"``) or by holding it (``how="hold"``)."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "stream.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        stream = load_stream(path)
+        if how == "hold":
+            stream.hold()
+        else:
+            for _ in stream.rows():
+                pass
         return stream
 
 
@@ -103,6 +120,51 @@ def _naive_scan(header, lines, first_line):
             return "fault", lineno, "duplicate"
         seen.add(e.key)
     return "ok", n, edges, mapping
+
+
+@st.composite
+def _stream_bytes(draw):
+    """The bytes of a stream of :func:`_stream_lines` after an optional header,
+    with "y" spelled "é" or not, up to two 0xff bytes put anywhere, each line
+    ended by LF, CRLF or CR, and an optional byte-order mark."""
+    header = draw(st.sampled_from((None, 1, 3, 4, 6, 8)))
+    lines = ([f"n={header}"] if header else []) + draw(_stream_lines())
+    if draw(st.booleans()):
+        lines = [line.replace("y", "\u00e9") for line in lines]
+    encoded = [line.encode("utf-8") for line in lines]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if encoded else 0):
+        index = draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+        at = draw(st.integers(min_value=0, max_value=len(encoded[index])))
+        encoded[index] = encoded[index][:at] + b"\xff" + encoded[index][at:]
+    ends = draw(st.lists(st.sampled_from((b"\n", b"\r\n", b"\r")),
+                         min_size=len(encoded), max_size=len(encoded)))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + b"".join(line + end for line, end in zip(encoded, ends))
+
+
+def _naive_byte_scan(data):
+    """What parsing the bytes ``data`` gives, taken line by line.
+
+    The first line that is not UTF-8 is a fault, unless :func:`_naive_scan`
+    finds an in-line fault in the lines before it; a held fault of those
+    lines comes after it.  Returns what :func:`_naive_scan` returns.
+    """
+    lines = re.split(rb"\r\n|\r|\n", data.removeprefix(b"\xef\xbb\xbf"))
+    fault = None
+    for bad, line in enumerate(lines):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            fault = "fault", bad + 1, f"byte 0x{line[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            lines = lines[:bad]
+            break
+    text = [line.decode("utf-8") for line in lines]
+    header = int(text.pop(0)[2:]) if text and text[0].startswith("n=") else None
+    expected = _naive_scan(header, text, first_line=2 if header else 1)
+    in_line = ("n= header is required", "bad weight", "self-loop")
+    if fault is None or (expected[0] == "fault" and expected[2] in in_line):
+        return expected
+    return fault
 
 
 class TestEdge:
@@ -553,6 +615,56 @@ class TestParsing:
                               [Edge(e.u, e.v, e.weight) for e in parsed.edges])
         assert (public.num_vertices, public.edges) == (parsed.num_vertices, parsed.edges)
         assert (parsed.num_vertices, parsed.edges, parsed.labels) == (num_vertices, edges, labels)
+
+    @settings(max_examples=500)
+    @given(_stream_bytes())
+    def test_bytes_match_a_naive_line_by_line_scan(self, data):
+        # The first line that is not UTF-8 or holds another in-line fault wins,
+        # in a drained pass and in a held read alike.
+        expected = _naive_byte_scan(data)
+        for how in ("rows", "hold"):
+            try:
+                parsed = read_bytes(data, how)
+            except StreamFormatError as exc:
+                assert expected[0] == "fault", (data, how, exc)
+                assert (exc.line, expected[2] in str(exc)) == (expected[1], True), (data, how, exc)
+                continue
+            assert expected[0] == "ok", (data, how)
+        if expected[0] == "ok":
+            assert (parsed.num_vertices, parsed.edges, parsed.labels) == expected[1:]
+
+    @pytest.mark.parametrize("how", ["rows", "hold"])
+    @pytest.mark.parametrize("data, line", [
+        (b"n=3\xff\n0 1 1.0\n", 1),
+        (b"n=3\n0 1 1.0 \xff\n", 2),
+        (b"n=3\n0 1 1.0\n1 2 0\xff\n", 3),
+        (b"n=3\n0 1 1.0\n1 2 inf\xff\n", 3),
+        (b"n=3\n0 1 1.0\n0 0 1.0\xff\n", 3),
+        (b"n=3\n0 1 1.0\n1 2 oops\xff\n", 3),
+    ], ids=["header", "four-fields", "zero-weight", "inf-weight", "self-loop", "bad-weight"])
+    def test_a_bad_byte_is_found_before_the_lines_other_fault(self, data, line, how):
+        with pytest.raises(StreamFormatError) as excinfo:
+            read_bytes(data, how)
+        assert str(excinfo.value) == f"line {line}: byte 0xff is not UTF-8 (invalid start byte)"
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("how", ["rows", "hold"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last, message", [
+        ("2 1 oops", "line 8: bad weight 'oops'"),
+        ("1 1 1.0", "line 8: self-loop at vertex 1"),
+        ("2 7 1.0", "line 8: vertex id 7 exceeds the largest id 3 for num_vertices=4: '2 7 1.0'"),
+        ("x 0 1.0", "line 8: vertex id 4 exceeds the largest id 3 for num_vertices=4: 'x 0 1.0'"),
+        ("1 0 2.0", "line 8: duplicate edge between 0 and 1: '1 0 2.0'"),
+    ], ids=["bad-weight", "self-loop", "id-range", "labels-past-n", "duplicate"])
+    def test_fault_lines_count_blank_comment_and_header_lines(self, last, message, newline, how):
+        # A byte-order mark, then a comment, a blank line, the header, a line of
+        # spaces, two edges, a comment, and the faulty line, eighth.
+        lines = ["# c", "", "n=4", "  ", "0 1 1.0", "2 3 1.0", "#0 1 1.0", last, ""]
+        data = b"\xef\xbb\xbf" + newline.join(lines).encode("utf-8")
+        with pytest.raises(StreamFormatError) as excinfo:
+            read_bytes(data, how)
+        assert (str(excinfo.value), excinfo.value.line) == (message, 8)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), _EDGE_WEIGHT)
                     .filter(lambda row: row[0] != row[1]),
