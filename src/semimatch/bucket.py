@@ -132,15 +132,6 @@ class BucketState:
         self.gamma, self.epsilon, self.num_vertices = grid.gamma, grid.epsilon, grid.num_vertices
 
     @property
-    def w_max(self) -> float:
-        return self._grid.w_max
-
-    @property
-    def threshold(self) -> float:
-        """Discard threshold 2*epsilon*w_max/n below which classes die."""
-        return self._grid.threshold
-
-    @property
     def edges_processed(self) -> int:
         return self._grid.edges_processed
 

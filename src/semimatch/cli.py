@@ -252,9 +252,8 @@ def _run_config(args: argparse.Namespace) -> tuple[Optional[int], dict]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     q, config = _run_config(args)
-    stream = load_stream(args.stream)  # the module global, which a tracer patches
-    if args.with_oracle:  # the oracle reads every edge after the pass
-        stream.hold()
+    # The module global, which a tracer patches; the oracle reads every edge after the pass.
+    stream = load_stream(args.stream, hold=args.with_oracle)
     record = _run_variant(stream, args.variant, args.gamma, args.epsilon, config["delta"], q)
     if (ids := stream.ids) is not None:  # the pass named vertices by first appearance
         record["matching"] = [[ids[u], ids[v], w] for u, v, w in record["matching"]]
@@ -273,8 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     _, config = _run_config(args)
-    stream = load_stream(args.stream)
-    stream.hold()  # the certificate reads every edge after the pass
+    stream = load_stream(args.stream, hold=True)  # the certificate reads every edge after the pass
     config["stream_sha256"] = stream.sha256
     state = stream_bucket_run(stream, args.gamma, args.epsilon, config["delta"])
     survivors = filter_to_final_window(state, stream.edges)
@@ -296,8 +294,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    stream = load_stream(args.stream)
-    stream.hold()
+    stream = load_stream(args.stream, hold=True)
     matching = max_weight_matching_exact(stream.edges)
     _emit({
         "command": "oracle",

@@ -6,7 +6,7 @@ tasks.  :func:`load_stream` is the one way into an edge-stream file, pipe
 or FIFO, and states its text format.  It reads the input once, forward,
 and checks each line, its UTF-8 included, as it is read; the stream it
 returns reads the lines after the header only as a pass iterates their
-rows, and makes and holds no Edge unless :meth:`StreamSource.hold` is called.
+rows, and makes and holds no Edge unless it is opened with ``hold=True``.
 """
 
 from __future__ import annotations
@@ -156,10 +156,10 @@ class StreamSource:
 
     Building one checks each edge's ids against the count and rejects a
     repeated vertex pair in either orientation (ValueError).  A stream
-    built from edges, read from a file without the ``n=`` header, or read
-    by :meth:`hold` is held: ``edges`` keeps them under their reported ids,
-    and its passes, which may repeat, carry them.  Until then a stream read
-    with the header is lazy: its one pass reads the rest of the file as
+    built from edges, read from a file without the ``n=`` header, or opened
+    with ``hold=True`` is held: ``edges`` keeps them under their reported
+    ids, and its passes, which may repeat, carry them.  Any other stream
+    read from a file is lazy: its one pass reads the rest of the file as
     ``(u, v, weight, None)`` rows, naming ends by their order of first
     appearance, which ``ids`` maps to the ids reported, and raises a held
     id-range or duplicate fault when the read ends.  Its ``len()`` raises
@@ -184,31 +184,10 @@ class StreamSource:
             seen.add(key)
         self.num_vertices, self.edges, self.passes, self._parse = num_vertices, edges, 0, None
 
-    def hold(self) -> None:
-        """Read the edges not yet read and keep them all; call it before the first pass.
-
-        The held edges carry their reported ids, so the read's numbering of
-        the tokens is dropped with the read; a label file keeps its labels.
-        A held stream is left as it is.
-        """
-        if self.edges is None:
-            if self.passes:
-                raise ValueError("a stream whose edges are not held is read once")
-            parse = self._parse
-            held = tuple(_edge(u, v, w) for u, v, w, _ in self._rest)
-            values = parse.values
-            if values is not None:  # renamed in place: no one else holds these edges yet
-                for e in held:
-                    _set_u(e, values[e.u])
-                    _set_v(e, values[e.v])
-            self.edges, self.num_vertices = held, parse.num_vertices
-            del self._rest
-            parse.tokens, parse.values = parse.labels, None  # type: ignore[assignment]
-
     @property
     def ids(self) -> Optional[list[int]]:
         """The reported id of each vertex number the read edges carry; None when
-        each number is its vertex's id: from a label file's first label on, and once held."""
+        each number is its vertex's id: from a label file's first label on, and when held."""
         return None if self._parse is None else self._parse.values
 
     @property
@@ -466,15 +445,17 @@ class _Parse:
 
 
 def format_stream(stream: StreamSource) -> str:
-    """Render a stream in the text format (always with the n= header)."""
+    """Render a held stream in the text format (always with the n= header)."""
+    if stream.edges is None:
+        raise ValueError("only a held stream can be formatted: open it with "
+                         "load_stream(path, hold=True)")
     lines = [f"n={stream.num_vertices}"]
     lines.extend(f"{e.u} {e.v} {e.weight!r}" for e in stream.edges)
     return "\n".join(lines) + "\n"
 
 
-def load_stream(path: str) -> StreamSource:
-    """Open an edge-stream file, pipe or FIFO as a :class:`StreamSource`,
-    read through its first edge line.
+def load_stream(path: str, hold: bool = False) -> StreamSource:
+    """Open an edge-stream file, pipe or FIFO as a :class:`StreamSource`.
 
     The text format is one edge per line, ``<u> <v> <weight>``
     whitespace-separated, ``#`` comment lines, and an optional ``n=<count>``
@@ -491,17 +472,28 @@ def load_stream(path: str) -> StreamSource:
     :class:`StreamFormatError` with its line number.  A leading UTF-8
     byte-order mark is skipped, though hashed; a U+FEFF elsewhere is text.
     ``sha256`` is the SHA-256 (hex) of the bytes parsed, taken in the same
-    read.  A file without the header is held at once.  The rest of a file
-    with it is read by the one pass of :meth:`StreamSource.rows`, or by
-    :meth:`StreamSource.hold`, which keeps every edge for passes and
-    readers after it.
+    read.  With ``hold``, or on a file without the header, the whole file
+    is read, and the stream keeps every edge, under its reported ids, for
+    passes and readers after it.  Otherwise it returns once its first edge
+    line is read, and the one pass of :meth:`StreamSource.rows` reads the
+    rest.
     """
+    parse = _Parse()
+    rows = parse.rows(_Sha256File(path))
     stream = object.__new__(StreamSource)
-    stream.passes, stream.edges, stream._parse = 0, None, _Parse()
-    rest = stream._parse.rows(_Sha256File(path))
-    first = next(rest, None)  # the header, if any, precedes it
-    stream._rest = itertools.chain(() if first is None else (first,), rest)
-    stream.num_vertices = stream._parse.header_n
-    if stream.num_vertices is None:
-        stream.hold()
+    stream.passes, stream._parse = 0, parse
+    if not hold:
+        first = next(rows, None)  # the header, if any, precedes it
+        rows = itertools.chain(() if first is None else (first,), rows)
+        if parse.header_n is not None:
+            stream.edges, stream.num_vertices, stream._rest = None, parse.header_n, rows
+            return stream
+    held = tuple(_edge(u, v, w) for u, v, w, _ in rows)
+    values = parse.values
+    if values is not None:  # renamed in place: no one else holds these edges yet
+        for e in held:
+            _set_u(e, values[e.u])
+            _set_v(e, values[e.v])
+    stream.edges, stream.num_vertices = held, parse.num_vertices
+    parse.tokens, parse.values = parse.labels, None  # type: ignore[assignment]
     return stream

@@ -151,7 +151,7 @@ class TestProcessEdge:
     def test_first_edge_always_accepted(self):
         state = make_state()
         state.process(E(0, 1, 1.0))
-        assert state.w_max == 1.0
+        assert state._grid.w_max == 1.0
         assert [e.key for e in state.matchings[0]] == [(0, 1)]
 
     def test_same_class_conflict_discarded(self):
@@ -282,8 +282,8 @@ class TestWindowCache:
             edges.append(E(u, v, w))
             state.process(edges[-1])
             lo, hi = state.window
-            assert (lo, hi) == (class_index(state.threshold, gamma, delta),
-                                class_index(state.w_max, gamma, delta))
+            assert (lo, hi) == (class_index(state._grid.threshold, gamma, delta),
+                                class_index(state._grid.w_max, gamma, delta))
             assert all(i >= lo for i in state.matchings)
             for i, slot in state.matchings.items():
                 assert all(class_index(e.weight, gamma, delta) == i for e in slot)
@@ -314,14 +314,14 @@ class TestWindowCache:
         model = ModelCopy(gamma, epsilon, n, delta)
         state.process(E(0, 1, w1))
         model.process(E(0, 1, w1))
-        threshold = state.threshold
+        threshold = state._grid.threshold
         assert state.floor(80) == threshold
         below = math.nextafter(threshold, 0.0)
         for e in (E(2, 3, w0), E(4, 5, below)):
             state.process(e)
             model.process(e)
-        assert state.threshold >= threshold
-        assert state.window == (class_index(state.threshold, gamma, delta),
+        assert state._grid.threshold >= threshold
+        assert state.window == (class_index(state._grid.threshold, gamma, delta),
                                 class_index(w0, gamma, delta)) == (80, 81)
         assert state.matchings == model.matchings
         assert sorted(state.matchings) == [80, 81]
@@ -405,8 +405,8 @@ class TestEnsembleDriver:
         stream = StreamSource(n, [E(u, v, w) for (u, v), w in zip(pairs, weights)])
         for j, state in enumerate(ensemble_states(stream, gamma, epsilon, q)):
             alone = stream_bucket_run(stream, gamma, epsilon, j / q)
-            for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
-                          "edges_processed"):
+            assert state._grid.w_max == alone._grid.w_max
+            for field in ("window", "stored_edge_count", "stored_edge_peak", "edges_processed"):
                 assert getattr(state, field) == getattr(alone, field), field
             assert state.matchings == alone.matchings
 
@@ -523,12 +523,12 @@ class TestFineGrid:
         for j, state in enumerate(states):
             delta = j / q
             alone = stream_bucket_run(stream, gamma, epsilon, delta)
-            for field in ("w_max", "window", "stored_edge_count", "stored_edge_peak",
-                          "edges_processed"):
+            assert state._grid.w_max == alone._grid.w_max
+            for field in ("window", "stored_edge_count", "stored_edge_peak", "edges_processed"):
                 assert getattr(state, field) == getattr(alone, field), field
             assert state.matchings == alone.matchings
-            assert state.window == (class_index(state.threshold, gamma, delta),
-                                    class_index(state.w_max, gamma, delta))
+            assert state.window == (class_index(state._grid.threshold, gamma, delta),
+                                    class_index(state._grid.w_max, gamma, delta))
             for i, slot in state.matchings.items():
                 assert all(class_index(e.weight, gamma, delta) == i for e in slot)
 
@@ -973,13 +973,13 @@ class TestInvariants:
     def test_window_matches_intersection_rule(self):
         state = make_state(gamma=2.0, epsilon=0.5, n=8)
         for w in (1.0, 17.0, 400.0, 1024.0):
-            state.process(E(0, 1, w) if state.w_max == 0 else
+            state.process(E(0, 1, w) if state._grid.w_max == 0 else
                           E(2 * int(math.log2(w)) % 6 + 2, 2 * int(math.log2(w)) % 6 + 3, w))
         lo, hi = state.window
-        threshold = state.threshold
+        threshold = state._grid.threshold
         # every class in the window intersects [threshold, w_max]
         for i in range(lo, hi + 1):
-            assert 2.0 ** (i + 1) > threshold and 2.0 ** i <= state.w_max
+            assert 2.0 ** (i + 1) > threshold and 2.0 ** i <= state._grid.w_max
         # the classes just outside do not
         assert 2.0 ** lo <= threshold
-        assert 2.0 ** (hi + 1) > state.w_max
+        assert 2.0 ** (hi + 1) > state._grid.w_max

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,3 +175,10 @@ class TestLinkBounds:
             links = hand_cert(**{"gamma": gamma, "opt_weight": 1.5,
                                  side: factor * bound(gamma)}).links()
             assert links == {name: holds if name == link else True for name in links}, factor
+
+    def test_slack_rule_holds_at_equality(self):
+        # At OPT = 0 the slack is REL_TOL itself, so OPT' = 1e-9 meets the
+        # bound with equality: it reads True, and the float above it False.
+        for opt_rounded, holds in ((1e-9, True), (math.nextafter(1e-9, 1), False)):
+            links = hand_cert(opt_weight=0.0, opt_rounded=opt_rounded).links()
+            assert links["opt_rounded_le_opt"] is holds, opt_rounded

@@ -729,7 +729,7 @@ class TestStreamedRun:
     def assert_fault_as_parsed(capsys, path):
         """Exit 2 with the held read's message and line, and no report written; return the line."""
         with pytest.raises(StreamFormatError) as excinfo:
-            load_stream(str(path)).hold()
+            load_stream(str(path), hold=True)
         out = path.with_name("report.json")
         for variant in ("deterministic", "ensemble"):
             code = main(["run", str(path), variant, "--gamma", "2", "--epsilon", "0.5",

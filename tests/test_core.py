@@ -39,9 +39,7 @@ def held(text):
         path = os.path.join(work, "stream.txt")
         with open(path, "wb") as handle:
             handle.write(text.encode("utf-8"))
-        stream = load_stream(path)
-        stream.hold()
-        return stream
+        return load_stream(path, hold=True)
 
 
 def read_bytes(data, how):
@@ -51,10 +49,8 @@ def read_bytes(data, how):
         path = os.path.join(work, "stream.txt")
         with open(path, "wb") as handle:
             handle.write(data)
-        stream = load_stream(path)
-        if how == "hold":
-            stream.hold()
-        else:
+        stream = load_stream(path, hold=how == "hold")
+        if how == "rows":
             for _ in stream.rows():
                 pass
         return stream
@@ -362,7 +358,6 @@ class TestFileStream:
         assert repr(stream) == "StreamSource(n=4, m=2)"
         assert (stream.ids, stream.labels, len(stream.sha256)) == ([0, 1, 2, 3], None, 64)
         built = StreamSource(4, [E(0, 1), E(2, 3)])
-        built.hold()  # a stream built from edges is held already
         assert (built.ids, built.labels, built.sha256, built.passes) == (None, None, None, 0)
 
     def test_a_stream_read_by_its_pass_is_not_held_after(self, tmp_path):
@@ -370,10 +365,16 @@ class TestFileStream:
         path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
         stream = load_stream(str(path))
         list(stream.rows())
-        for again in (stream.hold, stream.rows):
-            with pytest.raises(ValueError, match="is read once"):
-                again()
+        with pytest.raises(ValueError, match="is read once"):
+            stream.rows()
         assert (stream.edges, len(stream), stream.passes) == (None, 2, 1)
+
+    def test_only_a_held_stream_is_formatted(self, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("n=4\n0 1 1.0\n2 3 2.0\n")
+        with pytest.raises(ValueError, match=r"load_stream\(path, hold=True\)"):
+            format_stream(load_stream(str(path)))
+        assert format_stream(load_stream(str(path), hold=True)) == path.read_text()
 
     def test_a_held_stream_drops_the_numbering_of_its_tokens(self, tmp_path):
         # 10,000 distinct ids in 5,000 edges: the edges and their ids take 0.68 MiB,
@@ -383,8 +384,7 @@ class TestFileStream:
         gc.collect()
         tracemalloc.start()
         try:
-            stream = load_stream(str(path))
-            stream.hold()
+            stream = load_stream(str(path), hold=True)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -549,11 +549,10 @@ class TestParsing:
         path = tmp_path / "stream.txt"
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(StreamFormatError, match="duplicate") as excinfo:
-            load_stream(str(path)).hold()
+            load_stream(str(path), hold=True)
         assert excinfo.value.line == 6
         path.write_bytes(text.replace("1 alice", "bob alice").encode("utf-8"))
-        parsed = load_stream(str(path))
-        parsed.hold()
+        parsed = load_stream(str(path), hold=True)
         assert parsed.labels == {"0": 0, "1": 1, "alice": 2, "bob": 3}
         assert parsed.edges == (Edge(0, 1, 1.0), Edge(2, 1, 1.0), Edge(3, 2, 2.0))
 
@@ -564,7 +563,7 @@ class TestParsing:
         path = tmp_path / "stream.txt"
         path.write_bytes(newline.join(lines + ["5000 5001 2.5\xff", ""]).encode("latin-1"))
         with pytest.raises(StreamFormatError, match="0xff is not UTF-8") as excinfo:
-            load_stream(str(path)).hold()
+            load_stream(str(path), hold=True)
         assert excinfo.value.line == 5002
 
     def test_fault_before_a_bad_byte_in_one_decoder_chunk(self, tmp_path):
@@ -574,7 +573,7 @@ class TestParsing:
         path.write_bytes("\n".join(lines + ["39 40 2.5\xff", ""]).encode("latin-1"))
         assert path.stat().st_size < 8192
         with pytest.raises(StreamFormatError, match="bad weight 'oops'") as excinfo:
-            load_stream(str(path)).hold()
+            load_stream(str(path), hold=True)
         assert excinfo.value.line == 2
 
     @pytest.mark.parametrize("data", [b"n=3\n0 1 1.0\n1 x\xff 2.0\n", b"n=3\n0 1 1.0\n# c\xff\n"],
@@ -583,7 +582,7 @@ class TestParsing:
         path = tmp_path / "stream.txt"
         path.write_bytes(data)
         with pytest.raises(StreamFormatError) as excinfo:
-            load_stream(str(path)).hold()
+            load_stream(str(path), hold=True)
         assert str(excinfo.value) == "line 3: byte 0xff is not UTF-8 (invalid start byte)"
 
     def test_only_lf_crlf_cr_end_lines(self):
